@@ -14,10 +14,9 @@ The network converts to an :class:`~repro.netlist.Aig` for mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netlist.aig import AIG_FALSE, AIG_TRUE, Aig, lit_not
-from repro.netlist.cubes import Cover
 from repro.synthesis.division import (
     Sop,
     algebraic_divide,
@@ -94,37 +93,36 @@ class LogicNetwork:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def fanout_counts(self) -> dict:
-        """name -> number of nodes (plus outputs) reading it."""
-        counts = {n: 0 for n in list(self.nodes) + self.inputs}
-        for node in self.nodes.values():
-            for dep in node.support():
-                counts[dep] = counts.get(dep, 0) + 1
-        for o in self.outputs:
-            counts[o] = counts.get(o, 0) + 1
-        return counts
-
     def topological_order(self) -> list:
-        """Node names, fanins before fanouts; raises on cycles."""
-        state: dict[str, int] = {}
+        """Node names, fanins before fanouts; raises on cycles.
+
+        Depth-first from each node in name order, fanins in name order;
+        an explicit stack keeps deep networks off the recursion limit.
+        """
+        state: dict[str, int] = {}  # 1 = on the stack, 2 = emitted
         order: list[str] = []
-
-        def visit(name: str) -> None:
-            if name in self.inputs or name not in self.nodes:
-                return
-            mark = state.get(name, 0)
-            if mark == 1:
-                raise ValueError("cycle in logic network")
-            if mark == 2:
-                return
-            state[name] = 1
-            for dep in sorted(self.nodes[name].support()):
-                visit(dep)
-            state[name] = 2
-            order.append(name)
-
-        for name in sorted(self.nodes):
-            visit(name)
+        for root in sorted(self.nodes):
+            if root in state:
+                continue
+            state[root] = 1
+            stack = [(root, iter(sorted(self.nodes[root].support())))]
+            while stack:
+                name, deps = stack[-1]
+                for dep in deps:
+                    if dep not in self.nodes:  # primary input
+                        continue
+                    mark = state.get(dep, 0)
+                    if mark == 1:
+                        raise ValueError("cycle in logic network")
+                    if mark == 0:
+                        state[dep] = 1
+                        stack.append(
+                            (dep, iter(sorted(self.nodes[dep].support()))))
+                        break
+                else:
+                    stack.pop()
+                    state[name] = 2
+                    order.append(name)
         return order
 
     def depth(self) -> int:
@@ -141,6 +139,7 @@ class LogicNetwork:
 
     def sweep(self) -> int:
         """Remove buffer/constant nodes by substitution; returns count."""
+        readers = self._reader_index()
         removed = 0
         changed = True
         while changed:
@@ -152,39 +151,21 @@ class LogicNetwork:
                 if len(node.sop) == 1 and len(node.sop[0]) == 1:
                     ((dep, phase),) = node.sop[0]
                     if phase:  # pure buffer: name == dep
-                        self._substitute(name, dep)
-                        del self.nodes[name]
+                        self._rewrite_readers(
+                            name, readers,
+                            lambda sop: _rename_sop(sop, name, dep))
+                        self._remove(name, readers)
                         removed += 1
                         changed = True
                 elif not node.sop:
                     # Constant 0 node: propagate by deleting cubes that
                     # use it positively, dropping negative literals.
-                    self._substitute_const(name, False)
-                    del self.nodes[name]
+                    self._rewrite_readers(
+                        name, readers, lambda sop: _zero_sop(sop, name))
+                    self._remove(name, readers)
                     removed += 1
                     changed = True
         return removed
-
-    def _substitute(self, old: str, new: str) -> None:
-        for node in self.nodes.values():
-            new_sop = []
-            for cube in node.sop:
-                if (old, True) in cube:
-                    cube = (cube - {(old, True)}) | {(new, True)}
-                if (old, False) in cube:
-                    cube = (cube - {(old, False)}) | {(new, False)}
-                new_sop.append(cube)
-            node.sop = new_sop
-
-    def _substitute_const(self, name: str, value: bool) -> None:
-        for node in self.nodes.values():
-            new_sop = []
-            for cube in node.sop:
-                if (name, not value) in cube:
-                    continue  # cube is false
-                cube = cube - {(name, value)}
-                new_sop.append(cube)
-            node.sop = new_sop
 
     def eliminate(self, threshold: int = 0) -> int:
         """Collapse nodes whose extraction value <= threshold.
@@ -192,53 +173,79 @@ class LogicNetwork:
         The value of keeping node n with f fanouts and l literals is
         ``(f - 1) * (l - 1) - 1`` (literals saved by sharing); nodes at
         or below the threshold are inlined into their fanouts, as in
-        SIS ``eliminate``.
+        SIS ``eliminate``.  Only positive uses can be inlined
+        algebraically, so a node read complemented anywhere stays.
+
+        The first inline also normalizes every other node's SOP with
+        :func:`_dedupe_sop` (cube order feeds :meth:`to_aig`); since
+        that is idempotent, later inlines touch only the readers.
         """
+        readers = self._reader_index()
+        normalized = False
         eliminated = 0
         changed = True
         while changed:
             changed = False
-            fan = self.fanout_counts()
             for name in list(self.nodes):
                 if name in self.outputs:
                     continue
                 node = self.nodes[name]
-                f = fan.get(name, 0)
-                lits = node.literal_count()
-                value = (f - 1) * (lits - 1) - 1
-                if value <= threshold and self._inline(name):
-                    del self.nodes[name]
-                    eliminated += 1
-                    changed = True
-                    fan = self.fanout_counts()
+                # Outputs are never eliminated, so only node reads count.
+                f = len(readers.get(name, ()))
+                value = (f - 1) * (node.literal_count() - 1) - 1
+                if value > threshold or any(
+                        (name, False) in cube
+                        for r in readers.get(name, ())
+                        for cube in self.nodes[r].sop):
+                    continue
+                if not normalized:
+                    normalized = True
+                    skip = {name, *readers.get(name, ())}
+                    for other in list(self.nodes):
+                        if other not in skip:
+                            self._rewrite(other, readers, _dedupe_sop)
+                self._rewrite_readers(
+                    name, readers,
+                    lambda sop: _dedupe_sop(_inline_sop(sop, name, node.sop)))
+                self._remove(name, readers)
+                eliminated += 1
+                changed = True
         return eliminated
 
-    def _inline(self, name: str) -> bool:
-        """Substitute node ``name`` into all its readers.
+    # Reader index: name -> nodes whose SOP reads it (either phase).
+    # sweep and eliminate keep it current from the support diff of
+    # every node they rewrite, so a substitution visits only the
+    # readers of the substituted name.  Lists, not sets: most names
+    # have one or two readers, and each call builds its own index.
 
-        Only positive uses can be inlined algebraically; if the node is
-        read complemented anywhere, inlining is skipped (returns False).
-        """
+    def _reader_index(self) -> dict:
+        readers: dict[str, list] = {}
+        for name, node in self.nodes.items():
+            for dep in node.support():
+                readers.setdefault(dep, []).append(name)
+        return readers
+
+    def _rewrite(self, name: str, readers: dict, fn) -> None:
+        """``nodes[name].sop = fn(sop)``, updating ``readers``."""
         node = self.nodes[name]
-        for reader in self.nodes.values():
-            for cube in reader.sop:
-                if (name, False) in cube:
-                    return False
-        for reader in self.nodes.values():
-            if reader.name == name:
-                continue
-            new_sop = []
-            for cube in reader.sop:
-                if (name, True) in cube:
-                    rest = cube - {(name, True)}
-                    for sub in node.sop:
-                        merged = rest | sub
-                        if not _cube_contradicts(merged):
-                            new_sop.append(merged)
-                else:
-                    new_sop.append(cube)
-            reader.sop = _dedupe_sop(new_sop)
-        return True
+        old = node.support()
+        node.sop = fn(node.sop)
+        new = node.support()
+        for dep in old - new:
+            readers[dep].remove(name)
+        for dep in new - old:
+            readers.setdefault(dep, []).append(name)
+
+    def _rewrite_readers(self, name: str, readers: dict, fn) -> None:
+        """Apply ``fn`` to the SOP of every other node reading ``name``."""
+        for reader in list(readers.get(name, ())):
+            if reader != name:
+                self._rewrite(reader, readers, fn)
+
+    def _remove(self, name: str, readers: dict) -> None:
+        for dep in self.nodes.pop(name).support():
+            readers[dep].remove(name)
+        readers.pop(name, None)
 
     def extract(self, max_kernels: int = 50) -> int:
         """Greedy common-kernel extraction; returns kernels created."""
@@ -363,6 +370,39 @@ class LogicNetwork:
             f"LogicNetwork({self.name!r}, {len(self.inputs)} in, "
             f"{len(self.nodes)} nodes, {self.literal_count()} lits)"
         )
+
+
+def _rename_sop(sop: Sop, old: str, new: str) -> Sop:
+    """``sop`` with signal ``old`` replaced by ``new`` in both phases."""
+    new_sop = []
+    for cube in sop:
+        if (old, True) in cube:
+            cube = (cube - {(old, True)}) | {(new, True)}
+        if (old, False) in cube:
+            cube = (cube - {(old, False)}) | {(new, False)}
+        new_sop.append(cube)
+    return new_sop
+
+
+def _zero_sop(sop: Sop, name: str) -> Sop:
+    """``sop`` with signal ``name`` tied to constant 0."""
+    return [cube - {(name, False)} for cube in sop
+            if (name, True) not in cube]
+
+
+def _inline_sop(sop: Sop, name: str, body: Sop) -> Sop:
+    """``sop`` with positive literals of ``name`` expanded to ``body``."""
+    new_sop = []
+    for cube in sop:
+        if (name, True) in cube:
+            rest = cube - {(name, True)}
+            for sub in body:
+                merged = rest | sub
+                if not _cube_contradicts(merged):
+                    new_sop.append(merged)
+        else:
+            new_sop.append(cube)
+    return new_sop
 
 
 def _cube_contradicts(cube: frozenset) -> bool:

@@ -98,16 +98,18 @@ def _build_factored(aig: Aig, tree, leaf_lits: list) -> int:
     raise ValueError(f"bad factor tree node {kind!r}")
 
 
-def _resynthesize(tt: TruthTable, dest: Aig, leaf_lits: list) -> int:
-    """Minimal-effort resynthesis of a small function into ``dest``."""
+def _factored(tt: TruthTable):
+    """Minimal-effort resynthesis of a small function: espresso, then
+    quick-factor; returns the tree :func:`_build_factored` instantiates.
+    A pure function of ``tt``, so callers may share one (read-only)
+    tree among all uses of the same function."""
     if tt.is_contradiction():
-        return AIG_FALSE
+        return ("const", False)
     if tt.is_tautology():
-        return AIG_TRUE
+        return ("const", True)
     cover = espresso_tt(tt)
     sop = sop_from_cover(cover, list(range(tt.nvars)))
-    tree = factor(sop)
-    return _build_factored(dest, tree, leaf_lits)
+    return factor(sop)
 
 
 def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
@@ -118,9 +120,11 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
     each enumerated cut's function (espresso + quick-factor), and keeps
     whichever adds the fewest nodes to the new graph — structural
     hashing makes reuse of existing logic free.  Dead alternatives are
-    swept by the final cleanup.
+    swept by the final cleanup.  Cuts of different nodes often share
+    a function, so each distinct truth table is factored once per call.
     """
     cuts = enumerate_cuts(aig, cut_size, per_node)
+    trees: dict[TruthTable, tuple] = {}
     new = Aig(aig.num_inputs, list(aig.input_names))
     mapping: dict[int, int] = {0: AIG_FALSE}
     for i in range(aig.num_inputs):
@@ -137,9 +141,12 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
             if len(cut) < 2 or cut == (n,):
                 continue
             tt = cut_function(aig, n, cut)
+            tree = trees.get(tt)
+            if tree is None:
+                tree = trees[tt] = _factored(tt)
             leaf_lits = [mapping[leaf] for leaf in cut]
             start = new.num_nodes
-            cand = _resynthesize(tt, new, leaf_lits)
+            cand = _build_factored(new, tree, leaf_lits)
             added = new.num_nodes - start
             if added < best_added:
                 best_lit, best_added = cand, added
@@ -202,7 +209,7 @@ def _refactor_one(aig: Aig, out_idx: int, support: list) -> Aig:
         b = mapping[lit_var(f1)] ^ (f1 & 1)
         mapping[n] = new.and_(a, b)
     leaf_lits = [mapping[leaf] for leaf in support]
-    new_lit = _resynthesize(tt, new, leaf_lits)
+    new_lit = _build_factored(new, _factored(tt), leaf_lits)
     for k, (olit, name) in enumerate(zip(aig.outputs, aig.output_names)):
         if k == out_idx:
             new.add_output(new_lit, name)
