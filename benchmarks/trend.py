@@ -5,8 +5,8 @@ ran them, so comparing across commits compares hardware as much as
 code.  This tool extracts each bench's headline metrics, divides the
 time-like ones by a measured *machine score* (a short fixed pure-
 Python workload, timed at append time), and appends one JSONL row per
-bench to a trajectory file (default ``BENCH_TREND.jsonl``).  Ratios,
-counts, and rates are dimensionless and pass through unchanged.
+bench to a trajectory file (default ``BENCH_TREND.jsonl``).  Ratios
+and counts are dimensionless and pass through unchanged.
 
 Rows carry the git revision when available, so the trajectory reads
 as "normalized metric over history":
@@ -40,13 +40,6 @@ REPO = Path(__file__).resolve().parent.parent
 #: therefore divided by the machine score).  Metrics missing from a
 #: snapshot are skipped, so older files still append.
 HEADLINES = {
-    "service": {
-        "metrics": ["throughput_ratio", "job_cache_hit_rate",
-                    "latency_p50_s", "latency_p99_s",
-                    "service_jobs_per_s", "jobs_lost"],
-        "time_like": ["latency_p50_s", "latency_p99_s"],
-        "rate_like": ["service_jobs_per_s"],
-    },
     "perf": {
         "metrics": ["designs.large.sta_incremental_ms",
                     "designs.large.place_ms",
@@ -55,33 +48,28 @@ HEADLINES = {
                     "designs.large.hpwl_ratio"],
         "time_like": ["designs.large.sta_incremental_ms",
                       "designs.large.place_ms"],
-        "rate_like": [],
     },
     "serialize": {
         "metrics": ["designs.large.size_ratio",
                     "designs.large.pipeline_ratio",
                     "designs.large.packed_pipeline_ms"],
         "time_like": ["designs.large.packed_pipeline_ms"],
-        "rate_like": [],
     },
     "lint": {
         "metrics": ["designs.large.lint_full_ms",
                     "designs.large.lint_invariants_ms"],
         "time_like": ["designs.large.lint_full_ms",
                       "designs.large.lint_invariants_ms"],
-        "rate_like": [],
     },
     "resilience": {
         "metrics": ["clean_run_s", "scenarios", "identical",
                     "divergent"],
         "time_like": ["clean_run_s"],
-        "rate_like": [],
     },
     "route": {
         "metrics": ["route_ms", "route_speedup",
                     "overflow_batched", "wl_ratio"],
         "time_like": ["route_ms"],
-        "rate_like": [],
     },
 }
 
@@ -145,8 +133,6 @@ def append_snapshot(path: Path, trend_path: Path,
             continue
         if dotted in spec["time_like"]:
             value = value / score    # faster machine -> smaller raw
-        elif dotted in spec["rate_like"]:
-            value = value * (1.0 / score)
         metrics[dotted] = value
     row = {"bench": name, "rev": _git_rev(),
            "machine_score": score, "quick": payload.get("quick"),

@@ -1,8 +1,8 @@
 """Flow orchestration and the panel's backwards/forwards analytics.
 
-* :mod:`repro.core.flow` — the full implementation flow: synthesis ->
-  placement -> scan -> routing -> power/timing signoff, with basic vs
-  advanced recipes ("do more with less", E15).
+* :mod:`repro.core.flow` — the flow datatypes (options, status,
+  result), with basic vs advanced recipes ("do more with less", E15);
+  :func:`repro.orchestrate.run` executes the flow.
 * :mod:`repro.core.throughput` — P&R throughput calibration and the
   1M-instances/day extrapolation (E7).
 * :mod:`repro.core.panel` — the decade retrospective/prospective
@@ -11,12 +11,7 @@
   (E1..E15) to their benchmark entry points.
 """
 
-from repro.core.flow import (
-    FlowOptions,
-    FlowResult,
-    FlowStatus,
-    implement,
-)
+from repro.core.flow import FlowOptions, FlowResult, FlowStatus
 from repro.core.throughput import (
     ThroughputModel,
     calibrate_throughput,
@@ -29,7 +24,6 @@ __all__ = [
     "FlowOptions",
     "FlowResult",
     "FlowStatus",
-    "implement",
     "ThroughputModel",
     "calibrate_throughput",
     "decade_report",

@@ -1,4 +1,4 @@
-"""The flow datatypes, plus the deprecated ``implement`` entry point.
+"""The flow datatypes.
 
 This module owns the public datatypes of an implementation run:
 :class:`FlowOptions` (recipe knobs), :class:`FlowStatus`, and
@@ -10,20 +10,16 @@ The ``basic``/``advanced`` recipes realize Domic's "do more with less"
 comparison (E15): the advanced flow wins on every axis using the same
 substrate algorithms with the decade's options enabled.
 
-Since the ``repro.orchestrate`` subsystem became the one documented
-flow API (:func:`repro.orchestrate.run` /
-:func:`repro.orchestrate.resume_run`), :func:`implement` here is a
-deprecation shim kept for source compatibility.
+The flow itself runs through :func:`repro.orchestrate.run` and
+:func:`repro.orchestrate.resume_run`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.netlist.cells import CellLibrary
 from repro.netlist.circuit import Netlist
 
 #: Version of the FlowOptions/FlowResult wire format.  Bump when a
@@ -58,7 +54,7 @@ class FlowStatus(str, Enum):
 
 @dataclass
 class FlowOptions:
-    """Recipe knobs for :func:`implement`.
+    """Recipe knobs for :func:`repro.orchestrate.run`.
 
     The named constructors give the two era recipes; individual knobs
     remain overridable for ablations and tuning (E8).
@@ -70,8 +66,8 @@ class FlowOptions:
     with the option values their knob schemas constrain, when the
     options object is constructed, so a typo is a ``ValueError`` here
     rather than a surprise mid-flow.  Unpickling (journal/cache
-    decode) bypasses the check; execution-time resolution handles
-    retired names via the registry's deprecation shims.
+    decode) bypasses the check, so the flow validates again before it
+    runs: an unknown name is refused, never replaced by a default.
     """
 
     era: str = "2016"
@@ -141,8 +137,8 @@ class FlowResult:
                  run_id: str | None = None) -> "FlowResult":
         """The canonical ``RunResult`` → ``FlowResult`` conversion.
 
-        Every flow front-end (``repro.orchestrate.run``, ``resume_run``,
-        the ``implement`` shim) assembles its result here, so field
+        Every flow front-end (``repro.orchestrate.run``,
+        ``resume_run``) assembles its result here, so field
         mapping, status derivation (``resumed`` when journal replays
         contributed, priority failed > degraded > resumed > ok), and
         failed-run defaults cannot drift between entry points.  A
@@ -191,21 +187,3 @@ class FlowResult:
             f"{self.power_uw:.1f} uW, {self.runtime_s:.2f} s"
         )
 
-
-def implement(subject, library: CellLibrary,
-              options: FlowOptions | None = None,
-              run_db=None) -> FlowResult:
-    """Deprecated: use :func:`repro.orchestrate.run` instead.
-
-    ``repro.orchestrate.run(subject, library, options)`` is the single
-    documented flow entry point; it accepts the same arguments plus
-    the orchestration surface (result cache, telemetry sink,
-    ``jobs > 1``, crash-safe journaling).  This shim forwards there and
-    will be removed once nothing imports it.
-    """
-    warnings.warn(
-        "repro.core.flow.implement is deprecated; use "
-        "repro.orchestrate.run(subject, library, options)",
-        DeprecationWarning, stacklevel=2)
-    from repro.orchestrate.resilience import run
-    return run(subject, library, options, run_db=run_db)

@@ -23,12 +23,12 @@ never branches on engine names:
 :class:`~repro.core.flow.FlowOptions` validates its engine-selection
 fields (``synth_engine``, ``place_engine``, ``cts_engine``,
 ``routing_engine``, ``sizing_engine``) here at construction time
-(typos raise early), while :func:`resolve_engine` keeps old journals
-and cache blobs decodable through deprecated-alias and unknown-name
-fallbacks.  :func:`axes` exposes the whole grid (stage -> engine
-names) so sweep and tuning tooling enumerates ablations from one
-source of truth, and ``python -m repro.engines`` renders the catalog
-(text or JSON) for humans and scripts.
+(typos raise early), and the flow resolves them with the same strict
+:func:`get_engine`, so an unknown name never falls back to a default.
+:func:`axes` exposes the whole grid (stage -> engine names) so sweep
+and tuning tooling enumerates ablations from one source of truth, and
+``python -m repro.engines`` renders the catalog (text or JSON) for
+humans and scripts.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from repro.engines.registry import (
     engine_names,
     get_engine,
     register,
-    register_alias,
-    resolve_engine,
-    stage_aliases,
     stage_names,
     validate_options,
 )
@@ -60,9 +57,6 @@ __all__ = [
     "engine_names",
     "get_engine",
     "register",
-    "register_alias",
-    "resolve_engine",
-    "stage_aliases",
     "stage_names",
     "validate_options",
 ]
@@ -128,8 +122,6 @@ register(EngineSpec(
     stage="synthesis", name="trivial", loader=_load_synth_trivial,
     description="1-to-1 AND2/INV mapping (debug / strawman baseline)",
     knobs=_SYNTH_KNOBS))
-register_alias("synthesis", "min_area", "area")
-register_alias("synthesis", "min_delay", "delay")
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +181,6 @@ register(EngineSpec(
     stage="placement", name="quadratic", loader=_load_place_quadratic,
     description="object-graph quadratic placer (QoR baseline)",
     knobs=_PLACE_KNOBS))
-register_alias("placement", "eplace", "analytic")
-register_alias("placement", "force_directed", "quadratic")
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +235,6 @@ register(EngineSpec(
     stage="routing", name="line_search", loader=_load_route_line_search,
     description="Hightower line-probe router with maze fallback",
     knobs=_ROUTE_KNOBS))
-register_alias("routing", "line-search", "line_search")
-register_alias("routing", "lee", "maze")
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +269,6 @@ register(EngineSpec(
     description="serpentine clock spine (ablation strawman: skew "
                 "grows with chain length)",
     knobs=_CTS_KNOBS))
-register_alias("cts", "naive_spine", "spine")
-register_alias("cts", "bisection", "htree")
 
 
 # ----------------------------------------------------------------------
@@ -332,5 +318,3 @@ register(EngineSpec(
     description="full scalar STA per trial resize (pre-incremental "
                 "QoR reference)",
     knobs=_SIZING_KNOBS))
-register_alias("sizing", "journaled", "incremental")
-register_alias("sizing", "full_sta", "scalar")

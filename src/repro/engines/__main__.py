@@ -1,11 +1,11 @@
 """``python -m repro.engines``: render the stage-engine catalog.
 
-The enumerable knob surface in human and machine form: every stage,
+The enumerable knob surface in human and machine form: every stage and
 its registered engines (default first-class, descriptions, honored
-knobs), and its deprecation aliases.  The docs quote the text output;
-sweep tooling consumes ``--json`` (the payload mirrors
-:func:`repro.engines.axes` plus per-engine metadata, so a script can
-build the full ablation grid without importing the package).
+knobs).  The docs quote the text output; sweep tooling consumes
+``--json`` (the payload mirrors :func:`repro.engines.axes` plus
+per-engine metadata, so a script can build the full ablation grid
+without importing the package).
 
     python -m repro.engines                 # every stage, text
     python -m repro.engines cts             # one stage
@@ -23,7 +23,6 @@ from repro.engines import (
     default_engine,
     engine_names,
     get_engine,
-    stage_aliases,
     stage_names,
 )
 
@@ -32,7 +31,6 @@ def catalog(stages: tuple[str, ...]) -> dict[str, Any]:
     """The catalog as one JSON-ready dict, stage registration order."""
     out: dict[str, Any] = {}
     for stage in stages:
-        aliases = stage_aliases(stage)
         out[stage] = {
             "default": default_engine(stage),
             "engines": [
@@ -44,10 +42,6 @@ def catalog(stages: tuple[str, ...]) -> dict[str, Any]:
                 }
                 for spec in (get_engine(stage, name)
                              for name in engine_names(stage))
-            ],
-            "aliases": [
-                {"name": old, "use": new, "deprecated": True}
-                for old, new in sorted(aliases.items())
             ],
         }
     return out
@@ -65,9 +59,6 @@ def render_text(data: dict[str, Any]) -> str:
             if engine["knobs"]:
                 lines.append(f"      knobs: "
                              f"{', '.join(engine['knobs'])}")
-        for alias in info["aliases"]:
-            lines.append(f"    {alias['name']:<12} deprecated -> "
-                         f"use {alias['use']!r}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

@@ -9,14 +9,10 @@ worse, to a silent default).  This module centralizes that:
   import, so registering every engine costs nothing at import time), a
   description, and a *knob schema* — the :class:`FlowOptions` fields
   the engine honors, each with an optional value check.
-* :func:`get_engine` is the strict lookup: unknown names raise
-  :class:`UnknownEngineError` (a ``ValueError``) naming the stage, the
-  known engines, and the closest spelling.
-* :func:`resolve_engine` is the execution-time lookup: deprecated
-  aliases map to their successor with a ``DeprecationWarning``, and a
-  name the registry has never heard of falls back to the stage default
-  (again with a warning) instead of killing the run — old journals and
-  cache blobs keep decoding after an engine is renamed or retired.
+* :func:`get_engine` is the only lookup, and it is strict: unknown
+  names raise :class:`UnknownEngineError` (a ``ValueError``) naming the
+  stage, the known engines, and the closest spelling.  A run never
+  executes an engine other than the one its options name.
 * :func:`validate_options` runs the strict check at *option
   construction* time, so ``FlowOptions(routing_engine="mase")`` is an
   early ``ValueError`` in the caller's stack, not a mid-flow surprise.
@@ -25,13 +21,12 @@ worse, to a silent default).  This module centralizes that:
 from __future__ import annotations
 
 import difflib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
 class UnknownEngineError(ValueError):
-    """An engine name the registry does not know (and no alias maps)."""
+    """An engine name the registry does not know."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,6 @@ class EngineSpec:
 @dataclass
 class _Registry:
     specs: dict[tuple[str, str], EngineSpec] = field(default_factory=dict)
-    aliases: dict[tuple[str, str], str] = field(default_factory=dict)
     defaults: dict[str, str] = field(default_factory=dict)
 
 
@@ -88,11 +82,6 @@ def register(spec: EngineSpec) -> EngineSpec:
                              f"({_REGISTRY.defaults[spec.stage]!r})")
         _REGISTRY.defaults[spec.stage] = spec.name
     return spec
-
-
-def register_alias(stage: str, old: str, new: str) -> None:
-    """Map a retired engine name onto its successor (deprecation shim)."""
-    _REGISTRY.aliases[(stage, old)] = new
 
 
 def engine_names(stage: str) -> tuple[str, ...]:
@@ -123,12 +112,6 @@ def axes() -> dict[str, tuple[str, ...]]:
     return {stage: engine_names(stage) for stage in stage_names()}
 
 
-def stage_aliases(stage: str) -> dict[str, str]:
-    """The stage's deprecation shims: retired name -> successor."""
-    return {old: new for (s, old), new in _REGISTRY.aliases.items()
-            if s == stage}
-
-
 def default_engine(stage: str) -> str:
     """The stage's default engine name."""
     try:
@@ -139,16 +122,10 @@ def default_engine(stage: str) -> str:
 
 
 def get_engine(stage: str, name: str) -> EngineSpec:
-    """Strict lookup: deprecated aliases resolve, unknown names raise."""
+    """Strict lookup: unknown names raise with a did-you-mean hint."""
     spec = _REGISTRY.specs.get((stage, name))
     if spec is not None:
         return spec
-    alias = _REGISTRY.aliases.get((stage, name))
-    if alias is not None:
-        warnings.warn(
-            f"{stage} engine {name!r} is deprecated; use {alias!r}",
-            DeprecationWarning, stacklevel=2)
-        return _REGISTRY.specs[(stage, alias)]
     known = engine_names(stage)
     if not known:
         raise UnknownEngineError(
@@ -160,26 +137,6 @@ def get_engine(stage: str, name: str) -> EngineSpec:
     raise UnknownEngineError(
         f"unknown {stage} engine {name!r}; known engines: "
         f"{', '.join(repr(k) for k in known)}{hint}")
-
-
-def resolve_engine(stage: str, name: str) -> EngineSpec:
-    """Execution-time lookup that never raises on a decodable record.
-
-    Exact names and deprecated aliases resolve like :func:`get_engine`;
-    a name the registry has never heard of — an old journal or cache
-    blob written by a build whose engine was since retired — falls back
-    to the stage default with a ``DeprecationWarning`` so the replay
-    can proceed.
-    """
-    try:
-        return get_engine(stage, name)
-    except UnknownEngineError:
-        fallback = default_engine(stage)
-        warnings.warn(
-            f"unknown {stage} engine {name!r} (old journal/cache?); "
-            f"falling back to the default {fallback!r}",
-            DeprecationWarning, stacklevel=2)
-        return _REGISTRY.specs[(stage, fallback)]
 
 
 #: (stage, FlowOptions attribute) pairs validated at option construction.
@@ -197,9 +154,8 @@ def validate_options(options: Any) -> None:
 
     For each engine-selection field: the engine must exist for its
     stage (typo -> :class:`UnknownEngineError` here, in the
-    constructor's stack), deprecated aliases are rewritten to their
-    canonical name (with a warning), and the engine's knob checks run
-    against the option values they constrain.
+    constructor's stack), and the engine's knob checks run against the
+    option values they constrain.
     """
     for stage, attr in OPTION_ENGINE_FIELDS:
         name = getattr(options, attr, None)
@@ -209,8 +165,6 @@ def validate_options(options: Any) -> None:
             spec = get_engine(stage, name)
         except UnknownEngineError as exc:
             raise UnknownEngineError(f"{attr}: {exc}") from None
-        if spec.name != name:            # alias: canonicalize in place
-            setattr(options, attr, spec.name)
         for knob in spec.knobs:
             if knob.check is None or not hasattr(options, knob.name):
                 continue

@@ -1,31 +1,17 @@
 """The run database: self-monitoring of implementation runs.
 
-Two persistence surfaces:
-
-* :class:`RunDatabase` — the in-memory store with JSON
-  ``save``/``load``, single-writer by construction.
-* :class:`RunLog` — an append-only JSONL file safe for *concurrent
-  writers* across processes: each process appends whole lines under an
-  ``fcntl`` file lock through its own file handle, so a service's
-  worker pool can stream telemetry into one shared log without a
-  coordinator.  ``RunDatabase.from_log`` folds a log back into a
-  queryable database.
+:class:`RunDatabase` is an in-memory store of QoR, telemetry, and
+recovery records with JSON ``save``/``load``, single-writer by
+construction.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.netlist.circuit import Netlist
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 
 @dataclass
@@ -76,108 +62,6 @@ class RecoveryRecord:
     status: str = "resumed"
 
 
-@dataclass
-class ServiceRecord:
-    """One job the flow service finished (see :mod:`repro.service`).
-
-    The service appends these to a shared :class:`RunLog` as jobs
-    complete; folded back in, they answer utilization questions —
-    queue delay vs execution time, cache disposition mix, which
-    tenants dominate, how often crash recovery fired.
-    """
-
-    job_id: str
-    tenant: str
-    design: str
-    state: str
-    worker: int | None = None
-    queued_s: float = 0.0
-    exec_s: float = 0.0
-    cache: str | None = None
-    resumed: bool = False
-    stolen: bool = False
-    error: str | None = None
-
-
-_RECORD_KINDS = {
-    "run": RunRecord,
-    "telemetry": TelemetryRecord,
-    "recovery": RecoveryRecord,
-    "service": ServiceRecord,
-}
-
-
-class RunLog:
-    """Append-only JSONL run log safe for concurrent writers.
-
-    Every process opens its *own* handle (handles are per-pid, never
-    inherited across ``fork`` — the pid is checked on each append) and
-    serializes whole-line appends with an exclusive ``flock``.  POSIX
-    ``O_APPEND`` makes each line land atomically at the current end of
-    file even across NFS-free local filesystems; the lock additionally
-    orders the ``write`` calls so torn interleavings cannot happen.
-    Readers need no lock: a line is either complete or not yet there
-    (a trailing partial line — possible only on writer death mid-write
-    — is skipped by :meth:`entries`).
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh = None
-        self._pid: int | None = None
-
-    def _handle(self):
-        if self._fh is None or self._pid != os.getpid():
-            # First use in this process (or first after a fork): the
-            # inherited handle shares its offset with the parent.
-            self._fh = open(self.path, "ab")
-            self._pid = os.getpid()
-        return self._fh
-
-    def append(self, kind: str, payload: dict) -> None:
-        """Append one record; safe from many processes at once."""
-        if kind not in _RECORD_KINDS:
-            raise ValueError(f"unknown run-log record kind {kind!r}")
-        line = json.dumps({"kind": kind, **payload},
-                          separators=(",", ":")) + "\n"
-        data = line.encode("utf-8")
-        with self._lock:
-            fh = self._handle()
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.write(data)
-                fh.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-    def entries(self) -> list:
-        """Every complete record in the log, in append order."""
-        out = []
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return out
-        for line in raw.split(b"\n"):
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue             # torn trailing line from a crash
-            out.append(rec)
-        return out
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None and self._pid == os.getpid():
-                self._fh.close()
-            self._fh = None
-
-
 def design_features(netlist: Netlist) -> dict:
     """A design fingerprint for similarity lookup.
 
@@ -206,7 +90,6 @@ class RunDatabase:
         self.records: list[RunRecord] = []
         self.telemetry: list[TelemetryRecord] = []
         self.recovery: list[RecoveryRecord] = []
-        self.service: list[ServiceRecord] = []
 
     def log(self, record: RunRecord) -> None:
         """Add a run."""
@@ -215,27 +98,6 @@ class RunDatabase:
     def log_recovery(self, record: RecoveryRecord) -> None:
         """Add a checkpoint/resume event."""
         self.recovery.append(record)
-
-    def log_service(self, record: ServiceRecord) -> None:
-        """Add a finished service job."""
-        self.service.append(record)
-
-    def service_profile(self) -> dict:
-        """Utilization summary over service records: per-tenant job
-        counts plus aggregate queue/exec time and cache mix."""
-        profile: dict = {}
-        for rec in self.service:
-            agg = profile.setdefault(
-                rec.tenant, {"jobs": 0, "queued_s": 0.0,
-                             "exec_s": 0.0, "cache_hits": 0,
-                             "resumed": 0, "failed": 0})
-            agg["jobs"] += 1
-            agg["queued_s"] += rec.queued_s
-            agg["exec_s"] += rec.exec_s
-            agg["cache_hits"] += rec.cache not in (None, "miss")
-            agg["resumed"] += bool(rec.resumed)
-            agg["failed"] += rec.state == "failed"
-        return profile
 
     def log_telemetry(self, design: str, spans) -> None:
         """Persist per-stage spans (see ``repro.orchestrate``) for a
@@ -301,47 +163,27 @@ class RunDatabase:
         """Persist runs, telemetry, and recovery events to JSON."""
         payload = {"runs": [asdict(r) for r in self.records],
                    "telemetry": [asdict(t) for t in self.telemetry],
-                   "recovery": [asdict(r) for r in self.recovery],
-                   "service": [asdict(r) for r in self.service]}
+                   "recovery": [asdict(r) for r in self.recovery]}
         Path(path).write_text(json.dumps(payload, indent=1))
 
     @staticmethod
     def load(path) -> "RunDatabase":
-        """Load from JSON (accepts the legacy runs-only list form)."""
+        """Load from JSON written by :meth:`save`.
+
+        Any other top-level shape (such as a bare list of runs) raises
+        ``ValueError`` naming the file.
+        """
         db = RunDatabase()
         payload = json.loads(Path(path).read_text())
-        if isinstance(payload, list):     # pre-telemetry format
-            payload = {"runs": payload, "telemetry": []}
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"{path}: not a run database (expected a JSON object "
+                f"written by RunDatabase.save, got "
+                f"{type(payload).__name__})")
         for item in payload.get("runs", []):
             db.log(RunRecord(**item))
         for item in payload.get("telemetry", []):
             db.telemetry.append(TelemetryRecord(**item))
         for item in payload.get("recovery", []):
             db.recovery.append(RecoveryRecord(**item))
-        for item in payload.get("service", []):
-            db.service.append(ServiceRecord(**item))
-        return db
-
-    @staticmethod
-    def from_log(log: "RunLog | str | Path") -> "RunDatabase":
-        """Fold a concurrent-writer :class:`RunLog` into a database.
-
-        Unknown kinds and records with unexpected fields are skipped
-        rather than fatal — the log may have been written by a newer
-        (or older) schema than this reader.
-        """
-        if not isinstance(log, RunLog):
-            log = RunLog(log)
-        db = RunDatabase()
-        sinks = {"run": db.records, "telemetry": db.telemetry,
-                 "recovery": db.recovery, "service": db.service}
-        for entry in log.entries():
-            kind = entry.pop("kind", None)
-            cls = _RECORD_KINDS.get(kind)
-            if cls is None:
-                continue
-            try:
-                sinks[kind].append(cls(**entry))
-            except TypeError:        # schema drift: skip, don't die
-                continue
         return db

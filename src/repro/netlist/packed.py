@@ -194,7 +194,7 @@ class PackedNetlist:
         self.primary_inputs = primary_inputs
         self.primary_outputs = primary_outputs
         self._digest: str | None = None
-        self._bytes: dict[tuple[bool, bool], bytes] = {}
+        self._bytes: dict[bool, bytes] = {}
         self._levels: tuple[Int64Array, Int64Array] | None = None
         self._seq_mask: npt.NDArray[np.bool_] | None = None
 
@@ -503,32 +503,25 @@ class PackedNetlist:
                 self.pin_net, self.pin_name,
                 self.primary_inputs, self.primary_outputs]
 
-    def to_bytes(self, *, compress: bool = True,
-                 shuffle: bool = True) -> bytes:
+    def to_bytes(self, *, compress: bool = True) -> bytes:
         """Serialize to the versioned ``.pnl`` binary format.
 
         Layout: fixed header (magic, format version, flags, header
         length), a JSON header (scalars, small interned tables, section
-        lengths, payload checksum), then the raw little-endian array
-        sections — zlib-compressed as one block when ``compress`` and
-        byte-shuffled when ``shuffle`` (the on-disk default).
-        ``compress=False, shuffle=False`` produces the *raw* layout the
-        shared-memory transport (:mod:`repro.service.shm`) maps with
-        :meth:`from_buffer` — array sections usable in place, no
-        decompress or unshuffle pass on the reader side.
+        lengths, payload checksum), then the little-endian array
+        sections, always byte-shuffled and zlib-compressed as one block
+        when ``compress``.
 
-        Memoized per ``(compress, shuffle)``: pack once, and the cache
-        blob, journal blob, and worker payload all reuse the same bytes.
+        Memoized per ``compress``: pack once, and the cache blob and
+        journal blob reuse the same bytes.
         """
-        cached = self._bytes.get((compress, shuffle))
+        cached = self._bytes.get(compress)
         if cached is not None:
             return cached
         parts = [s.astype("<i4").tobytes()
                  if isinstance(s, np.ndarray) else s
                  for s in self._sections()]
-        ints = b"".join(parts[2:])
-        payload = parts[0] + parts[1] \
-            + (_shuffle4(ints) if shuffle else ints)
+        payload = parts[0] + parts[1] + _shuffle4(b"".join(parts[2:]))
         header = {
             "name": self.name,
             "node": self.node,
@@ -543,32 +536,19 @@ class PackedNetlist:
         if compress:
             payload = zlib.compress(payload, 1)
         hjson = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        flags = (_FLAG_SHUFFLE if shuffle else 0) \
-            | (_FLAG_ZLIB if compress else 0)
+        flags = _FLAG_SHUFFLE | (_FLAG_ZLIB if compress else 0)
         blob = _HEADER_STRUCT.pack(_MAGIC, _FORMAT_VERSION, flags,
                                    len(hjson)) + hjson + payload
-        self._bytes[(compress, shuffle)] = blob
+        self._bytes[compress] = blob
         return blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PackedNetlist":
-        """Parse a ``.pnl`` blob; :class:`PackError` on any damage."""
-        return cls.from_buffer(data)
+        """Parse a ``.pnl`` blob; :class:`PackError` on any damage.
 
-    @classmethod
-    def from_buffer(cls, data: "bytes | memoryview") -> "PackedNetlist":
-        """Parse a ``.pnl`` blob from any contiguous byte buffer.
-
-        For the raw layout (``compress=False, shuffle=False``) the int
-        array sections become read-only views *into* ``data`` — no
-        copy.  Handing in a ``memoryview`` over a shared-memory segment
-        therefore yields a packed netlist whose connectivity arrays
-        live in the segment itself; the caller must keep the segment
-        mapped for the life of the returned object.  Compressed or
-        shuffled payloads (the on-disk default) decode as before, via
-        one transform pass.
+        The int sections must carry the byte-shuffle flag (every
+        :meth:`to_bytes` blob does); an unshuffled payload is refused.
         """
-        data = memoryview(data) if not isinstance(data, bytes) else data
         if len(data) < _HEADER_STRUCT.size:
             raise PackError("truncated .pnl header")
         magic, version, flags, hlen = _HEADER_STRUCT.unpack_from(data)
@@ -576,15 +556,18 @@ class PackedNetlist:
             raise PackError("not a .pnl blob (bad magic)")
         if version != _FORMAT_VERSION:
             raise PackError(f"unsupported .pnl format version {version}")
+        if not flags & _FLAG_SHUFFLE:
+            raise PackError("unsupported .pnl layout (int sections "
+                            "not byte-shuffled)")
         if len(data) < _HEADER_STRUCT.size + hlen:
             raise PackError("truncated .pnl header")
         try:
             header = json.loads(
-                bytes(data[_HEADER_STRUCT.size:_HEADER_STRUCT.size
-                           + hlen]).decode("utf-8"))
+                data[_HEADER_STRUCT.size:_HEADER_STRUCT.size
+                     + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise PackError("corrupt .pnl header") from err
-        payload: "bytes | memoryview" = data[_HEADER_STRUCT.size + hlen:]
+        payload = data[_HEADER_STRUCT.size + hlen:]
         if flags & _FLAG_ZLIB:
             try:
                 payload = zlib.decompress(payload)
@@ -609,18 +592,16 @@ class PackedNetlist:
             raise PackError("truncated .pnl payload")
         if zlib.crc32(payload) != checksum:
             raise PackError(".pnl payload checksum mismatch")
-        if flags & _FLAG_SHUFFLE:
-            split = sections[0] + sections[1]
-            payload = bytes(payload[:split]) \
-                + _unshuffle4(payload[split:])
+        split = sections[0] + sections[1]
+        payload = payload[:split] + _unshuffle4(payload[split:])
 
-        views: list["bytes | memoryview"] = []
+        views: list[bytes] = []
         pos = 0
         for n in sections:
             views.append(payload[pos:pos + n])
             pos += n
 
-        def ints(b: "bytes | memoryview") -> IntArray:
+        def ints(b: bytes) -> IntArray:
             if len(b) % 4:
                 raise PackError("misaligned .pnl array section")
             arr = np.frombuffer(b, dtype="<i4")

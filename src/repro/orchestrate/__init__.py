@@ -18,8 +18,6 @@ run independent branches and independent jobs on a process pool
 checkpoint and fault-inject (:mod:`~repro.orchestrate.resilience`),
 and meter every stage with structured spans
 (:mod:`~repro.orchestrate.telemetry`).
-:func:`repro.core.flow.implement` survives as a deprecation shim over
-:func:`run`.
 """
 
 from repro.core.flow import FlowOptions, FlowResult, FlowStatus

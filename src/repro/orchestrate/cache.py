@@ -134,12 +134,12 @@ def encode_value(value) -> bytes:
 def decode_value(data: bytes):
     """Invert :func:`encode_value`, yielding a fresh value.
 
-    Raw-pickle blobs (no codec frame — entries written before the
-    codec existed) decode transparently: a pickle stream starts with
-    ``b"\\x80"``, which can never collide with the codec magic.
+    A blob without the codec frame raises :class:`CorruptEntry` and is
+    never unpickled, so the cache and the journal treat it like any
+    other damaged entry: quarantine and recompute.
     """
     if not data.startswith(_CODEC_MAGIC):
-        return pickle.loads(data)
+        raise CorruptEntry("blob lacks the codec frame")
     tag, body = data[4:5], data[5:]
     if tag == _TAG_PICKLE:
         return pickle.loads(body)

@@ -1,5 +1,5 @@
 """The implementation flow as a DAG, and the engine behind
-:func:`repro.core.flow.implement`.
+:func:`repro.orchestrate.run`.
 
 Each stage of the legacy hand-rolled flow becomes a :class:`Stage`
 node with explicit data dependencies and a narrowed cache-key domain
@@ -29,6 +29,7 @@ Data-dependency notes mirrored from the legacy serial order:
 from __future__ import annotations
 
 from repro.core.flow import FlowOptions, FlowResult
+from repro.engines import validate_options
 from repro.orchestrate.dag import FlowDAG, Stage
 from repro.orchestrate.executor import PoolExecutor, SerialExecutor
 from repro.orchestrate.telemetry import Span, TelemetrySink
@@ -42,15 +43,11 @@ def stage_synthesis(ctx) -> object:
 
     ``options.synth_engine`` (the mapper: ``area`` | ``delay`` |
     ``trivial``) and ``options.sizing_engine`` (the STA behind the
-    sizing loop: ``incremental`` | ``scalar``) resolve *leniently*
-    through the :mod:`repro.engines` registry, like every other stage:
-    a retired name from an old journal falls back with a warning
-    instead of failing the replay, while typos in fresh options
-    already raised at construction.  The canonical names then feed
+    sizing loop: ``incremental`` | ``scalar``) resolve through the
+    :mod:`repro.engines` registry, like every other stage, and feed
     :class:`~repro.synthesis.flow.SynthesisFlow`, whose body never
     branches on them.
     """
-    from repro.engines import resolve_engine
     from repro.netlist.circuit import Netlist
     from repro.synthesis.flow import SynthesisFlow
     subject = ctx["subject"]
@@ -59,9 +56,8 @@ def stage_synthesis(ctx) -> object:
     options = ctx["options"]
     flow = SynthesisFlow(
         ctx["library"], options.era, options.clock_period_ps,
-        engine=resolve_engine("synthesis", options.synth_engine).name,
-        sizing_engine=resolve_engine(
-            "sizing", options.sizing_engine).name)
+        engine=options.synth_engine,
+        sizing_engine=options.sizing_engine)
     return flow.run(subject).netlist
 
 
@@ -73,14 +69,11 @@ def stage_placement(ctx) -> object:
     stage default, ``quadratic`` (the original object-graph placer)
     stays registered as the QoR baseline.  Every placement kernel
     shares one signature, so the stage body never branches on engine
-    names — and resolution here is *lenient*: an engine string from an
-    old journal that the registry no longer knows falls back to the
-    stage default with a warning instead of failing the replay (typos
-    in fresh options already raised at construction).
+    names.
     """
-    from repro.engines import resolve_engine
+    from repro.engines import get_engine
     options = ctx["options"]
-    kernel = resolve_engine("placement", options.place_engine).load()
+    kernel = get_engine("placement", options.place_engine).load()
     return kernel(
         ctx["synthesis"], utilization=options.utilization,
         seed=options.seed, spreading_passes=options.spreading_passes,
@@ -110,7 +103,7 @@ def stage_dft(ctx) -> object:
 def stage_cts(ctx) -> object:
     """Clock-tree synthesis over the placement (optional stage).
 
-    ``options.cts_engine`` resolves leniently through the
+    ``options.cts_engine`` resolves through the
     :mod:`repro.engines` registry: ``htree`` (recursive-bisection
     balanced tree, the default) or ``spine`` (the serpentine ablation
     strawman).  Both kernels share the ``fn(placement) -> ClockTree``
@@ -118,8 +111,8 @@ def stage_cts(ctx) -> object:
     """
     options, placement = ctx["options"], ctx["dft"]
     if options.cts and placement.netlist.sequential_gates():
-        from repro.engines import resolve_engine
-        kernel = resolve_engine("cts", options.cts_engine).load()
+        from repro.engines import get_engine
+        kernel = get_engine("cts", options.cts_engine).load()
         return kernel(placement)
     return None
 
@@ -128,17 +121,15 @@ def stage_routing(ctx) -> object:
     """Global routing over the post-DFT placement (scan-chain nets
     are routed, as in the serial flow).
 
-    ``options.routing_engine`` resolves leniently through the
+    ``options.routing_engine`` resolves through the
     :mod:`repro.engines` registry, like placement.  ``options.seed``
     feeds the batched engine's deterministic tie-break jitter, which
     is why ``seed`` is part of this stage's cache key.
     """
-    from repro.engines import resolve_engine
     from repro.route.global_route import route_placement
     options = ctx["options"]
-    spec = resolve_engine("routing", options.routing_engine)
     return route_placement(
-        ctx["dft"], engine=spec.name,
+        ctx["dft"], engine=options.routing_engine,
         layers=options.routing_layers, gcell_um=options.gcell_um,
         max_iterations=options.routing_iterations,
         seed=options.seed)
@@ -265,12 +256,18 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     seeds journal-replayed outputs so only the frontier re-executes,
     ``chaos`` injects deterministic faults, and ``retry_budget`` caps
     total retries across the run.
+
+    Engine names are validated again here (options decoded from a
+    journal never ran the constructor check): an unknown one raises
+    :class:`~repro.engines.UnknownEngineError` before any stage runs,
+    so a run never falls back to an engine its options do not name.
     """
     if lint not in LINT_MODES:
         raise ValueError(
             f"lint must be one of {LINT_MODES}, got {lint!r}")
     if options is None:
         options = FlowOptions()
+    validate_options(options)
     if dag is None:
         dag = build_implement_dag()
     sink = telemetry if telemetry is not None else TelemetrySink()

@@ -87,7 +87,9 @@ class RunJournal:
     be replayed from bad bytes.
     """
 
-    SCHEMA_VERSION = 1
+    #: v2: the subject is always journaled as a codec frame.
+    #: :func:`resume_run` refuses a journal of any other version.
+    SCHEMA_VERSION = 2
 
     def __init__(self, root, run_id: str):
         self.root = Path(root)
@@ -215,8 +217,7 @@ class RunJournal:
         Every blob is unsealed (checksum + stage-name check) and
         decoded; a corrupted one is quarantined and dropped, so the
         resume re-executes that stage instead of trusting bad bytes.
-        Blobs journaled before the packed codec existed (raw pickles)
-        decode transparently.
+        A blob without the codec frame counts as corrupt.
         """
         outputs: dict = {}
         for entry in self.entries():
@@ -238,21 +239,15 @@ class RunJournal:
             pass
 
     def load_inputs(self):
-        """``(subject, library, options)`` as journaled at create time.
-
-        Journals written before the packed codec stored the subject
-        object directly; current ones store its codec frame (bytes).
-        Both load.
-        """
+        """``(subject, library, options)`` as journaled at create time."""
         try:
             blob = unseal_blob(self.inputs_path.read_bytes(), "inputs")
             subject, library, options = pickle.loads(blob)
+            subject = decode_value(subject)
         except (OSError, CorruptEntry) as err:
             raise JournalError(
                 f"run {self.run_id!r}: inputs unreadable "
                 f"({err}); cannot resume") from err
-        if isinstance(subject, bytes):
-            subject = decode_value(subject)
         return subject, library, options
 
 
@@ -442,9 +437,17 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     With ``run_db``, a recovery record (replayed/executed counts) is
     logged via ``RunDatabase.log_recovery`` alongside the usual QoR
     and telemetry.
+
+    A journal written under another :attr:`RunJournal.SCHEMA_VERSION`
+    raises :class:`JournalError` naming both versions.
     """
     from repro.orchestrate.flows import implement_dag
     journal = RunJournal.open(journal_root, run_id)
+    version = journal.meta().get("schema_version")
+    if version != RunJournal.SCHEMA_VERSION:
+        raise JournalError(
+            f"run {run_id!r}: journal schema_version {version!r}, this "
+            f"build reads {RunJournal.SCHEMA_VERSION}; cannot resume")
     subject, library, options = journal.load_inputs()
     preloaded = journal.completed()
     dag, budget = _retry_setup(dag, max_retries)

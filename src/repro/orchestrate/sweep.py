@@ -91,8 +91,7 @@ def _job_run_id(job: int) -> str:
 
 def run_sweep(subject, library, options_list, *, jobs: int = 1,
               cache=None, cache_dir=None, telemetry=None,
-              flow_fn=None, journal_root=None,
-              scheduler: str = "pool") -> SweepResult:
+              flow_fn=None, journal_root=None) -> SweepResult:
     """Run one flow job per entry of ``options_list``.
 
     With ``journal_root``, each job checkpoints to its own run journal
@@ -117,28 +116,7 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
 
     Per-job telemetry spans land in ``telemetry`` (and on the returned
     :class:`SweepResult`) tagged with their job index.
-
-    ``scheduler="service"`` hands the whole sweep to the flow service
-    (:func:`repro.service.service_sweep`): persistent workers,
-    shared-memory design transport, and a job-level result cache
-    instead of a fresh process pool — same results, same
-    :class:`SweepResult` shape.  (``flow_fn``, ``cache``, and
-    ``telemetry`` are pool-scheduler features and are rejected there.)
     """
-    if scheduler == "service":
-        if flow_fn is not None or cache is not None \
-                or telemetry is not None:
-            raise ValueError(
-                "scheduler='service' does not support flow_fn, "
-                "cache, or telemetry; use repro.service.FlowService "
-                "directly for custom wiring")
-        from repro.service.api import service_sweep
-        return service_sweep(
-            subject, library, options_list, workers=max(jobs, 1),
-            cache_root=cache_dir, journal_root=journal_root)
-    if scheduler != "pool":
-        raise ValueError(f"unknown scheduler {scheduler!r} "
-                         f"(expected 'pool' or 'service')")
     options_list = list(options_list)
     if isinstance(subject, (list, tuple)):
         if len(subject) != len(options_list):

@@ -10,9 +10,9 @@ from repro.core import (
     calibrate_throughput,
     decade_report,
     experiment_info,
-    implement,
 )
 from repro.netlist import build_library, logic_cloud, random_aig, registered_cloud
+from repro.orchestrate import run
 from repro.tech import get_node
 
 
@@ -24,7 +24,7 @@ def lib():
 class TestImplementFlow:
     def test_full_flow_from_aig(self, lib):
         aig = random_aig(16, 400, 8, seed=1)
-        result = implement(aig, lib)
+        result = run(aig, lib)
         assert result.instances > 0
         assert result.area_um2 > 0
         assert result.routed_wirelength > 0
@@ -36,14 +36,14 @@ class TestImplementFlow:
 
     def test_flow_from_mapped_netlist_skips_synthesis(self, lib):
         nl = logic_cloud(8, 8, 150, lib, seed=2)
-        result = implement(nl, lib)
+        result = run(nl, lib)
         assert result.netlist is nl
         assert result.instances == 150
 
     def test_scan_option_inserts_chains(self, lib):
         nl = registered_cloud(8, 16, 120, lib, seed=3)
         opts = FlowOptions(scan=True)
-        result = implement(nl, lib, opts)
+        result = run(nl, lib, opts)
         assert any(g.cell.is_scan
                    for g in result.netlist.sequential_gates())
 
@@ -55,7 +55,7 @@ class TestImplementFlow:
 
     def test_summary_format(self, lib):
         nl = logic_cloud(8, 8, 100, lib, seed=4)
-        assert "cells" in implement(nl, lib).summary()
+        assert "cells" in run(nl, lib).summary()
 
 
 class TestThroughput:

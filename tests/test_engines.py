@@ -2,13 +2,13 @@
 
 Every flow stage — synthesis, placement, CTS, routing, sizing — now
 resolves through :mod:`repro.engines`.  Covered here: registry
-round-trips for all five stages, deprecation aliases and did-you-mean
-hints for the new stages, ``FlowOptions`` construction-time validation
-of the new knobs, bit-identical default-flow results versus the
-pre-refactor hard-coded paths (replicated inline), stage cache-key
-sensitivity to each new engine knob, journal resume across an engine
-rename, the ``axes()``/``engine_space()``/``engine_grid_options()``
-ablation-grid plumbing, and the ``python -m repro.engines`` CLI.
+round-trips for all five stages, did-you-mean hints for the new
+stages, ``FlowOptions`` construction-time validation of the new knobs,
+bit-identical default-flow results versus the pre-refactor hard-coded
+paths (replicated inline), stage cache-key sensitivity to each new
+engine knob, refusal of unknown engine names on run and resume, the
+``axes()``/``engine_space()``/``engine_grid_options()`` ablation-grid
+plumbing, and the ``python -m repro.engines`` CLI.
 """
 
 import json
@@ -25,18 +25,14 @@ from repro.engines import (
     default_engine,
     engine_names,
     get_engine,
-    resolve_engine,
-    stage_aliases,
     stage_names,
 )
 from repro.learn.tuner import engine_space
 from repro.netlist import build_library, registered_cloud
 from repro.netlist.generators import random_aig
 from repro.orchestrate import (
-    ChaosPolicy,
     ResultCache,
     TelemetrySink,
-    WorkerCrash,
     engine_grid_options,
     resume_run,
     run,
@@ -92,14 +88,7 @@ class TestFiveStages:
             spec = get_engine(stage, name)
             assert spec.stage == stage and spec.name == name
             assert callable(spec.load())
-            assert resolve_engine(stage, name) is spec
         assert default_engine(stage) in engine_names(stage)
-
-    @pytest.mark.parametrize("stage", ALL_STAGES)
-    def test_lenient_fallback_per_stage(self, stage):
-        with pytest.warns(DeprecationWarning):
-            spec = resolve_engine(stage, "engine-retired-long-ago")
-        assert spec.name == default_engine(stage)
 
 
 # ----------------------------------------------------------------------
@@ -107,19 +96,6 @@ class TestFiveStages:
 
 
 class TestAliasesAndValidation:
-    @pytest.mark.parametrize("stage,old,new", [
-        ("synthesis", "min_area", "area"),
-        ("synthesis", "min_delay", "delay"),
-        ("cts", "naive_spine", "spine"),
-        ("cts", "bisection", "htree"),
-        ("sizing", "journaled", "incremental"),
-        ("sizing", "full_sta", "scalar"),
-    ])
-    def test_alias_resolves_with_deprecation(self, stage, old, new):
-        assert stage_aliases(stage)[old] == new
-        with pytest.deprecated_call(match=new):
-            assert get_engine(stage, old).name == new
-
     def test_typo_gets_did_you_mean_hint(self):
         with pytest.raises(UnknownEngineError,
                            match=r"did you mean 'htree'"):
@@ -139,14 +115,10 @@ class TestAliasesAndValidation:
         with pytest.raises(ValueError, match="sizing_engine"):
             FlowOptions(sizing_engine="scaler")
 
-    def test_flow_options_canonicalize_new_aliases(self):
-        with pytest.deprecated_call():
-            opts = FlowOptions(cts_engine="naive_spine",
-                               sizing_engine="journaled",
-                               synth_engine="min_area")
-        assert opts.cts_engine == "spine"
-        assert opts.sizing_engine == "incremental"
-        assert opts.synth_engine == "area"
+    def test_retired_name_is_unknown_with_hint(self):
+        with pytest.raises(UnknownEngineError,
+                           match=r"did you mean 'spine'"):
+            FlowOptions(cts_engine="naive_spine")
 
     def test_synthesis_flow_rejects_typo_in_constructor(self, lib):
         with pytest.raises(UnknownEngineError, match="synthesis"):
@@ -191,7 +163,7 @@ class TestDefaultParity:
         from repro.timing.cts import synthesize_clock_tree
         placed = global_place(seq_design(lib, flops=24, gates=160),
                               seed=0)
-        kernel = resolve_engine("cts", "htree").load()
+        kernel = get_engine("cts", "htree").load()
         via_registry = kernel(placed)
         direct = synthesize_clock_tree(placed)
         assert via_registry.sink_delays == direct.sink_delays
@@ -265,41 +237,22 @@ class TestCacheKeys:
 
 
 # ----------------------------------------------------------------------
-# Journal resume across an engine rename
+# Unknown engine names are refused, never replaced
 
 
 class TestJournalResume:
-    def test_resume_executes_retired_alias_leniently(self, lib,
+    def test_unknown_engine_raises_on_run_and_resume(self, lib,
                                                      tmp_path):
-        """A journal written when ``naive_spine`` was the canonical
-        name must resume after the rename: the cut stage re-executes
-        through the alias shim instead of failing the replay."""
         options = FlowOptions(cts=True, **QUICK)
-        # Simulate the old build's record: bypass construction-time
-        # canonicalization the way an unpickled journal blob does.
-        options.cts_engine = "naive_spine"
-        with pytest.raises(WorkerCrash, match="cts"):
-            run(seq_design(lib), lib, options,
-                journal_root=tmp_path, run_id="renamed",
-                chaos=ChaosPolicy(seed=1, crash_stages=("cts",)))
-        with pytest.warns(DeprecationWarning, match="spine"):
-            resumed = resume_run("renamed", journal_root=tmp_path)
-        assert str(resumed.status) in ("ok", "resumed")
-        assert resumed.clock_tree is not None
-        # The lenient path produced the successor engine's tree.
-        clean = run(seq_design(lib), lib,
-                    FlowOptions(cts=True, cts_engine="spine",
-                                **QUICK))
-        assert resumed.clock_skew_ps == clean.clock_skew_ps
-
-    def test_fully_unknown_engine_falls_back_to_default(self, lib):
-        options = FlowOptions(cts=True, **QUICK)
+        # Bypass construction-time validation the way an unpickled
+        # journal record does.
         options.cts_engine = "engine-nobody-remembers"
-        with pytest.warns(DeprecationWarning, match="htree"):
-            result = run(seq_design(lib), lib, options)
-        clean = run(seq_design(lib), lib,
-                    FlowOptions(cts=True, **QUICK))
-        assert result.clock_skew_ps == clean.clock_skew_ps
+        named = r"cts engine 'engine-nobody-remembers'"
+        with pytest.raises(UnknownEngineError, match=named):
+            run(seq_design(lib), lib, options,
+                journal_root=tmp_path, run_id="unknown")
+        with pytest.raises(UnknownEngineError, match=named):
+            resume_run("unknown", journal_root=tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -352,13 +305,11 @@ class TestEnginesCli:
             [sys.executable, "-m", "repro.engines", *args],
             capture_output=True, text=True, env={"PYTHONPATH": src})
 
-    def test_text_lists_all_stages_and_aliases(self):
+    def test_text_lists_all_stages(self):
         proc = self._run()
         assert proc.returncode == 0
         for stage in ALL_STAGES:
             assert stage in proc.stdout
-        assert "naive_spine" in proc.stdout
-        assert "deprecated" in proc.stdout
         assert "* htree" in proc.stdout       # default marker
 
     def test_json_catalog_matches_registry(self):
@@ -369,11 +320,7 @@ class TestEnginesCli:
         assert data["cts"]["default"] == "htree"
         names = [e["name"] for e in data["sizing"]["engines"]]
         assert names == list(engine_names("sizing"))
-        aliases = {a["name"]: a["use"]
-                   for a in data["cts"]["aliases"]}
-        assert aliases["naive_spine"] == "spine"
-        assert all(a["deprecated"]
-                   for a in data["cts"]["aliases"])
+        assert set(data["cts"]) == {"default", "engines"}
 
     def test_single_stage_and_unknown_stage(self):
         proc = self._run("sizing")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FlowOptions, implement
+from repro.core import FlowOptions
 from repro.learn import RunDatabase
 from repro.litho.euv_economics import (
     compare_euv,
@@ -10,6 +10,7 @@ from repro.litho.euv_economics import (
     still_needs_opc,
 )
 from repro.netlist import build_library, logic_cloud
+from repro.orchestrate import run
 from repro.smartsys import COMPONENT_CATALOG
 from repro.smartsys.stack_thermal import (
     best_stacking_order,
@@ -99,7 +100,7 @@ class TestFlowSelfMonitoring:
         lib = build_library(get_node("28nm"))
         db = RunDatabase()
         nl = logic_cloud(8, 8, 100, lib, seed=1)
-        implement(nl, lib, FlowOptions.basic(), run_db=db)
+        run(nl, lib, FlowOptions.basic(), run_db=db)
         assert len(db) == 1
         record = db.records[0]
         assert record.qor["hpwl_um"] > 0
@@ -111,7 +112,7 @@ class TestFlowSelfMonitoring:
         db = RunDatabase()
         for seed in (1, 2):
             nl = logic_cloud(8, 8, 100, lib, seed=seed)
-            implement(nl, lib, FlowOptions.basic(), run_db=db)
+            run(nl, lib, FlowOptions.basic(), run_db=db)
         nl = logic_cloud(8, 8, 100, lib, seed=3)
         from repro.learn import design_features
         best = db.best_knobs(design_features(nl), "hpwl_um")

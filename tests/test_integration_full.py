@@ -9,11 +9,12 @@ run BIST, decompose the routed metal, and price the die.
 import numpy as np
 import pytest
 
-from repro.core import FlowOptions, implement, signoff
+from repro.core import FlowOptions, signoff
 from repro.dft.bist import run_bist
 from repro.learn import RunDatabase
 from repro.mfg import die_cost
 from repro.netlist import build_library, registered_cloud
+from repro.orchestrate import run
 from repro.route.track_assign import decompose_routed_layer
 from repro.tech import get_node
 
@@ -27,7 +28,7 @@ def full_run():
     options = FlowOptions.advanced()
     options.scan = True
     options.cts = True
-    result = implement(design, lib, options, run_db=db)
+    result = run(design, lib, options, run_db=db)
     return node, lib, result, db
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core import FlowOptions, implement
+from repro.core import FlowOptions
 from repro.learn import RunDatabase
 from repro.netlist import build_library, registered_cloud
 from repro.orchestrate import (
@@ -20,6 +20,7 @@ from repro.orchestrate import (
     TelemetrySink,
     implement_dag,
     parallel_map,
+    run,
     run_sweep,
     stable_hash,
     stage_key,
@@ -219,7 +220,7 @@ class TestExecutor:
 class TestImplementDag:
     def test_legacy_wrapper_unchanged(self, lib):
         nl = small_design(lib)
-        result = implement(nl, lib, FlowOptions(scan=True, cts=True))
+        result = run(nl, lib, FlowOptions(scan=True, cts=True))
         assert result.netlist is nl
         assert result.status == "ok"
         assert set(result.stage_runtimes) == {
@@ -266,8 +267,7 @@ class TestImplementDag:
 
     def test_run_db_gets_telemetry(self, lib):
         db = RunDatabase()
-        implement(small_design(lib), lib, FlowOptions.basic(),
-                  run_db=db)
+        run(small_design(lib), lib, FlowOptions.basic(), run_db=db)
         assert len(db) == 1
         assert len(db.telemetry) == 6
         profile = db.stage_profile()
@@ -389,8 +389,7 @@ class TestTelemetry:
 
     def test_rundb_telemetry_persists(self, tmp_path, lib):
         db = RunDatabase()
-        implement(small_design(lib), lib, FlowOptions.basic(),
-                  run_db=db)
+        run(small_design(lib), lib, FlowOptions.basic(), run_db=db)
         path = tmp_path / "runs.json"
         db.save(path)
         loaded = RunDatabase.load(path)
@@ -402,5 +401,5 @@ class TestTelemetry:
         path = tmp_path / "legacy.json"
         path.write_text('[{"design": "d", "features": {}, '
                         '"knobs": {}, "qor": {}, "tags": []}]')
-        db = RunDatabase.load(path)
-        assert len(db) == 1 and db.telemetry == []
+        with pytest.raises(ValueError, match="legacy.json"):
+            RunDatabase.load(path)

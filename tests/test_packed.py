@@ -4,11 +4,10 @@ Covers the columnar interchange tentpole end to end: lossless
 ``Netlist`` <-> ``PackedNetlist`` round-trips, canonical content
 digests, the versioned ``.pnl`` binary format (including corruption
 hardening), the ``encode_value``/``decode_value`` codec the
-orchestration layers speak, packed-form consumers
-(``write_verilog``, ``global_place``), and the flow-level acceptance
-claims: codec runs are metric-bit-identical to pickle runs, and a
-journal written with raw-pickle blobs resumes across the codec
-boundary.
+orchestration layers speak (an unframed blob is refused, never
+unpickled), packed-form consumers (``write_verilog``,
+``global_place``), and the flow-level acceptance claim: codec runs are
+metric-bit-identical to pickle runs.
 """
 
 import pickle
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowOptions, FlowStatus
+from repro.core import FlowOptions
 from repro.netlist import (
     PackError,
     PackedNetlist,
@@ -30,11 +29,16 @@ from repro.netlist import (
     ripple_carry_adder,
 )
 from repro.netlist.io import read_verilog, write_verilog
-from repro.orchestrate import resume_run, run
+from repro.orchestrate import run
 from repro.orchestrate import cache as cache_mod
 from repro.orchestrate import executor as executor_mod
 from repro.orchestrate import resilience as resilience_mod
-from repro.orchestrate.cache import decode_value, encode_value, stage_key
+from repro.orchestrate.cache import (
+    CorruptEntry,
+    decode_value,
+    encode_value,
+    stage_key,
+)
 from repro.place import global_place
 from repro.tech import get_node
 from repro.timing import TimingAnalyzer
@@ -165,6 +169,15 @@ class TestPnlFormat:
             with pytest.raises(PackError, match=message):
                 PackedNetlist.from_bytes(bad)
 
+    def test_unshuffled_payload_is_refused(self, lib):
+        blob = ripple_carry_adder(4, lib).to_packed().to_bytes()
+        hdr = struct.Struct("<4sHBI")
+        magic, version, flags, hlen = hdr.unpack_from(blob)
+        unshuffled = hdr.pack(magic, version, flags & ~0x02, hlen) \
+            + blob[hdr.size:]
+        with pytest.raises(PackError, match="not byte-shuffled"):
+            PackedNetlist.from_bytes(unshuffled)
+
     def test_payload_bitflip_fails_checksum(self, lib):
         packed = ripple_carry_adder(4, lib).to_packed()
         raw = bytearray(packed.to_bytes(compress=False))
@@ -253,12 +266,10 @@ class TestCodec:
         for value in ({"wns": -12.5}, [1, 2, 3], "text", None, 4.25):
             assert decode_value(encode_value(value)) == value
 
-    def test_legacy_raw_pickle_decodes(self, lib):
-        nl = ripple_carry_adder(4, lib)
-        legacy = pickle.dumps({"netlist": nl, "x": 1})
-        clone = decode_value(legacy)
-        assert clone["x"] == 1
-        same_structure(nl, clone["netlist"])
+    def test_unframed_blob_is_refused(self, lib):
+        legacy = pickle.dumps({"netlist": ripple_carry_adder(4, lib)})
+        with pytest.raises(CorruptEntry, match="codec frame"):
+            decode_value(legacy)
 
     def test_netlist_blob_beats_pickle(self, lib):
         nl = registered_cloud(8, 16, 1000, lib, seed=6)
@@ -363,14 +374,3 @@ class TestFlowAcceptance:
             with_pickle = run(registered_cloud(8, 16, 120, lib, seed=3),
                               lib, options)
         assert _qor(with_codec) == _qor(with_pickle)
-
-    def test_resume_replays_legacy_pickle_journal(self, lib, tmp_path):
-        options = FlowOptions(scan=True, cts=True)
-        with pytest.MonkeyPatch.context() as mp:
-            _pickle_codec(mp)
-            legacy = run(registered_cloud(8, 16, 120, lib, seed=3),
-                         lib, options, journal_root=tmp_path,
-                         run_id="legacy")
-        resumed = resume_run("legacy", journal_root=tmp_path)
-        assert _qor(resumed) == _qor(legacy)
-        assert resumed.status in (FlowStatus.RESUMED, FlowStatus.OK)

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core import FlowOptions, FlowStatus, implement
+from repro.core import FlowOptions, FlowStatus
 from repro.learn import RecoveryRecord, RunDatabase
 from repro.netlist import build_library, registered_cloud
 from repro.orchestrate import (
@@ -27,6 +27,7 @@ from repro.orchestrate import (
     ChaosPolicy,
     CorruptEntry,
     FlowDAG,
+    JournalError,
     ResultCache,
     RetryBudget,
     RunJournal,
@@ -157,6 +158,16 @@ class TestRunJournal:
         assert done.meta()["flow_status"] == "ok"
         assert resumable_runs(tmp_path) == ["stuck"]
 
+    def test_old_schema_journal_refused(self, tmp_path):
+        journal = RunJournal.create(tmp_path, "old", "subj", None,
+                                    FlowOptions())
+        meta = journal.meta()
+        meta["schema_version"] = 1
+        journal._write_meta(meta)
+        with pytest.raises(JournalError,
+                           match=r"schema_version 1, this build reads 2"):
+            resume_run("old", journal_root=tmp_path)
+
 
 # ----------------------------------------------------------------------
 # Disk-cache corruption: quarantine and recompute (satellite)
@@ -168,6 +179,21 @@ def _double(ctx):
 
 
 _double.calls = 0
+
+
+def _mark_unpickled():
+    _mark_unpickled.calls += 1
+    return "unpickled"
+
+
+_mark_unpickled.calls = 0
+
+
+class _Tripwire:
+    """Pickles to a call of :func:`_mark_unpickled`."""
+
+    def __reduce__(self):
+        return (_mark_unpickled, ())
 
 
 class TestCacheCorruption:
@@ -209,6 +235,16 @@ class TestCacheCorruption:
         cache.entry_path(key).write_bytes(pickle.dumps({"qor": 42}))
         assert not cache.get(key)[0]
         assert cache.stats.corrupt == 1
+
+    def test_unframed_blob_is_miss_never_unpickled(self, tmp_path):
+        cache = ResultCache(disk_dir=tmp_path)
+        key = stage_key("s", "1", {"x": 1})
+        cache.entry_path(key).write_bytes(
+            seal_blob(pickle.dumps(_Tripwire()), key))
+        _mark_unpickled.calls = 0
+        assert not cache.get(key)[0]
+        assert cache.stats.corrupt == 1
+        assert _mark_unpickled.calls == 0
 
     def test_run_stage_recomputes_over_bad_entry(self, tmp_path):
         """The satellite bug: a bad disk entry used to raise out of
@@ -352,13 +388,6 @@ class TestUnifiedApi:
         assert result.options.schema_version == 5
         assert result.run_id is None      # no journaling requested
         assert set(result.stage_runtimes) == set(STAGE_NAMES)
-
-    def test_implement_shim_deprecated_but_equivalent(self, lib):
-        with pytest.deprecated_call(match="repro.orchestrate.run"):
-            shim = implement(small_design(lib), lib,
-                             FlowOptions(**OPTS))
-        assert qor(shim) == qor(run(small_design(lib), lib,
-                                    FlowOptions(**OPTS)))
 
     def test_max_retries_absorbs_chaos_faults(self, lib, clean_qor):
         # max_retries gives the default DAG per-stage retry headroom

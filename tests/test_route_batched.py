@@ -1,9 +1,8 @@
 """Tests for the batched router and the engine-selection registry.
 
 Covers the PR-8 satellites: engine registry semantics (strict lookup,
-alias shims, lenient execution-time resolution, FlowOptions
-construction-time validation), RoutingResult schema parity across
-engines, hypothesis-driven both-engine parity (legal routes, overflow
+FlowOptions construction-time validation), RoutingResult schema parity
+across engines, hypothesis-driven both-engine parity (legal routes, overflow
 no worse than maze, wirelength within 2%), bit-reproducibility of the
 batched engine, and flow-level cache-key sensitivity to the
 ``routing_engine`` knob.
@@ -20,7 +19,6 @@ from repro.engines import (
     default_engine,
     engine_names,
     get_engine,
-    resolve_engine,
 )
 from repro.netlist import build_library, logic_cloud
 from repro.orchestrate import ResultCache, TelemetrySink, run
@@ -69,17 +67,6 @@ class TestRegistry:
             get_engine("routing", "bathced")
         assert issubclass(UnknownEngineError, ValueError)
 
-    def test_alias_resolves_with_deprecation(self):
-        with pytest.deprecated_call(match="maze"):
-            spec = get_engine("routing", "lee")
-        assert spec.name == "maze"
-
-    def test_resolve_engine_is_lenient(self):
-        # Journal replay must not explode on a retired engine string.
-        with pytest.warns(DeprecationWarning):
-            spec = resolve_engine("routing", "no-such-engine-ever")
-        assert spec.name == default_engine("routing")
-
     def test_flow_options_reject_typo_early(self):
         with pytest.raises(ValueError, match="routing_engine"):
             FlowOptions(routing_engine="mase")
@@ -93,11 +80,6 @@ class TestRegistry:
             FlowOptions(routing_layers=1)
         with pytest.raises(ValueError, match="utilization"):
             FlowOptions(utilization=0.0)
-
-    def test_flow_options_canonicalize_alias(self):
-        with pytest.deprecated_call():
-            opts = FlowOptions(routing_engine="lee")
-        assert opts.routing_engine == "maze"
 
 
 # ----------------------------------------------------------------------
