@@ -22,17 +22,6 @@ from enum import Enum
 
 from repro.netlist.circuit import Netlist
 
-#: Version of the FlowOptions/FlowResult wire format.  Bump when a
-#: field changes meaning; journals persist it so a resume can refuse
-#: records written by an incompatible build.  v4: engine-selection
-#: knobs validate against the ``repro.engines`` registry at option
-#: construction and ``routing_engine`` defaults to the vectorized
-#: ``batched`` engine.  v5: every stage selects through the registry —
-#: ``synth_engine``, ``cts_engine``, and ``sizing_engine`` join
-#: ``place_engine``/``routing_engine`` (defaults reproduce the v4
-#: flow bit-for-bit).
-FLOW_SCHEMA_VERSION = 5
-
 
 class FlowStatus(str, Enum):
     """Terminal status of a flow run.
@@ -89,7 +78,6 @@ class FlowOptions:
     clock_period_ps: float = 2000.0
     freq_ghz: float = 0.5
     seed: int = 0
-    schema_version: int = FLOW_SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         from repro.engines import validate_options
@@ -127,7 +115,6 @@ class FlowResult:
     stage_runtimes: dict = field(default_factory=dict)
     clock_tree: object = None
     status: FlowStatus = FlowStatus.OK
-    schema_version: int = FLOW_SCHEMA_VERSION
     run_id: str | None = None    # set when the run was journaled
     lint: object = None          # LintReport from the pre-run gate
 
@@ -186,4 +173,3 @@ class FlowResult:
             f"gcells (ovfl {self.overflow}), {self.delay_ps:.0f} ps, "
             f"{self.power_uw:.1f} uW, {self.runtime_s:.2f} s"
         )
-

@@ -10,13 +10,13 @@ reason about tool scaling without the testbed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.netlist.cells import CellLibrary
 from repro.netlist.generators import logic_cloud
-from repro.orchestrate.telemetry import stage_timer
 from repro.place.global_place import global_place
 from repro.route.global_route import route_placement
 
@@ -85,13 +85,13 @@ def calibrate_throughput(library: CellLibrary, *,
                          seed: int = 0,
                          parallel_fraction: float = 0.85) -> ThroughputModel:
     """Measure place+route runtime at several sizes and fit the model."""
-    timings: dict = {}
+    samples = []
     for n in sizes:
         nl = logic_cloud(16, 16, n, library, seed=seed, locality=0.9)
-        with stage_timer(timings, n):
-            placement = global_place(nl, seed=seed, utilization=0.35)
-            route_placement(placement, gcell_um=2.0, max_iterations=2)
-    samples = list(timings.items())
+        t0 = time.perf_counter()
+        placement = global_place(nl, seed=seed, utilization=0.35)
+        route_placement(placement, gcell_um=2.0, max_iterations=2)
+        samples.append((n, time.perf_counter() - t0))
     xs = np.log([s[0] for s in samples])
     ys = np.log([max(s[1], 1e-4) for s in samples])
     exponent, log_coeff = np.polyfit(xs, ys, 1)

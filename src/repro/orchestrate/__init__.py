@@ -1,11 +1,11 @@
 """Flow orchestration: DAG scheduling, content-hash caching, parallel
-execution, crash-safe journaling, and run telemetry.
+sweeps, crash-safe journaling, and run telemetry.
 
 The scaling substrate behind the E7 throughput claim — and, since the
 resilience layer landed, the *one* documented flow API:
 
 * :func:`run` — execute the implementation flow (cache, telemetry,
-  ``jobs > 1``, optional write-ahead journal, chaos injection).
+  optional write-ahead journal, chaos injection).
 * :func:`resume_run` — finish a journaled run after a crash; verified
   stages replay from the journal, only the frontier re-executes, and
   the final metrics are bit-identical to an uninterrupted run.
@@ -13,8 +13,9 @@ resilience layer landed, the *one* documented flow API:
 Underneath: declare flows as DAGs of stages
 (:mod:`~repro.orchestrate.dag`), replay unchanged stages from a
 checksummed content-addressed cache (:mod:`~repro.orchestrate.cache`),
-run independent branches and independent jobs on a process pool
-(:mod:`~repro.orchestrate.executor`, :mod:`~repro.orchestrate.sweep`),
+run each flow's stages in order (:mod:`~repro.orchestrate.executor`)
+and independent flow jobs on a process pool
+(:mod:`~repro.orchestrate.sweep`),
 checkpoint and fault-inject (:mod:`~repro.orchestrate.resilience`),
 and meter every stage with structured spans
 (:mod:`~repro.orchestrate.telemetry`).
@@ -34,7 +35,6 @@ from repro.orchestrate.cache import (
 )
 from repro.orchestrate.dag import CycleError, FlowDAG, Stage
 from repro.orchestrate.executor import (
-    PoolExecutor,
     RetryBudget,
     RunResult,
     SerialExecutor,
@@ -43,7 +43,6 @@ from repro.orchestrate.executor import (
     WorkerCrash,
     backoff_delay,
     leaked_threads,
-    parallel_map,
     run_stage,
 )
 from repro.orchestrate.flows import (
@@ -68,7 +67,6 @@ from repro.orchestrate.telemetry import (
     Span,
     TelemetrySink,
     peak_rss_kb,
-    stage_timer,
 )
 
 __all__ = [
@@ -85,7 +83,6 @@ __all__ = [
     "LINT_MODES",
     "LintGateError",
     "LintReport",
-    "PoolExecutor",
     "ResultCache",
     "RetryBudget",
     "RunJournal",
@@ -104,7 +101,6 @@ __all__ = [
     "corrupt_file",
     "implement_dag",
     "leaked_threads",
-    "parallel_map",
     "peak_rss_kb",
     "resumable_runs",
     "resume_run",
@@ -115,6 +111,5 @@ __all__ = [
     "seal_blob",
     "stable_hash",
     "stage_key",
-    "stage_timer",
     "unseal_blob",
 ]

@@ -11,8 +11,7 @@ Values travel through the *packed-design codec*
 placements are framed as columnar ``.pnl`` bytes
 (:class:`~repro.netlist.packed.PackedNetlist`) instead of deep
 pickles, and everything else falls back to a fixed-protocol pickle.
-The same codec frames :class:`~repro.orchestrate.executor.PoolExecutor`
-cross-process payloads and
+The same codec frames
 :class:`~repro.orchestrate.resilience.RunJournal` stage blobs, so one
 encoding is the single design currency everywhere a design crosses a
 boundary.  Cache keys for design-bearing inputs use the canonical
@@ -105,9 +104,8 @@ def encode_value(value) -> bytes:
     non-netlist fields + library, ``.pnl`` bytes of its netlist), and a
     bare :class:`~repro.netlist.packed.PackedNetlist` passes through as
     its own bytes.  Everything else is pickled.  ``to_packed()`` /
-    ``to_bytes()`` are memoized on the design, so the cache blob, the
-    journal blob, and the worker payload of one stage output share one
-    packing pass.
+    ``to_bytes()`` are memoized on the design, so the cache blob and
+    the journal blob of one stage output share one packing pass.
     """
     from repro.netlist.circuit import Netlist
     from repro.netlist.packed import PackedNetlist

@@ -3,9 +3,8 @@
 A :class:`Stage` is a pure-ish callable ``fn(ctx) -> value`` where
 ``ctx`` maps upstream stage names and declared run parameters to
 values.  A :class:`FlowDAG` holds stages, validates their dependency
-edges, detects cycles, and answers the two scheduling questions the
-executors ask: "what order?" (serial) and "what is ready now?"
-(parallel branches).
+edges, detects cycles, and answers the two questions the executor
+asks: "what order?" and "what dies when this stage fails?".
 """
 
 from __future__ import annotations
@@ -98,17 +97,6 @@ class FlowDAG:
             stuck = sorted(n for n, d in indegree.items() if d > 0)
             raise CycleError(f"dependency cycle among stages {stuck}")
         return order
-
-    def ready(self, done, submitted) -> list:
-        """Stages whose dependencies are all satisfied and which have
-        not yet been submitted — the parallel executor's work queue."""
-        out = []
-        for name, stage in self.stages.items():
-            if name in done or name in submitted:
-                continue
-            if all(dep in done for dep in stage.deps):
-                out.append(stage)
-        return out
 
     def dependents(self, name: str) -> set:
         """Transitive downstream closure of a stage (for failure

@@ -1,9 +1,10 @@
-"""Stage executors: serial and multiprocessing-pool DAG scheduling.
+"""The stage executor: one flow run, one stage at a time.
 
-Both executors share the same per-stage contract: consult the result
-cache, run with bounded retry and jittered exponential backoff (under
-an optional per-run :class:`RetryBudget`), enforce the stage timeout,
-and emit a telemetry span either way.  A failed *optional* stage
+:class:`SerialExecutor` walks the DAG in topological order and hands
+each stage to :func:`run_stage`, which consults the result cache, runs
+with bounded retry and jittered exponential backoff (under an optional
+per-run :class:`RetryBudget`), enforces the stage timeout, and emits a
+telemetry span either way.  A failed *optional* stage
 (e.g. CTS) marks the run ``degraded`` and its output ``None``; a
 failed required stage kills its transitive dependents and — under
 ``strict`` — raises :class:`StageError` so single-run callers see the
@@ -16,21 +17,18 @@ can resume; ``preloaded`` seeds outputs replayed from such a journal
 injects stage faults, timeouts, and :class:`WorkerCrash` kills for
 fault-injection testing.
 
-:class:`PoolExecutor` runs independent DAG branches concurrently in a
-``multiprocessing`` pool; :func:`parallel_map` is the job-level
-analogue used by :mod:`repro.orchestrate.sweep`.
+Parallelism lives one level up: :func:`repro.orchestrate.run_sweep`
+runs whole flow jobs on a process pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.orchestrate.cache import (decode_value, encode_value,
-                                     stage_key)
+from repro.orchestrate.cache import stage_key
 from repro.orchestrate.telemetry import Span, peak_rss_kb
 
 
@@ -48,7 +46,7 @@ class StageError(RuntimeError):
     def __reduce__(self):
         # Default Exception reduction would replay only the formatted
         # message into our three-argument __init__; this keeps stage
-        # errors picklable across the pool boundary.
+        # errors picklable across the sweep pool boundary.
         return (self.__class__, (self.stage, self.attempts, self.cause))
 
 
@@ -207,7 +205,7 @@ class StageOutcome:
     key: str | None = None       # content-hash key, when cacheable
 
 
-def run_stage(stage, ctx, cache=None, job=None, *, chaos=None,
+def run_stage(stage, ctx, cache=None, *, chaos=None,
               budget=None) -> StageOutcome:
     """Execute one stage in-process: cache, retries, timeout, span.
 
@@ -225,7 +223,7 @@ def run_stage(stage, ctx, cache=None, job=None, *, chaos=None,
         hit, value = cache.get(key)
         if hit:
             span = Span(stage.name, time.perf_counter() - t0,
-                        cache="hit", peak_rss_kb=peak_rss_kb(), job=job,
+                        cache="hit", peak_rss_kb=peak_rss_kb(),
                         leaked_threads=leaked_threads())
             return StageOutcome(stage.name, value, span, key=key)
 
@@ -260,7 +258,7 @@ def run_stage(stage, ctx, cache=None, job=None, *, chaos=None,
     span = Span(stage.name, time.perf_counter() - t0, status=status,
                 cache=None if key is None else "miss",
                 retries=attempts - 1, peak_rss_kb=peak_rss_kb(),
-                job=job, leaked_threads=leaked_threads())
+                leaked_threads=leaked_threads())
     if status == "ok" and key is not None:
         cache.put(key, value)
         if chaos is not None:
@@ -281,49 +279,6 @@ class RunResult:
     replayed: list = field(default_factory=list)   # from a run journal
 
 
-def _resolve_failure(stage, outcome, state, dag, strict):
-    """Shared failure bookkeeping for both executors."""
-    if stage.optional:
-        state["outputs"][stage.name] = None
-        state["degraded"] = True
-        return
-    state["failed"].append(stage.name)
-    for name in sorted(dag.dependents(stage.name)):
-        if name not in state["outputs"] and name not in state["skipped"]:
-            state["skipped"].append(name)
-            state["spans"].append(Span(name, 0.0, status="skipped"))
-    if strict:
-        if isinstance(outcome.error, StageError):
-            raise outcome.error
-        raise StageError(stage.name, outcome.span.retries + 1,
-                         outcome.error) from outcome.error
-
-
-def _finish(state, t0) -> RunResult:
-    status = "failed" if state["failed"] else (
-        "degraded" if state["degraded"] else "ok")
-    return RunResult(outputs=state["outputs"], status=status,
-                     spans=state["spans"],
-                     wall_s=time.perf_counter() - t0,
-                     failed=state["failed"], skipped=state["skipped"],
-                     replayed=state["replayed"])
-
-
-def _seed_preloaded(state, dag, preloaded) -> None:
-    """Replay journaled outputs into a fresh run's state.
-
-    Each replayed stage gets a zero-cost span with ``cache="journal"``
-    so telemetry can count exactly what a resume skipped versus
-    re-executed.
-    """
-    for name, value in (preloaded or {}).items():
-        if name not in dag.stages:
-            continue
-        state["outputs"][name] = value
-        state["replayed"].append(name)
-        state["spans"].append(Span(name, 0.0, cache="journal"))
-
-
 def _journal_outcome(journal, outcome) -> None:
     """Write-ahead-log one completed stage (best effort: an output the
     journal cannot pickle simply re-executes on resume)."""
@@ -336,12 +291,7 @@ def _journal_outcome(journal, outcome) -> None:
         pass
 
 
-def _new_state() -> dict:
-    return {"outputs": {}, "spans": [], "failed": [], "skipped": [],
-            "degraded": False, "replayed": []}
-
-
-def _sanitize_boundary(sanitizer, name, value, state) -> None:
+def _sanitize_boundary(sanitizer, name, value, spans) -> None:
     """Run the opt-in stage-boundary sanitizer on one completed stage.
 
     The span (``sanitize:<stage>``) is recorded even when strict mode
@@ -354,7 +304,7 @@ def _sanitize_boundary(sanitizer, name, value, state) -> None:
     finally:
         report = sanitizer.reports.get(name)
         if report is not None:
-            state["spans"].append(Span(
+            spans.append(Span(
                 f"sanitize:{name}", report.wall_s,
                 status="failed" if report.errors else "ok",
                 notes=tuple(str(f) for f in report.findings[:8])))
@@ -370,210 +320,50 @@ class SerialExecutor:
             journal=None, preloaded=None, budget=None,
             sanitizer=None) -> RunResult:
         t0 = time.perf_counter()
-        state = _new_state()
-        _seed_preloaded(state, dag, preloaded)
+        # Journal replays get zero-cost ``cache="journal"`` spans, so
+        # telemetry counts exactly what a resume skipped.
+        outputs = {name: value for name, value in (preloaded or {}).items()
+                   if name in dag.stages}
+        replayed = list(outputs)
+        spans = [Span(name, 0.0, cache="journal") for name in replayed]
+        failed: list = []
+        skipped: list = []
+        degraded = False
         try:
             for stage in dag.topological_order():
-                if stage.name in state["outputs"] or \
-                        stage.name in state["skipped"]:
+                if stage.name in outputs or stage.name in skipped:
                     continue
                 if self.chaos is not None:
                     self.chaos.pre_stage(stage.name)   # may crash
-                ctx = {**params, **state["outputs"]}
-                outcome = run_stage(stage, ctx, cache=cache,
-                                    chaos=self.chaos, budget=budget)
-                state["spans"].append(outcome.span)
+                outcome = run_stage(stage, {**params, **outputs},
+                                    cache=cache, chaos=self.chaos,
+                                    budget=budget)
+                spans.append(outcome.span)
                 if outcome.span.status == "ok" or \
                         outcome.span.cache == "hit":
-                    state["outputs"][stage.name] = outcome.value
+                    outputs[stage.name] = outcome.value
                     _journal_outcome(journal, outcome)
                     _sanitize_boundary(sanitizer, stage.name,
-                                       outcome.value, state)
-                else:
-                    _resolve_failure(stage, outcome, state, dag, strict)
+                                       outcome.value, spans)
+                    continue
+                if stage.optional:
+                    outputs[stage.name] = None
+                    degraded = True
+                    continue
+                failed.append(stage.name)
+                for name in sorted(dag.dependents(stage.name)):
+                    if name not in outputs and name not in skipped:
+                        skipped.append(name)
+                        spans.append(Span(name, 0.0, status="skipped"))
+                if strict:
+                    if isinstance(outcome.error, StageError):
+                        raise outcome.error
+                    raise StageError(stage.name, outcome.span.retries + 1,
+                                     outcome.error) from outcome.error
         finally:
             if sink is not None:
-                sink.extend(state["spans"])
-        return _finish(state, t0)
-
-
-def _pool_call(fn, ctx, chaos=None, stage=None, attempt=0):
-    """Worker-side stage invocation (module-level for pickling).
-
-    ``ctx`` values arrive framed by the packed-design codec
-    (:func:`~repro.orchestrate.cache.encode_value`) — netlists and
-    placements cross the process boundary as columnar ``.pnl`` bytes,
-    not deep pickles — and the stage result returns the same way.
-    Chaos faults fire *inside* the worker, so an injected failure
-    travels the same pickled-exception path a real stage crash does.
-    """
-    if chaos is not None:
-        chaos.on_attempt(stage, attempt)
-    from repro.orchestrate.cache import decode_value, encode_value
-    ctx = {k: decode_value(v) for k, v in ctx.items()}
-    t0 = time.perf_counter()
-    value = fn(ctx)
-    return encode_value(value), time.perf_counter() - t0, peak_rss_kb()
-
-
-class PoolExecutor:
-    """Run independent DAG branches concurrently in worker processes.
-
-    Stage functions and their inputs must be picklable (module-level
-    callables).  Cache lookups happen in the parent at submit time, so
-    a hot cache short-circuits before any process hop.  Timeouts are
-    enforced by deadline in the parent; an overrunning worker is
-    abandoned to the pool (its late result is discarded).  Journal
-    records are written by the parent as results are collected, so the
-    write-ahead log stays single-writer even with many workers.
-    """
-
-    def __init__(self, jobs: int = 2, poll_s: float = 0.002,
-                 chaos=None):
-        if jobs < 1:
-            raise ValueError("jobs must be positive")
-        self.jobs = jobs
-        self.poll_s = poll_s
-        self.chaos = chaos
-
-    def run(self, dag, params, cache=None, sink=None, strict=True,
-            journal=None, preloaded=None, budget=None,
-            sanitizer=None) -> RunResult:
-        t0 = time.perf_counter()
-        order = dag.topological_order()   # validates + cycle check
-        state = _new_state()
-        _seed_preloaded(state, dag, preloaded)
-        pending: dict = {}                # name -> submission record
-        submitted: set = set(state["replayed"])
-        try:
-            with multiprocessing.Pool(min(self.jobs, len(order))) as pool:
-                while len(state["outputs"]) + len(state["failed"]) + \
-                        len(state["skipped"]) < len(dag):
-                    self._submit_ready(pool, dag, params, cache,
-                                       state, pending, submitted,
-                                       journal, sanitizer)
-                    if not pending:
-                        if not dag.ready(state["outputs"],
-                                         submitted.union(
-                                             state["skipped"],
-                                             state["failed"])):
-                            break      # nothing runnable remains
-                        continue
-                    self._collect(pool, dag, params, cache, state,
-                                  pending, strict, journal, budget,
-                                  sanitizer)
-                    if pending:
-                        time.sleep(self.poll_s)
-        finally:
-            if sink is not None:
-                sink.extend(state["spans"])
-        return _finish(state, t0)
-
-    # ------------------------------------------------------------------
-
-    def _submit_ready(self, pool, dag, params, cache, state, pending,
-                      submitted, journal, sanitizer=None) -> None:
-        blocked = submitted.union(state["skipped"], state["failed"])
-        for stage in dag.ready(state["outputs"], blocked):
-            if self.chaos is not None:
-                self.chaos.pre_stage(stage.name)   # may crash
-            ctx = {**params, **state["outputs"]}
-            key = None
-            if cache is not None and stage.cacheable:
-                key = stage_key(stage.name, stage.version,
-                                cache_inputs(stage, ctx))
-                hit, value = cache.get(key)
-                if hit:
-                    submitted.add(stage.name)
-                    state["outputs"][stage.name] = value
-                    span = Span(stage.name, 0.0, cache="hit")
-                    state["spans"].append(span)
-                    _journal_outcome(journal, StageOutcome(
-                        stage.name, value, span, key=key))
-                    _sanitize_boundary(sanitizer, stage.name, value,
-                                       state)
-                    continue
-            submitted.add(stage.name)
-            pending[stage.name] = self._submission(
-                pool, stage, ctx, key, attempts=1)
-
-    def _submission(self, pool, stage, ctx, key, attempts) -> dict:
-        # Codec-framed payload: designs ship as .pnl bytes (memoized on
-        # the live object, so fan-out stages pack once).
-        child_ctx = {k: encode_value(ctx[k])
-                     for k in (*stage.deps, *stage.params)}
-        deadline = (time.perf_counter() + stage.timeout_s
-                    if stage.timeout_s else None)
-        return {"stage": stage, "key": key, "attempts": attempts,
-                "t0": time.perf_counter(), "deadline": deadline,
-                "ctx": ctx, "pool": pool,
-                "async": pool.apply_async(
-                    _pool_call, (stage.fn, child_ctx, self.chaos,
-                                 stage.name, attempts - 1))}
-
-    def _collect(self, pool, dag, params, cache, state, pending,
-                 strict, journal, budget, sanitizer=None) -> None:
-        now = time.perf_counter()
-        for name in list(pending):
-            sub = pending[name]
-            stage = sub["stage"]
-            error = None
-            if sub["async"].ready():
-                try:
-                    value, child_wall, rss = sub["async"].get()
-                    value = decode_value(value)
-                except WorkerCrash:
-                    raise              # abort the run, journal intact
-                except BaseException as err:   # noqa: BLE001
-                    error = err
-                else:
-                    state["outputs"][name] = value
-                    span = Span(
-                        name, now - sub["t0"],
-                        cache=None if sub["key"] is None else "miss",
-                        retries=sub["attempts"] - 1, peak_rss_kb=rss)
-                    state["spans"].append(span)
-                    if sub["key"] is not None:
-                        cache.put(sub["key"], value)
-                        if self.chaos is not None:
-                            self.chaos.after_put(cache, sub["key"])
-                    _journal_outcome(journal, StageOutcome(
-                        name, value, span, key=sub["key"]))
-                    _sanitize_boundary(sanitizer, name, value, state)
-                    del pending[name]
-                    continue
-            elif sub["deadline"] is not None and now > sub["deadline"]:
-                error = StageTimeout(name, sub["attempts"])
-            else:
-                continue
-            del pending[name]
-            if sub["attempts"] <= stage.retries and \
-                    (budget is None or budget.take()):
-                time.sleep(backoff_delay(stage.backoff_s,
-                                         sub["attempts"] - 1))
-                pending[name] = self._submission(
-                    sub["pool"], stage, sub["ctx"], sub["key"],
-                    sub["attempts"] + 1)
-                continue
-            status = ("timeout" if isinstance(error, StageTimeout)
-                      else "failed")
-            span = Span(name, now - sub["t0"], status=status,
-                        cache=None if sub["key"] is None else "miss",
-                        retries=sub["attempts"] - 1)
-            state["spans"].append(span)
-            outcome = StageOutcome(name, None, span, error)
-            _resolve_failure(stage, outcome, state, dag, strict)
-
-
-def parallel_map(fn, items, *, jobs: int = 1, chunksize: int = 1) -> list:
-    """Ordered map over ``items``, optionally in a process pool.
-
-    ``fn`` must be a module-level (picklable) callable when
-    ``jobs > 1``.  With ``jobs <= 1`` this is a plain loop — the
-    baseline every speedup claim is measured against.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(min(jobs, len(items))) as pool:
-        return pool.map(fn, items, chunksize)
+                sink.extend(spans)
+        status = "failed" if failed else ("degraded" if degraded else "ok")
+        return RunResult(outputs=outputs, status=status, spans=spans,
+                         wall_s=time.perf_counter() - t0, failed=failed,
+                         skipped=skipped, replayed=replayed)

@@ -5,23 +5,20 @@ Each stage of the legacy hand-rolled flow becomes a :class:`Stage`
 node with explicit data dependencies and a narrowed cache-key domain
 (``knobs``): changing ``routing_iterations`` re-executes only the
 routing stage, while synthesis, placement, and signoff replay from the
-content-addressed cache.  The stage functions are module-level so the
-:class:`~repro.orchestrate.executor.PoolExecutor` can ship them to
-worker processes.
+content-addressed cache.
 
 Data-dependency notes mirrored from the legacy serial order:
 
 * ``insert_scan`` mutates the netlist, and the legacy flow routed and
   signed off *after* scan insertion.  The netlist travels inside its
   :class:`~repro.place.placement.Placement` (``placement.netlist``),
-  and ``dft`` consumes and returns that bundle — so even across
-  process boundaries (where each stage gets a pickled copy) the
-  placement and the post-scan netlist downstream stages see are the
-  same consistent pair.
-* ``cts``, ``routing``, and ``signoff`` all depend only on ``dft`` —
-  they are independent DAG branches (signoff parasitics come from
-  placement-derived lengths, not routing) and run concurrently under
-  the pool executor.
+  and ``dft`` consumes and returns that bundle — so even when a stage
+  replays from the cache or a journal (a decoded copy) the placement
+  and the post-scan netlist downstream stages see are the same
+  consistent pair.
+* ``cts``, ``routing``, and ``signoff`` all depend only on ``dft``
+  (signoff parasitics come from placement-derived lengths, not
+  routing), so a knob change to one of them re-runs only that stage.
 * ``cts`` is optional: a CTS failure degrades the run (no clock tree)
   instead of killing a sweep.
 """
@@ -31,7 +28,7 @@ from __future__ import annotations
 from repro.core.flow import FlowOptions, FlowResult
 from repro.engines import validate_options
 from repro.orchestrate.dag import FlowDAG, Stage
-from repro.orchestrate.executor import PoolExecutor, SerialExecutor
+from repro.orchestrate.executor import SerialExecutor
 from repro.orchestrate.telemetry import Span, TelemetrySink
 
 STAGE_NAMES = ("synthesis", "placement", "dft", "cts", "routing",
@@ -227,10 +224,9 @@ def _pre_run_lint(dag, subject, options, mode, sink):
 
 def implement_dag(subject, library, options: FlowOptions | None = None,
                   *, run_db=None, cache=None, telemetry=None,
-                  jobs: int = 1, strict: bool = True,
-                  dag: FlowDAG | None = None, journal=None,
-                  preloaded=None, chaos=None, retry_budget=None,
-                  lint: str = "warn",
+                  strict: bool = True, dag: FlowDAG | None = None,
+                  journal=None, preloaded=None, chaos=None,
+                  retry_budget=None, lint: str = "warn",
                   sanitize: bool = False) -> FlowResult:
     """Run the implementation DAG and assemble a :class:`FlowResult`.
 
@@ -238,8 +234,9 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     facade, which adds crash-safe journaling on top): ``cache`` (a
     :class:`~repro.orchestrate.cache.ResultCache`) replays unchanged
     stages, ``telemetry`` (a :class:`TelemetrySink`) collects spans,
-    ``jobs > 1`` runs independent branches in a process pool, and a
-    custom ``dag`` swaps in experimental stage graphs.
+    and a custom ``dag`` swaps in experimental stage graphs.  Stages
+    run one at a time on :class:`SerialExecutor`; run many flows at
+    once with :func:`repro.orchestrate.run_sweep`.
 
     Static checks (see :mod:`repro.lint`): ``lint`` gates the run on
     pre-run findings — ``"strict"`` raises
@@ -281,9 +278,7 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
         sanitizer = StageSanitizer(
             mode="strict" if lint == "strict" else "warn")
         sanitizer.baseline(subject)
-    executor = SerialExecutor(chaos=chaos) if jobs <= 1 \
-        else PoolExecutor(jobs, chaos=chaos)
-    run = executor.run(
+    run = SerialExecutor(chaos=chaos).run(
         dag, {"subject": subject, "library": library,
               "options": options},
         cache=cache, sink=sink, strict=strict, journal=journal,
@@ -304,13 +299,17 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
             result.lint = (lint_report.merge(merged)
                            if lint_report is not None else merged)
     if run_db is not None:
-        _log_run(run_db, result, sink.spans[n_before:])
+        _log_run(run_db, result, dag, sink.spans[n_before:])
     return result
 
 
-def _log_run(run_db, result: FlowResult, spans) -> None:
+def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
     """Self-monitoring: persist QoR and telemetry to the run database
-    (Rossi's "information useful to the next runs")."""
+    (Rossi's "information useful to the next runs").
+
+    The record's knobs are every option a stage of ``dag`` reads (the
+    union of :attr:`Stage.knobs`), so it names the engines that ran.
+    """
     from repro.learn.rundb import RunRecord, design_features
     if result.netlist is None:      # failed run: no QoR to learn from
         return
@@ -318,13 +317,8 @@ def _log_run(run_db, result: FlowResult, spans) -> None:
     run_db.log(RunRecord(
         design=result.netlist.name,
         features=design_features(result.netlist),
-        knobs={
-            "era": options.era,
-            "utilization": options.utilization,
-            "spreading_passes": options.spreading_passes,
-            "detailed_passes": options.detailed_passes,
-            "routing_iterations": options.routing_iterations,
-        },
+        knobs={knob: getattr(options, knob)
+               for stage in dag.stages.values() for knob in stage.knobs},
         qor={
             "hpwl_um": result.hpwl_um,
             "overflow": result.overflow,

@@ -285,11 +285,11 @@ def resumable_runs(journal_root) -> list:
 
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """Seeded fault injection for Serial and Pool executors.
+    """Seeded fault injection for the stage executor.
 
-    Stateless and frozen so it pickles across the pool boundary; every
-    decision hashes ``(seed, event, stage, attempt)``, making each
-    scenario exactly reproducible.  Rates are probabilities in [0, 1];
+    Stateless and frozen: every decision hashes
+    ``(seed, event, stage, attempt)``, making each scenario exactly
+    reproducible.  Rates are probabilities in [0, 1];
     ``crash_stages``/``fail_stages`` name deterministic injection
     points on top of the rates (the soak test's kill switches).
     """
@@ -316,8 +316,8 @@ class ChaosPolicy:
             raise WorkerCrash(stage)
 
     def on_attempt(self, stage: str, attempt: int) -> None:
-        """Called inside each execution attempt (worker side under the
-        pool); raises a retryable fault or a timeout."""
+        """Called inside each execution attempt; raises a retryable
+        fault or a timeout."""
         if stage in self.fail_stages or \
                 self._roll("fail", stage, attempt) < self.fail_rate:
             raise ChaosFailure(
@@ -366,14 +366,14 @@ def _retry_setup(dag, max_retries):
 
 
 def run(subject, library, options=None, *, run_db=None, cache=None,
-        telemetry=None, jobs: int = 1, strict: bool = True, dag=None,
+        telemetry=None, strict: bool = True, dag=None,
         journal_root=None, run_id: str | None = None, chaos=None,
         max_retries: int | None = None, lint: str = "warn",
         sanitize: bool = False):
     """Run the implementation flow — the single documented entry point.
 
     The classic surface (``run_db``, ``cache``, ``telemetry``,
-    ``jobs``, ``strict``, ``dag``) behaves exactly as on
+    ``strict``, ``dag``) behaves exactly as on
     :func:`~repro.orchestrate.flows.implement_dag`, which this wraps.
     On top of it:
 
@@ -408,7 +408,7 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
     try:
         result = implement_dag(
             subject, library, options, run_db=run_db, cache=cache,
-            telemetry=telemetry, jobs=jobs, strict=strict, dag=dag,
+            telemetry=telemetry, strict=strict, dag=dag,
             journal=journal, chaos=chaos, retry_budget=budget,
             lint=lint, sanitize=sanitize)
     except LintGateError:
@@ -421,8 +421,8 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
 
 
 def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
-               telemetry=None, jobs: int = 1, strict: bool = True,
-               dag=None, chaos=None, max_retries: int | None = None,
+               telemetry=None, strict: bool = True, dag=None,
+               chaos=None, max_retries: int | None = None,
                lint: str = "warn", sanitize: bool = False):
     """Finish an interrupted journaled run.
 
@@ -453,7 +453,7 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     dag, budget = _retry_setup(dag, max_retries)
     result = implement_dag(
         subject, library, options, run_db=run_db, cache=cache,
-        telemetry=telemetry, jobs=jobs, strict=strict, dag=dag,
+        telemetry=telemetry, strict=strict, dag=dag,
         journal=journal, preloaded=preloaded, chaos=chaos,
         retry_budget=budget, lint=lint, sanitize=sanitize)
     journal.finish(result.status)

@@ -23,21 +23,6 @@ except ImportError:          # pragma: no cover - non-POSIX platforms
 
 
 @contextmanager
-def stage_timer(stages: dict, name: str):
-    """Record the elapsed wall time of a block into ``stages[name]``.
-
-    The one timing idiom shared by the legacy flow, the calibration
-    loop, and the DAG executor — stage names and timings cannot drift
-    apart when both come from the same ``with`` statement.
-    """
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        stages[name] = time.perf_counter() - t0
-
-
-@contextmanager
 def kernel_span(sink: "TelemetrySink", stage: str, *,
                 job: int | None = None):
     """Record one kernel execution (STA, place, route, ...) as a

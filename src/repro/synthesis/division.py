@@ -58,14 +58,22 @@ def sop_from_cover(cover: Cover, var_names: list) -> Sop:
 
 
 def sop_to_cover(sop: Sop, var_names: list) -> Cover:
-    """Convert a named SOP back into a positional cover."""
+    """Convert a named SOP back into a positional cover.
+
+    A cube holding both phases of one signal (``x & ~x``) is constant 0
+    and is dropped: no positional cube can express it.
+    """
     index = {n: i for i, n in enumerate(var_names)}
     cubes = []
     for cube in sop:
         lits = [ABSENT] * len(var_names)
         for name, phase in cube:
-            lits[index[name]] = 1 if phase else 0
-        cubes.append(Cube(tuple(lits)))
+            i, bit = index[name], 1 if phase else 0
+            if lits[i] == 1 - bit:
+                break
+            lits[i] = bit
+        else:
+            cubes.append(Cube(tuple(lits)))
     return Cover(cubes, len(var_names))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist.boolfunc import TruthTable
-from repro.netlist.cubes import Cover
+from repro.netlist.cubes import ABSENT, Cover
 from repro.synthesis.division import (
     algebraic_divide,
     best_common_kernel,
@@ -40,6 +40,14 @@ class TestSopBasics:
         s = sop_from_cover(cov, ["a", "b"])
         back = sop_to_cover(s, ["a", "b"])
         assert back.to_truth_table().bits == f.bits
+
+    def test_contradictory_cube_is_dropped(self):
+        # a & ~a is constant 0, so the cover is b alone whatever order
+        # the cube's frozenset iterates in.
+        cover = sop_to_cover(sop({lit("a"), lit("a", False)}, {lit("b")}),
+                             ["a", "b"])
+        assert cover.nvars == 2
+        assert [c.literals for c in cover.cubes] == [(ABSENT, 1)]
 
     def test_is_algebraic(self):
         assert sop_is_algebraic(sop({lit("a")}, {lit("b"), lit("c")}))

@@ -173,19 +173,15 @@ class QuadraticNetwork(LogicNetwork):
 
 
 @st.composite
-def network_specs(draw, plain=False):
+def network_specs(draw):
     """(inputs, [(name, sop)], outputs) of a random DAG network.
 
     Node names are a random permutation, so name order (which
     ``topological_order`` follows) differs from insertion order (which
     the passes follow).  Cubes read earlier signals in either phase;
-    SOPs may repeat a cube or hold a cube contained in another, and
-    may be empty (constant 0) or a single literal (a buffer).
-
-    ``plain`` networks have no contradictory cube (``x & ~x``), no
-    constant-0 node and no buffer, so no pass of the script can make
-    a contradictory cube before ``simplify`` reads it: the positional
-    cover of such a cube depends on set iteration order.
+    SOPs may repeat a cube or hold a cube contained in another, may
+    hold a contradictory cube (``x & ~x``), and may be empty
+    (constant 0) or a single literal (a buffer).
     """
     inputs = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
     count = draw(st.integers(1, 12))
@@ -207,12 +203,6 @@ def network_specs(draw, plain=False):
                 cubes.append(cubes[pick % len(cubes)] | {lit})
         if cubes and draw(st.booleans()):
             cubes.append(cubes[draw(st.integers(0, len(cubes) - 1))])
-        if plain:
-            cubes = [c for c in cubes if not _cube_contradicts(c)]
-            if len(cubes) == 1 and len(cubes[0]) == 1:
-                ((signal, _),) = cubes[0]
-                cubes = [frozenset({(signal, False)})]
-            cubes = cubes or [frozenset({(signals[-1], False)})]
         nodes.append((name, cubes))
         signals.append(name)
     outputs = draw(st.lists(st.sampled_from(signals), min_size=1,
@@ -280,7 +270,7 @@ class TestSweepOracle:
 
 
 class TestScriptOracle:
-    @given(network_specs(plain=True),
+    @given(network_specs(),
            st.sampled_from(["low", "medium", "high"]))
     @settings(max_examples=100, deadline=None)
     def test_full_script_matches(self, spec, effort):

@@ -11,20 +11,18 @@ from repro.netlist import build_library, registered_cloud
 from repro.orchestrate import (
     CycleError,
     FlowDAG,
-    PoolExecutor,
     ResultCache,
     SerialExecutor,
     Stage,
     StageError,
     StageTimeout,
     TelemetrySink,
+    build_implement_dag,
     implement_dag,
-    parallel_map,
     run,
     run_sweep,
     stable_hash,
     stage_key,
-    stage_timer,
 )
 from repro.tech import get_node
 
@@ -256,15 +254,6 @@ class TestImplementDag:
                       "signoff"):
             assert dispositions[stage] == "hit", stage
 
-    def test_pool_executor_matches_serial(self, lib):
-        opts = FlowOptions(scan=True, cts=True)
-        serial = implement_dag(small_design(lib), lib, opts)
-        pooled = implement_dag(small_design(lib), lib, opts, jobs=3)
-        assert (serial.delay_ps, serial.power_uw, serial.hpwl_um,
-                serial.routed_wirelength, serial.overflow) == \
-               (pooled.delay_ps, pooled.power_uw, pooled.hpwl_um,
-                pooled.routed_wirelength, pooled.overflow)
-
     def test_run_db_gets_telemetry(self, lib):
         db = RunDatabase()
         run(small_design(lib), lib, FlowOptions.basic(), run_db=db)
@@ -274,6 +263,19 @@ class TestImplementDag:
         assert set(profile) == {"synthesis", "placement", "dft",
                                 "cts", "routing", "signoff"}
         assert all(p["calls"] == 1 for p in profile.values())
+
+    def test_run_db_knobs_are_the_dag_knobs(self, lib):
+        db = RunDatabase()
+        run(small_design(lib), lib, FlowOptions(), run_db=db)
+        knobs = db.records[0].knobs
+        assert set(knobs) == {knob for stage in
+                              build_implement_dag().stages.values()
+                              for knob in stage.knobs}
+        assert knobs["routing_engine"] == "batched"
+
+    def test_run_has_no_jobs_option(self, lib):
+        with pytest.raises(TypeError, match="jobs"):
+            run(small_design(lib), lib, FlowOptions(), jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -342,27 +344,12 @@ class TestSweep:
             f"serial {serial.wall_s:.2f}s vs parallel " \
             f"{parallel.wall_s:.2f}s"
 
-    def test_parallel_map_matches_builtin_map(self):
-        data = list(range(10))
-        assert parallel_map(_double, data, jobs=3) == \
-            [x * 2 for x in data]
-
-
-def _double(x):
-    return x * 2
-
 
 # ----------------------------------------------------------------------
 # Telemetry
 
 
 class TestTelemetry:
-    def test_stage_timer_records_elapsed(self):
-        stages = {}
-        with stage_timer(stages, "work"):
-            time.sleep(0.01)
-        assert stages["work"] >= 0.01
-
     def test_jsonl_roundtrip(self, tmp_path, lib):
         sink = TelemetrySink()
         implement_dag(small_design(lib), lib, FlowOptions(),

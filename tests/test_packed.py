@@ -31,7 +31,6 @@ from repro.netlist import (
 from repro.netlist.io import read_verilog, write_verilog
 from repro.orchestrate import run
 from repro.orchestrate import cache as cache_mod
-from repro.orchestrate import executor as executor_mod
 from repro.orchestrate import resilience as resilience_mod
 from repro.orchestrate.cache import (
     CorruptEntry,
@@ -353,7 +352,7 @@ def _pickle_codec(mp):
     """Force every layer back onto wholesale pickling."""
     def enc(value):
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    for mod in (cache_mod, executor_mod, resilience_mod):
+    for mod in (cache_mod, resilience_mod):
         mp.setattr(mod, "encode_value", enc)
         mp.setattr(mod, "decode_value", pickle.loads)
 

