@@ -39,9 +39,7 @@ class TelemetryRecord:
     wall_s: float
     status: str = "ok"
     cache: str | None = None
-    retries: int = 0
     peak_rss_kb: int | None = None
-    leaked_threads: int = 0
 
 
 @dataclass

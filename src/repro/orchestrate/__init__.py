@@ -35,14 +35,10 @@ from repro.orchestrate.cache import (
 )
 from repro.orchestrate.dag import CycleError, FlowDAG, Stage
 from repro.orchestrate.executor import (
-    RetryBudget,
     RunResult,
     SerialExecutor,
     StageError,
-    StageTimeout,
     WorkerCrash,
-    backoff_delay,
-    leaked_threads,
     run_stage,
 )
 from repro.orchestrate.flows import (
@@ -84,7 +80,6 @@ __all__ = [
     "LintGateError",
     "LintReport",
     "ResultCache",
-    "RetryBudget",
     "RunJournal",
     "RunReport",
     "RunResult",
@@ -92,15 +87,12 @@ __all__ = [
     "Span",
     "Stage",
     "StageError",
-    "StageTimeout",
     "SweepResult",
     "TelemetrySink",
     "WorkerCrash",
-    "backoff_delay",
     "build_implement_dag",
     "corrupt_file",
     "implement_dag",
-    "leaked_threads",
     "peak_rss_kb",
     "resumable_runs",
     "resume_run",

@@ -36,9 +36,6 @@ class Stage:
     optional: bool = False      # failure degrades the run, not kills it
     cacheable: bool = True
     version: str = "1"          # bump to invalidate cached results
-    timeout_s: float | None = None
-    retries: int = 0
-    backoff_s: float = 0.01
 
 
 @dataclass

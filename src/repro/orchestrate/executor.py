@@ -2,9 +2,9 @@
 
 :class:`SerialExecutor` walks the DAG in topological order and hands
 each stage to :func:`run_stage`, which consults the result cache, runs
-with bounded retry and jittered exponential backoff (under an optional
-per-run :class:`RetryBudget`), enforces the stage timeout, and emits a
-telemetry span either way.  A failed *optional* stage
+the stage once, in the calling thread, and emits a telemetry span
+either way.  Stages are deterministic, so there is no retry: running a
+failed stage again would fail the same way.  A failed *optional* stage
 (e.g. CTS) marks the run ``degraded`` and its output ``None``; a
 failed required stage kills its transitive dependents and — under
 ``strict`` — raises :class:`StageError` so single-run callers see the
@@ -14,7 +14,7 @@ Resilience hooks (see :mod:`repro.orchestrate.resilience`): a
 ``journal`` write-ahead-logs every completed stage so a killed process
 can resume; ``preloaded`` seeds outputs replayed from such a journal
 (spans carry ``cache="journal"``); a ``chaos`` policy deterministically
-injects stage faults, timeouts, and :class:`WorkerCrash` kills for
+injects stage faults and :class:`WorkerCrash` kills for
 fault-injection testing.
 
 Parallelism lives one level up: :func:`repro.orchestrate.run_sweep`
@@ -23,8 +23,6 @@ runs whole flow jobs on a process pool.
 
 from __future__ import annotations
 
-import random
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -33,145 +31,35 @@ from repro.orchestrate.telemetry import Span, peak_rss_kb
 
 
 class StageError(RuntimeError):
-    """A required stage exhausted its retries."""
+    """A required stage failed."""
 
-    def __init__(self, stage: str, attempts: int, cause=None):
+    def __init__(self, stage: str, cause=None):
         super().__init__(
-            f"stage {stage!r} failed after {attempts} attempt(s)"
+            f"stage {stage!r} failed"
             + (f": {cause!r}" if cause is not None else ""))
         self.stage = stage
-        self.attempts = attempts
         self.cause = cause
 
     def __reduce__(self):
         # Default Exception reduction would replay only the formatted
-        # message into our three-argument __init__; this keeps stage
+        # message into our two-argument __init__; this keeps stage
         # errors picklable across the sweep pool boundary.
-        return (self.__class__, (self.stage, self.attempts, self.cause))
-
-
-class StageTimeout(StageError):
-    """A stage exceeded its ``timeout_s`` budget."""
+        return (self.__class__, (self.stage, self.cause))
 
 
 class WorkerCrash(BaseException):
     """A worker died mid-run (or chaos simulated one dying).
 
     Derives from ``BaseException`` — like ``KeyboardInterrupt`` — so
-    the retry machinery and blanket stage-error handlers never absorb
-    it: a crash aborts the whole run, leaving the journal's completed
-    prefix on disk for :func:`repro.orchestrate.resilience.resume_run`.
+    the executor's ``except Exception`` never records it as a stage
+    failure: a crash aborts the whole run, leaving the journal's
+    completed prefix on disk for
+    :func:`repro.orchestrate.resilience.resume_run`.
     """
 
     def __init__(self, stage: str):
         super().__init__(f"worker crashed in stage {stage!r}")
         self.stage = stage
-
-
-@dataclass
-class RetryBudget:
-    """A per-run cap on total retries across all stages.
-
-    Individual stages still declare their own ``retries``, but one
-    pathologically flaky run cannot burn unbounded wall time: once the
-    shared budget is spent, further failures become terminal
-    immediately.
-    """
-
-    limit: int
-    used: int = 0
-
-    def take(self) -> bool:
-        """Consume one retry; ``False`` when the budget is exhausted."""
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
-
-    @property
-    def remaining(self) -> int:
-        return max(self.limit - self.used, 0)
-
-
-def backoff_delay(base_s: float, attempt: int, *,
-                  jitter: float = 0.25) -> float:
-    """Exponential backoff with multiplicative jitter.
-
-    ``base_s * 2**attempt`` scaled by a uniform factor in
-    ``[1, 1 + jitter]`` — the jitter decorrelates retry storms when a
-    sweep's workers all hit the same transient fault together.
-    """
-    return base_s * (2 ** attempt) * (1.0 + random.uniform(0.0, jitter))
-
-
-# Threads abandoned by timed-out stages, oldest first.  Python offers
-# no safe thread preemption, so a timeout can only orphan its worker;
-# this registry makes the leak observable (``leaked_threads``) and
-# bounded (``MAX_ABANDONED_THREADS``).
-_abandoned_lock = threading.Lock()
-_abandoned_threads: list = []
-
-#: Cap on concurrently-alive abandoned threads.  At the cap, the next
-#: timeout blocks until the oldest orphan finishes — backpressure
-#: instead of unbounded thread growth.  (A stage that never returns
-#: can therefore stall the flow here; that is the documented trade for
-#: a hard bound.)
-MAX_ABANDONED_THREADS = 32
-
-
-def leaked_threads() -> int:
-    """How many timed-out stage threads are still running."""
-    with _abandoned_lock:
-        _abandoned_threads[:] = [t for t in _abandoned_threads
-                                 if t.is_alive()]
-        return len(_abandoned_threads)
-
-
-def _abandon_thread(worker) -> None:
-    """Register an orphaned stage thread, enforcing the cap."""
-    with _abandoned_lock:
-        _abandoned_threads[:] = [t for t in _abandoned_threads
-                                 if t.is_alive()]
-        _abandoned_threads.append(worker)
-    while True:
-        with _abandoned_lock:
-            _abandoned_threads[:] = [t for t in _abandoned_threads
-                                     if t.is_alive()]
-            if len(_abandoned_threads) <= MAX_ABANDONED_THREADS:
-                return
-            oldest = _abandoned_threads[0]
-        oldest.join(0.05)
-
-
-def _call_with_timeout(fn, ctx, timeout_s):
-    """Run ``fn(ctx)``, bounding wall time when ``timeout_s`` is set.
-
-    The bounded path runs in a daemon thread; on timeout the thread is
-    abandoned (Python offers no safe preemption) and the stage is
-    reported as timed out.  Abandoned threads keep running until their
-    stage function returns on its own; they are tracked in a registry
-    capped at :data:`MAX_ABANDONED_THREADS` and surfaced per-span as
-    ``leaked_threads``.
-    """
-    if not timeout_s:
-        return fn(ctx)
-    box: dict = {}
-
-    def target():
-        try:
-            box["value"] = fn(ctx)
-        except BaseException as err:   # noqa: BLE001 - reraised below
-            box["error"] = err
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout_s)
-    if worker.is_alive():
-        _abandon_thread(worker)
-        raise StageTimeout("<stage>", 1)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 def cache_inputs(stage, ctx) -> dict:
@@ -201,18 +89,17 @@ class StageOutcome:
     name: str
     value: object
     span: Span
-    error: BaseException | None = None
+    error: Exception | None = None
     key: str | None = None       # content-hash key, when cacheable
 
 
-def run_stage(stage, ctx, cache=None, *, chaos=None,
-              budget=None) -> StageOutcome:
-    """Execute one stage in-process: cache, retries, timeout, span.
+def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
+    """Execute one stage in-process, once: cache lookup, call, span.
 
-    ``chaos`` (a :class:`~repro.orchestrate.resilience.ChaosPolicy`)
-    may inject a fault per attempt and corrupt the freshly written
-    cache entry; ``budget`` (a :class:`RetryBudget`) gates every retry
-    after the first attempt.
+    A stage that raises is recorded as ``failed`` with its exception
+    on the outcome; it is not run again.  ``chaos`` (a
+    :class:`~repro.orchestrate.resilience.ChaosPolicy`) may inject a
+    fault into the call and corrupt the freshly written cache entry.
     """
     child_ctx = {k: ctx[k] for k in (*stage.deps, *stage.params)}
     t0 = time.perf_counter()
@@ -223,43 +110,21 @@ def run_stage(stage, ctx, cache=None, *, chaos=None,
         hit, value = cache.get(key)
         if hit:
             span = Span(stage.name, time.perf_counter() - t0,
-                        cache="hit", peak_rss_kb=peak_rss_kb(),
-                        leaked_threads=leaked_threads())
+                        cache="hit", peak_rss_kb=peak_rss_kb())
             return StageOutcome(stage.name, value, span, key=key)
 
-    error: BaseException | None = None
-    status = "failed"
-    value = None
-    attempts = 0
-    for attempt in range(stage.retries + 1):
-        attempts = attempt + 1
-        try:
-            if chaos is not None:
-                chaos.on_attempt(stage.name, attempt)
-            value = _call_with_timeout(stage.fn, child_ctx,
-                                       stage.timeout_s)
-            status = "ok"
-            error = None
-            break
-        except StageTimeout:
-            status = "timeout"
-            error = StageTimeout(stage.name, attempts)
-        except WorkerCrash:
-            raise                  # a kill is not a stage failure
-        except BaseException as err:   # noqa: BLE001 - recorded in span
-            status = "failed"
-            error = err
-        if attempt >= stage.retries:
-            break
-        if budget is not None and not budget.take():
-            break                  # per-run retry budget exhausted
-        time.sleep(backoff_delay(stage.backoff_s, attempt))
-
-    span = Span(stage.name, time.perf_counter() - t0, status=status,
+    value = error = None
+    try:
+        if chaos is not None:
+            chaos.in_stage(stage.name)
+        value = stage.fn(child_ctx)
+    except Exception as err:   # noqa: BLE001 - recorded in span
+        error = err
+    span = Span(stage.name, time.perf_counter() - t0,
+                status="ok" if error is None else "failed",
                 cache=None if key is None else "miss",
-                retries=attempts - 1, peak_rss_kb=peak_rss_kb(),
-                leaked_threads=leaked_threads())
-    if status == "ok" and key is not None:
+                peak_rss_kb=peak_rss_kb())
+    if error is None and key is not None:
         cache.put(key, value)
         if chaos is not None:
             chaos.after_put(cache, key)
@@ -317,8 +182,7 @@ class SerialExecutor:
         self.chaos = chaos
 
     def run(self, dag, params, cache=None, sink=None, strict=True,
-            journal=None, preloaded=None, budget=None,
-            sanitizer=None) -> RunResult:
+            journal=None, preloaded=None, sanitizer=None) -> RunResult:
         t0 = time.perf_counter()
         # Journal replays get zero-cost ``cache="journal"`` spans, so
         # telemetry counts exactly what a resume skipped.
@@ -336,11 +200,9 @@ class SerialExecutor:
                 if self.chaos is not None:
                     self.chaos.pre_stage(stage.name)   # may crash
                 outcome = run_stage(stage, {**params, **outputs},
-                                    cache=cache, chaos=self.chaos,
-                                    budget=budget)
+                                    cache=cache, chaos=self.chaos)
                 spans.append(outcome.span)
-                if outcome.span.status == "ok" or \
-                        outcome.span.cache == "hit":
+                if outcome.error is None:
                     outputs[stage.name] = outcome.value
                     _journal_outcome(journal, outcome)
                     _sanitize_boundary(sanitizer, stage.name,
@@ -356,9 +218,7 @@ class SerialExecutor:
                         skipped.append(name)
                         spans.append(Span(name, 0.0, status="skipped"))
                 if strict:
-                    if isinstance(outcome.error, StageError):
-                        raise outcome.error
-                    raise StageError(stage.name, outcome.span.retries + 1,
+                    raise StageError(stage.name,
                                      outcome.error) from outcome.error
         finally:
             if sink is not None:

@@ -150,8 +150,7 @@ def stage_signoff(ctx) -> dict:
             "power_uw": power.total_uw}
 
 
-def build_implement_dag(*, timeout_s: float | None = None,
-                        retries: int = 0) -> FlowDAG:
+def build_implement_dag() -> FlowDAG:
     """The six-stage implementation DAG.
 
     ``knobs`` per stage narrow cache keys to the options each stage
@@ -162,32 +161,26 @@ def build_implement_dag(*, timeout_s: float | None = None,
     dag.add(Stage("synthesis", stage_synthesis,
                   params=("subject", "library", "options"),
                   knobs=("era", "clock_period_ps", "synth_engine",
-                         "sizing_engine"),
-                  timeout_s=timeout_s, retries=retries))
+                         "sizing_engine")))
     dag.add(Stage("placement", stage_placement,
                   deps=("synthesis",), params=("options",),
                   knobs=("utilization", "place_engine",
                          "spreading_passes", "detailed_passes",
-                         "seed"),
-                  timeout_s=timeout_s, retries=retries))
+                         "seed")))
     dag.add(Stage("dft", stage_dft,
                   deps=("placement",), params=("options",),
-                  knobs=("scan", "scan_chains", "layout_aware_scan"),
-                  timeout_s=timeout_s, retries=retries))
+                  knobs=("scan", "scan_chains", "layout_aware_scan")))
     dag.add(Stage("cts", stage_cts,
                   deps=("dft",), params=("options",),
-                  knobs=("cts", "cts_engine"), optional=True,
-                  timeout_s=timeout_s, retries=retries))
+                  knobs=("cts", "cts_engine"), optional=True))
     dag.add(Stage("routing", stage_routing,
                   deps=("dft",), params=("options",),
                   knobs=("routing_engine", "routing_layers",
-                         "routing_iterations", "gcell_um", "seed"),
-                  timeout_s=timeout_s, retries=retries))
+                         "routing_iterations", "gcell_um", "seed")))
     dag.add(Stage("signoff", stage_signoff,
                   deps=("dft",),
                   params=("library", "options"),
-                  knobs=("clock_period_ps", "freq_ghz", "seed"),
-                  timeout_s=timeout_s, retries=retries))
+                  knobs=("clock_period_ps", "freq_ghz", "seed")))
     return dag
 
 
@@ -226,8 +219,7 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
                   *, run_db=None, cache=None, telemetry=None,
                   strict: bool = True, dag: FlowDAG | None = None,
                   journal=None, preloaded=None, chaos=None,
-                  retry_budget=None, lint: str = "warn",
-                  sanitize: bool = False) -> FlowResult:
+                  lint: str = "warn", sanitize: bool = False) -> FlowResult:
     """Run the implementation DAG and assemble a :class:`FlowResult`.
 
     The engine behind :func:`repro.orchestrate.run` (the documented
@@ -251,8 +243,8 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     Resilience plumbing (see :mod:`repro.orchestrate.resilience`):
     ``journal`` write-ahead-logs each completed stage, ``preloaded``
     seeds journal-replayed outputs so only the frontier re-executes,
-    ``chaos`` injects deterministic faults, and ``retry_budget`` caps
-    total retries across the run.
+    and ``chaos`` injects deterministic faults.  Each stage runs once:
+    a failed required stage fails the run.
 
     Engine names are validated again here (options decoded from a
     journal never ran the constructor check): an unknown one raises
@@ -282,8 +274,7 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
         dag, {"subject": subject, "library": library,
               "options": options},
         cache=cache, sink=sink, strict=strict, journal=journal,
-        preloaded=preloaded, budget=retry_budget,
-        sanitizer=sanitizer)
+        preloaded=preloaded, sanitizer=sanitizer)
 
     result = FlowResult.from_run(
         run, options,

@@ -2,9 +2,11 @@
 engine, and the deterministic fault-injection (chaos) harness.
 
 This module is the production hardening the panelists' economics
-demand: an EDA farm run is hours long, and a killed worker, a flaky
+demand: an EDA farm run is hours long, and a killed worker, a failed
 stage, or a rotted cache entry must cost *one stage*, not the run.
-Three pieces deliver that:
+Recovery is by resume, not by retry: each stage runs once, and a run
+that dies (a strict stage failure leaves its journal unfinished) is
+finished by :func:`resume_run`.  Three pieces deliver that:
 
 * :class:`RunJournal` — every completed stage is checkpointed to disk
   (sealed pickle blob + append-only JSONL index).  Records are
@@ -19,9 +21,9 @@ Three pieces deliver that:
   metrics are bit-identical to an uninterrupted run's (the chaos soak
   in ``tests/test_resilience.py`` enforces this).
 * :class:`ChaosPolicy` — seeded, stateless fault injection: stage
-  exceptions, timeouts, worker crashes (:class:`WorkerCrash`), and
-  cache-entry corruption, each decided by a hash of
-  ``(seed, event, stage, attempt)`` so a scenario replays exactly.
+  exceptions, worker crashes (:class:`WorkerCrash`), and cache-entry
+  corruption, each decided by a hash of ``(seed, event, stage)`` so a
+  scenario replays exactly.
 """
 
 from __future__ import annotations
@@ -45,11 +47,7 @@ from repro.orchestrate.cache import (
     unseal_blob,
 )
 from repro.lint.registry import LintGateError
-from repro.orchestrate.executor import (
-    RetryBudget,
-    StageTimeout,
-    WorkerCrash,
-)
+from repro.orchestrate.executor import WorkerCrash
 
 _PICKLE_PROTOCOL = 4
 
@@ -59,7 +57,7 @@ class JournalError(RuntimeError):
 
 
 class ChaosFailure(RuntimeError):
-    """A fault injected by :class:`ChaosPolicy` (retryable)."""
+    """A fault injected by :class:`ChaosPolicy`: the stage fails."""
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +286,7 @@ class ChaosPolicy:
     """Seeded fault injection for the stage executor.
 
     Stateless and frozen: every decision hashes
-    ``(seed, event, stage, attempt)``, making each scenario exactly
+    ``(seed, event, stage)``, making each scenario exactly
     reproducible.  Rates are probabilities in [0, 1];
     ``crash_stages``/``fail_stages`` name deterministic injection
     points on top of the rates (the soak test's kill switches).
@@ -297,14 +295,12 @@ class ChaosPolicy:
     seed: int = 0
     crash_rate: float = 0.0      # kill the whole run (WorkerCrash)
     fail_rate: float = 0.0       # raise ChaosFailure in the stage
-    timeout_rate: float = 0.0    # report the attempt as timed out
     corrupt_rate: float = 0.0    # flip a byte of the fresh cache entry
     crash_stages: tuple = ()
     fail_stages: tuple = ()
 
-    def _roll(self, event: str, stage, attempt: int) -> float:
-        return random.Random(
-            f"{self.seed}|{event}|{stage}|{attempt}").random()
+    def _roll(self, event: str, stage) -> float:
+        return random.Random(f"{self.seed}|{event}|{stage}").random()
 
     # -- executor hooks ------------------------------------------------
 
@@ -312,23 +308,20 @@ class ChaosPolicy:
         """Called by the executor before scheduling ``stage``; raising
         :class:`WorkerCrash` aborts the run like a killed process."""
         if stage in self.crash_stages or \
-                self._roll("crash", stage, 0) < self.crash_rate:
+                self._roll("crash", stage) < self.crash_rate:
             raise WorkerCrash(stage)
 
-    def on_attempt(self, stage: str, attempt: int) -> None:
-        """Called inside each execution attempt; raises a retryable
-        fault or a timeout."""
+    def in_stage(self, stage: str) -> None:
+        """Called inside the stage's one execution; raising
+        :class:`ChaosFailure` fails the stage like any stage error."""
         if stage in self.fail_stages or \
-                self._roll("fail", stage, attempt) < self.fail_rate:
-            raise ChaosFailure(
-                f"chaos fault in {stage!r} attempt {attempt}")
-        if self._roll("timeout", stage, attempt) < self.timeout_rate:
-            raise StageTimeout(stage or "<chaos>", attempt + 1)
+                self._roll("fail", stage) < self.fail_rate:
+            raise ChaosFailure(f"chaos fault in {stage!r}")
 
     def after_put(self, cache, key: str) -> None:
         """Called after a cache publish; may corrupt the disk entry to
         simulate bit rot (the checksum layer must catch it later)."""
-        if self._roll("corrupt", key, 0) >= self.corrupt_rate:
+        if self._roll("corrupt", key) >= self.corrupt_rate:
             return
         if getattr(cache, "disk_dir", None) is None:
             return
@@ -353,23 +346,10 @@ def corrupt_file(path, *, seed: int = 0) -> bool:
 # The unified flow API
 
 
-def _retry_setup(dag, max_retries):
-    """Resolve ``max_retries`` into (dag, budget): per-stage retry
-    headroom on the default DAG, plus the run-wide budget cap.  A
-    caller-supplied ``dag`` keeps its own per-stage retry settings."""
-    if max_retries is None:
-        return dag, None
-    if dag is None:
-        from repro.orchestrate.flows import build_implement_dag
-        dag = build_implement_dag(retries=max_retries)
-    return dag, RetryBudget(max_retries)
-
-
 def run(subject, library, options=None, *, run_db=None, cache=None,
         telemetry=None, strict: bool = True, dag=None,
         journal_root=None, run_id: str | None = None, chaos=None,
-        max_retries: int | None = None, lint: str = "warn",
-        sanitize: bool = False):
+        lint: str = "warn", sanitize: bool = False):
     """Run the implementation flow — the single documented entry point.
 
     The classic surface (``run_db``, ``cache``, ``telemetry``,
@@ -382,12 +362,8 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
       read it back from ``result.run_id``).  If the process dies
       mid-run, :func:`resume_run` finishes the job.
     * ``chaos`` — a :class:`ChaosPolicy` injecting deterministic
-      faults, for resilience testing.
-    * ``max_retries`` — retry headroom: each stage may retry up to
-      this many times, with the *total* across the run capped by a
-      :class:`~repro.orchestrate.executor.RetryBudget`.  (The default
-      DAG carries no per-stage retries, so this is also how transient
-      — e.g. chaos-injected — faults get absorbed at all.)
+      faults, for resilience testing.  Each stage runs once, so an
+      injected fault fails its stage (and a required stage, the run).
     * ``lint`` — the static pre-run gate (see :mod:`repro.lint`):
       ``"strict"`` refuses to start on any unwaived error finding,
       ``"warn"`` (default) records findings, ``"off"`` skips.
@@ -404,13 +380,11 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
         run_id = run_id or _new_run_id()
         journal = RunJournal.create(journal_root, run_id, subject,
                                     library, options)
-    dag, budget = _retry_setup(dag, max_retries)
     try:
         result = implement_dag(
             subject, library, options, run_db=run_db, cache=cache,
             telemetry=telemetry, strict=strict, dag=dag,
-            journal=journal, chaos=chaos, retry_budget=budget,
-            lint=lint, sanitize=sanitize)
+            journal=journal, chaos=chaos, lint=lint, sanitize=sanitize)
     except LintGateError:
         if journal is not None:
             journal.finish("failed")
@@ -422,8 +396,7 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
 
 def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
                telemetry=None, strict: bool = True, dag=None,
-               chaos=None, max_retries: int | None = None,
-               lint: str = "warn", sanitize: bool = False):
+               chaos=None, lint: str = "warn", sanitize: bool = False):
     """Finish an interrupted journaled run.
 
     Inputs (subject, library, options) are reloaded from the journal,
@@ -450,12 +423,11 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
             f"build reads {RunJournal.SCHEMA_VERSION}; cannot resume")
     subject, library, options = journal.load_inputs()
     preloaded = journal.completed()
-    dag, budget = _retry_setup(dag, max_retries)
     result = implement_dag(
         subject, library, options, run_db=run_db, cache=cache,
         telemetry=telemetry, strict=strict, dag=dag,
         journal=journal, preloaded=preloaded, chaos=chaos,
-        retry_budget=budget, lint=lint, sanitize=sanitize)
+        lint=lint, sanitize=sanitize)
     journal.finish(result.status)
     if run_db is not None and hasattr(run_db, "log_recovery"):
         from repro.learn.rundb import RecoveryRecord

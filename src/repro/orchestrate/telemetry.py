@@ -1,8 +1,8 @@
 """Run telemetry: structured per-stage spans and aggregate reports.
 
 Every stage execution — cached or not — produces a :class:`Span`
-recording wall time, cache disposition, retry count, and peak RSS when
-the platform exposes it.  Spans stream to JSON-lines for offline
+recording wall time, status, cache disposition, and peak RSS when the
+platform exposes it.  Spans stream to JSON-lines for offline
 analysis and aggregate into a :class:`RunReport`, the observability
 substrate behind the E7 throughput claim ("1M instances/day on
 multicore farms" needs metering before it needs more cores).
@@ -23,8 +23,7 @@ except ImportError:          # pragma: no cover - non-POSIX platforms
 
 
 @contextmanager
-def kernel_span(sink: "TelemetrySink", stage: str, *,
-                job: int | None = None):
+def kernel_span(sink: "TelemetrySink", stage: str):
     """Record one kernel execution (STA, place, route, ...) as a
     :class:`Span` in ``sink``.
 
@@ -45,8 +44,7 @@ def kernel_span(sink: "TelemetrySink", stage: str, *,
         sink.record(Span(stage=stage,
                          wall_s=time.perf_counter() - t0,
                          status=status,
-                         peak_rss_kb=peak_rss_kb(),
-                         job=job))
+                         peak_rss_kb=peak_rss_kb()))
 
 
 def peak_rss_kb() -> int | None:
@@ -62,12 +60,10 @@ class Span:
 
     stage: str
     wall_s: float
-    status: str = "ok"          # ok | failed | timeout | skipped
+    status: str = "ok"          # ok | failed | skipped
     cache: str | None = None    # "hit" | "miss" | "journal" | None
-    retries: int = 0
     peak_rss_kb: int | None = None
     job: int | None = None      # sweep job index, when part of a sweep
-    leaked_threads: int = 0     # timed-out stage threads still alive
     notes: tuple = ()           # lint/sanitizer findings, rendered
 
     def to_dict(self) -> dict:
@@ -90,12 +86,9 @@ class RunReport:
     wall_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    retries: int = 0
     failed: int = 0
-    timeouts: int = 0
     skipped: int = 0
     replayed: int = 0           # journal replays (resumed runs)
-    leaked_threads: int = 0     # high-water mark across spans
     peak_rss_kb: int | None = None
     by_stage: dict = field(default_factory=dict)
 
@@ -110,8 +103,8 @@ class RunReport:
         return (
             f"{self.spans} spans, {self.wall_s:.3f} s, "
             f"cache {self.cache_hits}/{self.cache_hits + self.cache_misses} "
-            f"hit ({self.hit_rate:.0%}), {self.retries} retries, "
-            f"{self.failed} failed, {self.timeouts} timeouts"
+            f"hit ({self.hit_rate:.0%}), {self.failed} failed, "
+            f"{self.skipped} skipped"
         )
 
 
@@ -159,15 +152,11 @@ class TelemetrySink:
         rep.peak_rss_kb = max(rss) if rss else None
         for span in self.spans:
             rep.wall_s += span.wall_s
-            rep.retries += span.retries
             rep.cache_hits += span.cache == "hit"
             rep.cache_misses += span.cache == "miss"
             rep.replayed += span.cache == "journal"
             rep.failed += span.status == "failed"
-            rep.timeouts += span.status == "timeout"
             rep.skipped += span.status == "skipped"
-            rep.leaked_threads = max(rep.leaked_threads,
-                                     span.leaked_threads)
             agg = rep.by_stage.setdefault(
                 span.stage, {"calls": 0, "wall_s": 0.0, "hits": 0})
             agg["calls"] += 1

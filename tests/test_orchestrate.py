@@ -1,6 +1,8 @@
 """Tests for repro.orchestrate: DAG scheduling, content-hash caching,
-executors (retry/timeout/degraded), sweeps, and telemetry."""
+the executor (one attempt per stage, degraded runs), sweeps, and
+telemetry."""
 
+import pickle
 import time
 
 import pytest
@@ -15,7 +17,6 @@ from repro.orchestrate import (
     SerialExecutor,
     Stage,
     StageError,
-    StageTimeout,
     TelemetrySink,
     build_implement_dag,
     implement_dag,
@@ -132,43 +133,40 @@ class TestCache:
 
 
 # ----------------------------------------------------------------------
-# Executors: retry, timeout, degradation
+# Executor: one attempt per stage, degradation
 
 
 class TestExecutor:
-    def test_retry_then_succeed(self):
-        calls = {"n": 0}
-
-        def flaky(ctx):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "done"
-
-        dag = FlowDAG().add(Stage("flaky", flaky, retries=3,
-                                  backoff_s=0.001))
-        sink = TelemetrySink()
-        run = SerialExecutor().run(dag, {}, sink=sink)
-        assert run.status == "ok"
-        assert run.outputs["flaky"] == "done"
-        assert sink.spans[0].retries == 2
-
-    def test_retries_exhausted_raises_strict(self):
-        dag = FlowDAG().add(Stage(
-            "dead", lambda ctx: 1 / 0, retries=1, backoff_s=0.001))
-        with pytest.raises(StageError, match="dead"):
+    def test_required_failure_raises_strict(self):
+        dag = FlowDAG().add(Stage("dead", lambda ctx: 1 / 0))
+        with pytest.raises(StageError, match="dead") as info:
             SerialExecutor().run(dag, {})
+        assert isinstance(info.value.cause, ZeroDivisionError)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
-    def test_timeout_path(self):
-        def slow(ctx):
-            time.sleep(1.0)
+    def test_stage_error_pickles(self):
+        err = pickle.loads(pickle.dumps(
+            StageError("dead", ValueError("boom"))))
+        assert err.stage == "dead" and str(err) == \
+            "stage 'dead' failed: ValueError('boom')"
+        assert isinstance(err.cause, ValueError)
 
-        dag = FlowDAG().add(Stage("slow", slow, timeout_s=0.05))
-        run = SerialExecutor().run(dag, {}, strict=False)
-        assert run.status == "failed"
-        assert run.spans[0].status == "timeout"
-        with pytest.raises(StageTimeout):
-            SerialExecutor().run(dag, {})
+    def test_interrupt_is_not_a_stage_failure(self):
+        def interrupted(ctx):
+            raise KeyboardInterrupt
+
+        dag = FlowDAG().add(Stage("ctrl_c", interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            SerialExecutor().run(dag, {}, strict=False)
+
+    def test_retired_retry_and_timeout_knobs_raise(self):
+        for knob in ("retries", "timeout_s", "backoff_s"):
+            with pytest.raises(TypeError, match=knob):
+                Stage("s", lambda ctx: 1, **{knob: 1})
+        with pytest.raises(TypeError, match="max_retries"):
+            run(None, None, FlowOptions(), max_retries=3)
+        with pytest.raises(TypeError, match="retries"):
+            build_implement_dag(retries=2)
 
     def test_optional_failure_degrades_and_dependents_run(self):
         dag = (FlowDAG()

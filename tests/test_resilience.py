@@ -1,7 +1,6 @@
 """Tests for repro.orchestrate.resilience: the write-ahead run
 journal, checkpoint/resume, chaos fault injection, sealed-cache
-corruption handling, the timeout-thread leak cap, and the unified
-``run``/``resume_run`` flow API.
+corruption handling, and the unified ``run``/``resume_run`` flow API.
 
 The acceptance centerpiece is the chaos soak
 (:class:`TestChaosSoak`): 20+ seeded kill/corruption scenarios, each
@@ -9,13 +8,11 @@ of which must resume to signoff metrics bit-identical to an
 uninterrupted run while re-executing only the frontier.
 """
 
-import json
 import multiprocessing
 import os
 import pickle
 import random
 import signal
-import time
 
 import pytest
 
@@ -29,16 +26,13 @@ from repro.orchestrate import (
     FlowDAG,
     JournalError,
     ResultCache,
-    RetryBudget,
     RunJournal,
     SerialExecutor,
     Stage,
     StageError,
     TelemetrySink,
     WorkerCrash,
-    backoff_delay,
     corrupt_file,
-    leaked_threads,
     resumable_runs,
     resume_run,
     run,
@@ -48,7 +42,6 @@ from repro.orchestrate import (
     stage_key,
     unseal_blob,
 )
-from repro.orchestrate import executor as executor_mod
 from repro.orchestrate.flows import STAGE_NAMES
 from repro.tech import get_node
 
@@ -267,44 +260,7 @@ class TestCacheCorruption:
 
 
 # ----------------------------------------------------------------------
-# Timed-out stage threads: observable, capped leak (satellite)
-
-
-def _nap(ctx):
-    time.sleep(ctx["nap_s"])
-    return "late"
-
-
-class TestTimeoutThreadLeak:
-    def test_leak_is_counted_and_surfaced_in_span(self):
-        dag = FlowDAG().add(Stage("slow", _nap, params=("nap_s",),
-                                  timeout_s=0.02))
-        sink = TelemetrySink()
-        SerialExecutor().run(dag, {"nap_s": 0.25}, sink=sink,
-                             strict=False)
-        assert sink.spans[0].status == "timeout"
-        assert sink.spans[0].leaked_threads >= 1
-        assert sink.report().leaked_threads >= 1
-        time.sleep(0.35)                  # orphan finishes its nap
-        assert leaked_threads() == 0
-
-    def test_cap_bounds_concurrent_orphans(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "MAX_ABANDONED_THREADS", 2)
-        dag = FlowDAG().add(Stage("slow", _nap, params=("nap_s",),
-                                  timeout_s=0.01))
-        for _ in range(5):
-            SerialExecutor().run(dag, {"nap_s": 0.15}, strict=False)
-            assert leaked_threads() <= 2
-        time.sleep(0.25)
-        assert leaked_threads() == 0
-
-
-# ----------------------------------------------------------------------
-# Chaos policy: determinism, retries, budget
-
-
-def _always_fail(ctx):
-    raise RuntimeError("permanent")
+# Chaos policy: determinism, one attempt per stage
 
 
 def _ok(ctx):
@@ -313,41 +269,36 @@ def _ok(ctx):
 
 class TestChaosPolicy:
     def test_decisions_are_seed_deterministic(self):
-        a = ChaosPolicy(seed=5, fail_rate=0.5, timeout_rate=0.2,
-                        crash_rate=0.3)
-        b = ChaosPolicy(seed=5, fail_rate=0.5, timeout_rate=0.2,
-                        crash_rate=0.3)
-        other = ChaosPolicy(seed=6, fail_rate=0.5, timeout_rate=0.2,
-                            crash_rate=0.3)
+        a = ChaosPolicy(seed=5, fail_rate=0.5, crash_rate=0.3)
+        b = ChaosPolicy(seed=5, fail_rate=0.5, crash_rate=0.3)
+        other = ChaosPolicy(seed=6, fail_rate=0.5, crash_rate=0.3)
 
         def decisions(policy):
             out = []
-            for stage in ("a", "b", "c", "d"):
-                for attempt in range(4):
-                    try:
-                        policy.on_attempt(stage, attempt)
-                        out.append("ok")
-                    except Exception as err:  # noqa: BLE001
-                        out.append(type(err).__name__)
+            for stage in "abcdefghijklmnop":
+                try:
+                    policy.pre_stage(stage)
+                    policy.in_stage(stage)
+                    out.append("ok")
+                except (ChaosFailure, WorkerCrash) as err:
+                    out.append(type(err).__name__)
             return out
 
         assert decisions(a) == decisions(b)
         assert decisions(a) != decisions(other)
 
-    def test_injected_fault_recovered_by_retry(self):
-        # By construction: find a seed that faults attempt 0 of this
-        # stage but not attempt 1, so one retry must recover the run.
-        seed = next(
-            s for s in range(1000)
-            if ChaosPolicy(seed=s)._roll("fail", "flaky", 0) < 0.5 <=
-            ChaosPolicy(seed=s)._roll("fail", "flaky", 1))
-        chaos = ChaosPolicy(seed=seed, fail_rate=0.5)
-        dag = FlowDAG().add(Stage("flaky", _ok, retries=2,
-                                  backoff_s=0.001))
+    def test_injected_fault_fails_the_stage(self):
+        chaos = ChaosPolicy(fail_stages=("flaky",))
+        dag = (FlowDAG().add(Stage("flaky", _ok))
+               .add(Stage("after", _ok, deps=("flaky",))))
         sink = TelemetrySink()
-        result = SerialExecutor(chaos=chaos).run(dag, {}, sink=sink)
-        assert result.status == "ok"
-        assert sink.spans[0].retries == 1
+        result = SerialExecutor(chaos=chaos).run(dag, {}, sink=sink,
+                                                 strict=False)
+        assert result.failed == ["flaky"] and result.skipped == ["after"]
+        assert [s.status for s in sink.spans] == ["failed", "skipped"]
+        with pytest.raises(StageError, match="chaos fault") as info:
+            SerialExecutor(chaos=chaos).run(dag, {})
+        assert isinstance(info.value.cause, ChaosFailure)
 
     def test_chaos_crash_aborts_run(self):
         chaos = ChaosPolicy(seed=0, crash_stages=("boom",))
@@ -355,22 +306,6 @@ class TestChaosPolicy:
                .add(Stage("boom", _ok, deps=("first",))))
         with pytest.raises(WorkerCrash, match="boom"):
             SerialExecutor(chaos=chaos).run(dag, {})
-
-    def test_retry_budget_caps_total_retries(self):
-        dag = FlowDAG().add(Stage("dead", _always_fail, retries=5,
-                                  backoff_s=0.0))
-        budget = RetryBudget(limit=1)
-        with pytest.raises(StageError, match="2 attempt"):
-            SerialExecutor().run(dag, {}, budget=budget)
-        assert budget.remaining == 0
-
-    def test_backoff_delay_jitter_bounds(self):
-        random.seed(0)
-        for attempt in range(4):
-            base = 0.01 * (2 ** attempt)
-            for _ in range(20):
-                d = backoff_delay(0.01, attempt, jitter=0.25)
-                assert base <= d <= base * 1.25
 
 
 # ----------------------------------------------------------------------
@@ -384,20 +319,22 @@ class TestUnifiedApi:
         assert result.run_id is None      # no journaling requested
         assert set(result.stage_runtimes) == set(STAGE_NAMES)
 
-    def test_max_retries_absorbs_chaos_faults(self, lib, clean_qor):
-        # max_retries gives the default DAG per-stage retry headroom
-        # (its stages carry retries=0 otherwise), so injected faults
-        # are absorbed and the QoR still matches a clean run.
-        sink = TelemetrySink()
-        chaos = ChaosPolicy(seed=7, fail_rate=0.2)
-        with pytest.raises((StageError, ChaosFailure)):
+    def test_failed_stage_is_recovered_by_resume(self, lib, tmp_path,
+                                                 clean_qor):
+        # A stage runs once: a fault fails the journaled run, which
+        # stays resumable, and the resume re-runs only the frontier.
+        with pytest.raises(StageError, match="routing") as info:
             run(small_design(lib), lib, FlowOptions(**OPTS),
-                chaos=chaos)
-        result = run(small_design(lib), lib, FlowOptions(**OPTS),
-                     chaos=chaos, telemetry=sink, max_retries=3)
-        assert result.status is FlowStatus.OK
-        assert qor(result) == clean_qor
-        assert sum(s.retries for s in sink.spans) >= 1
+                journal_root=tmp_path, run_id="flaky",
+                chaos=ChaosPolicy(fail_stages=("routing",)))
+        assert isinstance(info.value.cause, ChaosFailure)
+        assert resumable_runs(tmp_path) == ["flaky"]
+        sink = TelemetrySink()
+        resumed = resume_run("flaky", journal_root=tmp_path,
+                             telemetry=sink)
+        assert qor(resumed) == clean_qor
+        assert {s.stage for s in sink.spans if s.cache != "journal"} \
+            == {"routing", "signoff"}
 
     def test_status_enum_is_string_compatible(self):
         assert FlowStatus.OK == "ok"
@@ -512,7 +449,7 @@ class _SigkillAt:
         if stage == self.stage:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def on_attempt(self, stage, attempt):
+    def in_stage(self, stage):
         pass
 
     def after_put(self, cache, key):
