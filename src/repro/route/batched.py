@@ -3,9 +3,9 @@
 The sequential engines (:mod:`repro.route.global_route`) pop one gcell
 at a time from a heapq per 2-pin segment; at the 50k-gate tier that is
 millions of Python-level expansions and routing dominates the flow
-(``BENCH_perf.json``).  This engine gives routing the treatment the
-analytic placer gave placement in PR 7 — the whole pipeline is numpy
-array ops:
+(``benchmarks/flow/bench_flow.py``).  This engine gives routing the
+treatment the analytic placer gave placement — the whole pipeline is
+numpy array ops:
 
 * **decompose** — pins are binned to gcells in one vectorized pass and
   multi-pin nets are decomposed with a *batched* Prim MST: nets of the
@@ -25,12 +25,16 @@ array ops:
   plain running minimum — ``dist = min(dist, S + cummin(dist - S))``
   — over the whole ``(K, H, W)`` batch.  Rounds repeat to a fixed
   point (one round per direction change of the shortest path).
-* **commit** — every route lands on the usage arrays as flat edge
-  indices via ``np.add.at``, plus a one-byte *descriptor*
-  (``_KIND_*`` and a bend coordinate) instead of a materialized cell
-  path; only wavefront backtraces — vectorized greedy strict-descent,
-  fixed neighbor order — and the rare maze fallback store explicit
-  cells.  Survivors' geometric paths are rebuilt in bulk once, in
+* **commit** — the route store is the per-segment descriptors plus
+  one explicit-route store.  A straight or pattern route is only its
+  descriptor (``_KIND_*`` and a bend coordinate); wavefront
+  backtraces — vectorized greedy strict-descent, fixed neighbor order
+  — and the rare maze fallback append their cells and h/v edges to
+  one array, indexed by per-segment offset and length.  Usage lands
+  on the grid via ``np.add.at`` over flat edge indices, which
+  :meth:`_BatchedRouter._route_edges` regenerates from the store for
+  any set of segments when a negotiation round needs them.
+  Survivors' geometric paths are rebuilt in bulk once, in
   :meth:`_BatchedRouter._emit`.
 * **negotiate** — PathFinder-style: history accumulates on overflowed
   edges (:meth:`RoutingGrid.bump_history`); each round first
@@ -82,19 +86,16 @@ _CHUNK_CAP = 256
 #: overhead.
 _STRAIGHT_CHUNK_CAP = 4096
 _PATTERN_CHUNK_CAP = 512
-#: Route descriptors: how a routed segment's gcell path is
-#: reconstructed at emit time.  During routing only the flat edge
-#: arrays are committed (negotiation rips and recommits thousands of
-#: routes; materializing throw-away paths dominated the commit
-#: phase), so every straight or pattern route is stored as its
-#: descriptor — endpoints plus bend — and the survivors' paths are
-#: built in bulk exactly once in :meth:`_BatchedRouter._emit`.  Only
-#: wavefront/maze routes (non-monotone detours) store explicit cells.
+#: Route descriptors (``seg_kind``, plus ``seg_bend``).  Negotiation
+#: rips and recommits thousands of routes, so a monotone route is kept
+#: only as its kind and bend: H-V-H bends at a column, V-H-V at a row,
+#: and a straight line is the degenerate pattern bending at its far
+#: end.  Wavefront/maze routes (non-monotone detours) are explicit:
+#: their cells and edges live in the explicit-route store.
 _KIND_NONE = 0
 _KIND_EXPLICIT = 1
-_KIND_STRAIGHT = 2
-_KIND_HVH = 3
-_KIND_VHV = 4
+_KIND_HVH = 2
+_KIND_VHV = 3
 #: Per-round negotiation schedules (last entry repeats): keepers
 #: evicted per overflowed edge (see
 #: :meth:`_BatchedRouter._overflowed_ids`) and the congestion weight
@@ -104,6 +105,9 @@ _KIND_VHV = 4
 #: the fixed-weight tail leaves pinned at capacity.
 _NEG_MARGIN = (1, 2, 4)
 _NEG_CW = (5.0, 8.0, 12.0)
+#: Segments per rip-and-reroute batch of the excess tail (see
+#: :meth:`_BatchedRouter._route_excess`).
+_EXCESS_CHUNK = 32
 
 #: Acceptance sub-waves per relocation pricing (see ``_relocate``):
 #: how many times vacancies opened by the wave just committed may
@@ -125,12 +129,10 @@ _STRAIGHT_SLACK = 0.0
 _PATTERN_SLACK = 0.0
 #: Min-plus rounds before a window is declared non-converged.
 _SWEEP_LIMIT = 64
-#: Detour margin around a segment's bbox on the first pass — the grid
-#: is near-empty, so shortest paths barely leave the bbox.
+#: Detour margin around a segment's bbox.  Windows serve only the
+#: first pass (negotiation reroutes through the pattern family), when
+#: the grid is near-empty and shortest paths barely leave the bbox.
 _FIRST_PAD = 2
-#: Detour margin while negotiating: rerouted segments must be able to
-#: sidestep whole contested corridors.
-_WINDOW_PAD = 8
 #: Quantized window dims — few distinct shapes means big batches.
 _WINDOW_SIZES = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
                  768, 1024)
@@ -296,8 +298,7 @@ def _quantize(v: IntArray) -> IntArray:
 
 
 def _windows(grid: RoutingGrid, sx: IntArray, sy: IntArray,
-             dx: IntArray, dy: IntArray,
-             pad: int = _WINDOW_PAD) -> tuple:
+             dx: IntArray, dy: IntArray) -> tuple:
     """Per-segment quantized windows ``(x0, y0, W, H)``.
 
     Windows are clipped to the grid by *shifting*, never by padding —
@@ -306,8 +307,8 @@ def _windows(grid: RoutingGrid, sx: IntArray, sy: IntArray,
     """
     bw = np.abs(sx - dx) + 1
     bh = np.abs(sy - dy) + 1
-    w = np.minimum(grid.nx, _quantize(bw + 2 * pad))
-    h = np.minimum(grid.ny, _quantize(bh + 2 * pad))
+    w = np.minimum(grid.nx, _quantize(bw + 2 * _FIRST_PAD))
+    h = np.minimum(grid.ny, _quantize(bh + 2 * _FIRST_PAD))
     x0 = np.clip(np.minimum(sx, dx) - (w - bw) // 2, 0, grid.nx - w)
     y0 = np.clip(np.minimum(sy, dy) - (h - bh) // 2, 0, grid.ny - h)
     return x0, y0, w, h
@@ -496,6 +497,27 @@ def _path_edges(path: IntArray, nx: int) -> tuple:
     return hy * (nx - 1) + hx, vy * nx + vx
 
 
+def _members(keys: IntArray, table: IntArray) -> BoolArray:
+    """``np.isin(keys, table)`` for int64 arrays by one sort and one
+    binary search — several times faster than ``np.isin`` at the
+    hundreds of thousands of keys relocation checks."""
+    table = np.sort(table)
+    if not table.size:
+        return np.zeros(keys.size, dtype=bool)
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return table[at] == keys
+
+
+def _stay_penalties(routes: tuple, h_pen: Any, v_pen: Any,
+                    n: int) -> Any:
+    """Per-owner sum of ``h_pen``/``v_pen`` over the per-axis
+    ``(edge, owner)`` entries of ``routes`` — the penalty each of
+    ``n`` routes pays to stay where it is."""
+    (h, h_own), (v, v_own) = routes
+    return (np.bincount(h_own, weights=h_pen[h], minlength=n)
+            + np.bincount(v_own, weights=v_pen[v], minlength=n))
+
+
 class _BatchedRouter:
     """One batched-routing run; see the module docstring."""
 
@@ -515,10 +537,125 @@ class _BatchedRouter:
         self.rng = np.random.default_rng(seed)
         self.phases: dict = {}
 
+    # -- the route store -----------------------------------------------
+
+    def _store_explicit(self, ids: IntArray, cells: IntArray,
+                        h: IntArray, h_len: IntArray, v: IntArray,
+                        v_len: IntArray) -> None:
+        """Append explicit routes to the store as one block.
+
+        Per segment the block holds ``[h edges | v edges | cells]``
+        (cells as interleaved x, y, src -> dst); ``h``/``v``/``cells``
+        come concatenated in ``ids`` order.  Edges keep the order they
+        were found in, which the float reductions over them depend on.
+        """
+        cell_len = 2 * (h_len + v_len + 1)
+        size = h_len + v_len + cell_len
+        loc = np.cumsum(size) - size
+        ones = np.ones(ids.size, dtype=np.int64)
+        block = np.empty(int(size.sum()), dtype=np.int64)
+        block[_ragged_runs(loc, ones, h_len)] = h
+        block[_ragged_runs(loc + h_len, ones, v_len)] = v
+        block[_ragged_runs(loc + h_len + v_len, ones,
+                           cell_len)] = cells.ravel()
+        self.x_off[ids] = self.x_size + loc
+        self.x_h[ids] = h_len
+        self.x_v[ids] = v_len
+        self.seg_kind[ids] = _KIND_EXPLICIT
+        self.x_blocks.append(block)
+        self.x_size += block.size
+
+    def _store(self) -> IntArray:
+        """The explicit-route store as one array; blocks appended since
+        the last read are coalesced first."""
+        if len(self.x_blocks) != 1:
+            self.x_blocks = [np.concatenate([_EMPTY_I64,
+                                             *self.x_blocks])]
+        return self.x_blocks[0]
+
+    def _descriptor_edges(self, ids: IntArray, kind: IntArray,
+                          bend: IntArray) -> tuple:
+        """Per-axis ``((h, owner), (v, owner))`` flat edges of routes.
+
+        ``kind``/``bend`` describe one route per segment of ``ids``
+        and ``owner`` indexes ``ids``.  On each axis a route is at most
+        two arithmetic runs — an H-V-H route's two h legs and one v
+        leg, a V-H-V route's transpose, or an explicit route's slice
+        of the store — so a whole set materializes as one ragged
+        ``arange``.  Entries come grouped by owner in ``ids`` order,
+        each route's edges in leg order (explicit ones as stored): the
+        order every float ``bincount`` and seeded ranking over them
+        relies on.
+        """
+        nx = self.grid.nx
+        n = ids.size
+        sx, sy = self.seg_sx[ids], self.seg_sy[ids]
+        dx, dy = self.seg_dx[ids], self.seg_dy[ids]
+        hvh, vhv = kind == _KIND_HVH, kind == _KIND_VHV
+        b = bend
+        # (axis, route, run) table of arithmetic runs.  H-V-H: h legs
+        # on rows sy and dy, v leg on column b; V-H-V: v legs on
+        # columns sx and dx, h leg on row b.  Other kinds get none.
+        start = np.zeros((2, n, 2), dtype=np.int64)
+        length = np.zeros((2, n, 2), dtype=np.int64)
+        step = np.ones((2, n, 2), dtype=np.int64)
+        step[1] = nx
+        start[0, :, 0] = np.where(hvh, sy * (nx - 1) + np.minimum(sx, b),
+                                  b * (nx - 1) + np.minimum(sx, dx))
+        length[0, :, 0] = np.where(hvh, np.abs(b - sx),
+                                   np.abs(dx - sx) * vhv)
+        start[0, :, 1] = dy * (nx - 1) + np.minimum(b, dx)
+        length[0, :, 1] = np.abs(dx - b) * hvh
+        start[1, :, 0] = np.where(vhv, np.minimum(sy, b) * nx + sx,
+                                  np.minimum(sy, dy) * nx + b)
+        length[1, :, 0] = np.where(vhv, np.abs(b - sy),
+                                   np.abs(dy - sy) * hvh)
+        start[1, :, 1] = np.minimum(b, dy) * nx + dx
+        length[1, :, 1] = np.abs(dy - b) * vhv
+        # An explicit route is one run per axis over its store slice.
+        exp = kind == _KIND_EXPLICIT
+        has_exp = bool(exp.any())
+        if has_exp:
+            x_off, x_h = self.x_off[ids[exp]], self.x_h[ids[exp]]
+            start[:, exp, 0] = (x_off, x_off + x_h)
+            length[:, exp, 0] = (x_h, self.x_v[ids[exp]])
+            step[1, exp, 0] = 1
+        edge = _ragged_runs(start.ravel(), step.ravel(), length.ravel())
+        per_route = length.sum(axis=2)
+        if has_exp:
+            at = np.repeat(np.tile(exp, 2), per_route.ravel())
+            edge[at] = self._store()[edge[at]]
+        h_size = int(per_route[0].sum())
+        owner = np.arange(n)
+        return ((edge[:h_size], np.repeat(owner, per_route[0])),
+                (edge[h_size:], np.repeat(owner, per_route[1])))
+
+    def _route_edges(self, ids: IntArray) -> tuple:
+        """Per-axis ``(edge, owner)`` of the *stored* routes of
+        ``ids`` (see :meth:`_descriptor_edges`) — how negotiation reads
+        the route store.  Unrouted segments contribute no entries."""
+        return self._descriptor_edges(ids, self.seg_kind[ids],
+                                      self.seg_bend[ids])
+
+    def _shift_usage(self, h: IntArray, v: IntArray,
+                     delta: int) -> None:
+        """Add ``delta`` to the usage of flat h and v edge lists."""
+        np.add.at(self.grid.h_usage.ravel(), h, delta)
+        np.add.at(self.grid.v_usage.ravel(), v, delta)
+
+    def _commit_patterns(self, ids: IntArray, kind: IntArray,
+                         bend: IntArray) -> None:
+        """Commit monotone routes: their descriptors, and their usage
+        in one edge generation (the path itself is rebuilt from the
+        descriptor at emit time)."""
+        self.seg_kind[ids] = kind
+        self.seg_bend[ids] = bend
+        (h, _), (v, _) = self._descriptor_edges(ids, kind, bend)
+        self._shift_usage(h, v, 1)
+
     # -- one wave of segment ids, bucketed by window shape -------------
 
-    def _route_ids(self, ids: IntArray, congestion_weight: float,
-                   chunk_cap: int = _CHUNK_CAP) -> None:
+    def _route_ids(self, ids: IntArray, congestion_weight: float) -> None:
         if ids.size == 0:
             return
         sx, dx = self.seg_sx[ids], self.seg_dx[ids]
@@ -544,7 +681,7 @@ class _BatchedRouter:
                               []).append(pos)
         for (hh, ww) in sorted(shapes):
             pos = np.asarray(shapes[(hh, ww)], dtype=np.int64)
-            k_max = max(16, min(_WAVE_CELLS // (hh * ww), chunk_cap))
+            k_max = max(16, min(_WAVE_CELLS // (hh * ww), _CHUNK_CAP))
             for lo in range(0, pos.size, k_max):
                 self._route_chunk(ids[pos[lo:lo + k_max]], hh, ww,
                                   congestion_weight)
@@ -563,7 +700,6 @@ class _BatchedRouter:
         if ids.size == 0:
             return ids
         g = self.grid
-        nx = g.nx
         with _phase(self.telemetry, self.phases, "route_expand"):
             h_cost, v_cost = g.cost_arrays(
                 congestion_weight=congestion_weight)
@@ -586,36 +722,12 @@ class _BatchedRouter:
             penalty = np.where(horiz,
                                hps[sy, x2] - hps[sy, x1],
                                vps[y2, sx] - vps[y1, sx])
-            length = (x2 - x1) + (y2 - y1)
             good = penalty <= _STRAIGHT_SLACK + 1e-9
         with _phase(self.telemetry, self.phases, "route_commit"):
-            for axis in (True, False):
-                pick = good & (horiz == axis)
-                if not pick.any():
-                    continue
-                pids = ids[pick]
-                ln = length[pick]
-                total = int(ln.sum())
-                off = np.repeat(np.cumsum(ln) - ln, ln)
-                steps = np.arange(total) - off
-                if axis:
-                    base = y1[pick] * (nx - 1) + x1[pick]
-                    flat = np.repeat(base, ln) + steps
-                    np.add.at(g.h_usage.ravel(), flat, 1)
-                else:
-                    base = y1[pick] * nx + sx[pick]
-                    flat = np.repeat(base, ln) + steps * nx
-                    np.add.at(g.v_usage.ravel(), flat, 1)
-                cuts = np.cumsum(ln)[:-1]
-                parts = np.split(flat, cuts)
-                for j, i in enumerate(pids):
-                    if axis:
-                        self.seg_h[i] = parts[j]
-                        self.seg_v[i] = _EMPTY_I64
-                    else:
-                        self.seg_v[i] = parts[j]
-                        self.seg_h[i] = _EMPTY_I64
-                self.seg_kind[pids] = _KIND_STRAIGHT
+            # A line is the degenerate pattern bending at its far end.
+            self._commit_patterns(
+                ids[good], np.where(horiz, _KIND_HVH, _KIND_VHV)[good],
+                np.where(horiz, dx, dy)[good])
         return ids[~good]
 
     def _route_patterns(self, ids: IntArray, congestion_weight: float,
@@ -681,76 +793,13 @@ class _BatchedRouter:
                 penalty = np.where(best < wmax, pen_hvh, pen_vhv)
                 good = penalty <= slack + 1e-9
         with _phase(self.telemetry, self.phases, "route_commit"):
-            bend_c = np.where(best < wmax,
-                              np.minimum(x1 + best, x2), 0)
-            bend_r = np.where(best >= wmax,
-                              np.minimum(y1 + best - wmax, y2), 0)
-            for hvh_fam in (True, False):
-                pick = good & ((best < wmax) == hvh_fam)
-                if not pick.any():
-                    continue
-                self._commit_patterns(
-                    ids[pick], (bend_c if hvh_fam else bend_r)[pick],
-                    hvh_fam)
+            hvh = best < wmax
+            bend = np.where(hvh, np.minimum(x1 + best, x2),
+                            np.minimum(y1 + best - wmax, y2))
+            self._commit_patterns(
+                ids[good], np.where(hvh, _KIND_HVH, _KIND_VHV)[good],
+                bend[good])
         return ids[~good]
-
-    def _pattern_edge_parts(self, pids: IntArray, bend: IntArray,
-                            hvh: bool) -> tuple:
-        """Per-segment flat (h, v) edge arrays of pattern routes.
-
-        The two same-axis legs interleave per segment so ``np.split``
-        lands each segment's edges contiguous; nothing is committed.
-        """
-        g = self.grid
-        nx = g.nx
-        kk = pids.size
-        sx, dx = self.seg_sx[pids], self.seg_dx[pids]
-        sy, dy = self.seg_sy[pids], self.seg_dy[pids]
-        if hvh:
-            # legs: h (row sy: sx->c), v (col c: sy->dy),
-            #       h (row dy: c->dx)
-            l1, l2 = np.abs(bend - sx), np.abs(dy - sy)
-            l3 = np.abs(dx - bend)
-            same_h = (sy * (nx - 1) + np.minimum(sx, bend),
-                      dy * (nx - 1) + np.minimum(bend, dx))
-            cross = np.minimum(sy, dy) * nx + bend
-            cross_step = nx
-            same_step = 1
-        else:
-            # legs: v (col sx: sy->r), h (row r: sx->dx),
-            #       v (col dx: r->dy)
-            l1, l2 = np.abs(bend - sy), np.abs(dx - sx)
-            l3 = np.abs(dy - bend)
-            same_h = (np.minimum(sy, bend) * nx + sx,
-                      np.minimum(bend, dy) * nx + dx)
-            cross = bend * (nx - 1) + np.minimum(sx, dx)
-            cross_step = 1
-            same_step = nx
-        sbase = np.stack(same_h, axis=1).ravel()
-        slens = np.stack([l1, l3], axis=1).ravel()
-        sflat = _ragged_runs(sbase, np.full(2 * kk, same_step), slens)
-        cflat = _ragged_runs(cross, np.full(kk, cross_step), l2)
-        sparts = np.split(sflat, np.cumsum(l1 + l3)[:-1])
-        cparts = np.split(cflat, np.cumsum(l2)[:-1])
-        return (sparts, cparts) if hvh else (cparts, sparts)
-
-    def _commit_patterns(self, pids: IntArray, bend: IntArray,
-                         hvh: bool) -> None:
-        """Commit a family of pattern routes: usage, per-segment edge
-        lists, and the route descriptor (the path itself is rebuilt
-        from the descriptor at emit time)."""
-        g = self.grid
-        hparts, vparts = self._pattern_edge_parts(pids, bend, hvh)
-        if pids.size:
-            np.add.at(g.h_usage.ravel(),
-                      np.concatenate(hparts), 1)
-            np.add.at(g.v_usage.ravel(),
-                      np.concatenate(vparts), 1)
-        for j, i in enumerate(pids):
-            self.seg_h[i] = hparts[j]
-            self.seg_v[i] = vparts[j]
-        self.seg_kind[pids] = _KIND_HVH if hvh else _KIND_VHV
-        self.seg_bend[pids] = bend
 
     def _route_chunk(self, ids: IntArray, hh: int, ww: int,
                      congestion_weight: float) -> None:
@@ -777,52 +826,43 @@ class _BatchedRouter:
             moved = ok[:, None] & ((ax != bx) | (ay != by))
             horiz = moved & (ay == by)
             vert = moved & (ay != by)
-            rows = np.broadcast_to(
-                np.arange(ids.size)[:, None], moved.shape)
-            h_flat = (ay * (g.nx - 1) + np.minimum(ax, bx))[horiz]
-            v_flat = (np.minimum(ay, by) * g.nx + ax)[vert]
-            h_rows, v_rows = rows[horiz], rows[vert]
-            # Distribute the flat edge lists back per segment (row
-            # order is already sorted by k).
-            h_cuts = np.searchsorted(h_rows, np.arange(ids.size))
-            v_cuts = np.searchsorted(v_rows, np.arange(ids.size))
-            h_parts = np.split(h_flat, h_cuts[1:])
-            v_parts = np.split(v_flat, v_cuts[1:])
-            h_add = [h_flat]
-            v_add = [v_flat]
-            for k, i in enumerate(ids):
-                if ok[k]:
-                    length = int(done[k]) + 1
-                    self.seg_paths[i] = np.stack(
-                        [gx[k, :length][::-1],
-                         gy[k, :length][::-1]], axis=1)
-                    self.seg_h[i] = h_parts[k]
-                    self.seg_v[i] = v_parts[k]
-                    self.seg_kind[i] = _KIND_EXPLICIT
-                    continue
+            # Walks run dst -> src (edges stay in walk order); cells
+            # are stored src -> dst.
+            rows = np.flatnonzero(ok)
+            walk = done[rows] + 1
+            step = _ragged_runs(done[rows],
+                                np.full(rows.size, -1), walk)
+            row = np.repeat(rows, walk)
+            seg = [ids[rows]]
+            cells = [np.stack([gx[row, step], gy[row, step]], axis=1)]
+            h_edges = [(ay * (g.nx - 1) + np.minimum(ax, bx))[horiz]]
+            v_edges = [(np.minimum(ay, by) * g.nx + ax)[vert]]
+            h_len = [horiz[rows].sum(axis=1)]
+            v_len = [vert[rows].sum(axis=1)]
+            for k in np.flatnonzero(~ok):
                 # Window failed to descend: sequential fallback.
                 found = maze_route(
                     g, (int(sx[k]), int(sy[k])),
                     (int(dx[k]), int(dy[k])),
                     congestion_weight=congestion_weight)
                 if found is None:
-                    if self.seg_kind[i] == _KIND_NONE:
-                        self.failed.append(
-                            self.net_names[self.seg_net[i]])
-                        continue
-                    # keep (recommit) the ripped-up old route
-                    h_add.append(self.seg_h[i])
-                    v_add.append(self.seg_v[i])
+                    self.failed.append(
+                        self.net_names[self.seg_net[ids[k]]])
                     continue
-                self.seg_paths[i] = np.asarray(found, dtype=np.int64)
-                self.seg_kind[i] = _KIND_EXPLICIT
-                he, ve = _path_edges(self.seg_paths[i], g.nx)
-                self.seg_h[i] = he
-                self.seg_v[i] = ve
-                h_add.append(he)
-                v_add.append(ve)
-            np.add.at(g.h_usage.ravel(), np.concatenate(h_add), 1)
-            np.add.at(g.v_usage.ravel(), np.concatenate(v_add), 1)
+                path = np.asarray(found, dtype=np.int64)
+                he, ve = _path_edges(path, g.nx)
+                seg.append(ids[k:k + 1])
+                cells.append(path)
+                h_edges.append(he)
+                v_edges.append(ve)
+                h_len.append([he.size])
+                v_len.append([ve.size])
+            h_all = np.concatenate(h_edges)
+            v_all = np.concatenate(v_edges)
+            self._store_explicit(
+                np.concatenate(seg), np.concatenate(cells), h_all,
+                np.concatenate(h_len), v_all, np.concatenate(v_len))
+            self._shift_usage(h_all, v_all, 1)
 
     # -- negotiation helpers -------------------------------------------
 
@@ -846,24 +886,6 @@ class _BatchedRouter:
                  np.maximum(0.0, (use - cap)).ravel() * scale))
         (h_pen, h_pen0), (v_pen, v_pen0) = out
         return h_pen, h_pen0, v_pen, v_pen0
-
-    def _stay_penalties(self, ids: IntArray, h_pen0: Any,
-                        v_pen0: Any) -> Any:
-        """Overflow penalty each segment's current path pays to stay."""
-        stay = np.zeros(ids.size)
-        for flat, pen0 in ((self.seg_h, h_pen0),
-                           (self.seg_v, v_pen0)):
-            arrs = [flat[i] for i in ids]
-            lens = np.asarray([0 if a is None else a.size
-                               for a in arrs])
-            if not lens.any():
-                continue
-            cat = np.concatenate(
-                [a for a in arrs if a is not None and a.size])
-            owner = np.repeat(np.arange(ids.size), lens)
-            stay += np.bincount(owner, weights=pen0[cat],
-                                minlength=ids.size)
-        return stay
 
     def _escape_moves(self, ids: IntArray, h_pen: Any,
                       v_pen: Any) -> tuple:
@@ -901,8 +923,8 @@ class _BatchedRouter:
                 np.minimum(y1 + np.maximum(best - wmax, 0), y2))
         return pen, bend, fam
 
-    def _relocate(self, congestion_weight: float) -> int:
-        """Vectorized equal-length escape rounds; returns move count.
+    def _relocate(self, congestion_weight: float) -> IntArray:
+        """Vectorized equal-length escape rounds.
 
         This replicates where the sequential engine's negotiation
         rounds actually win: rerouting every segment that crosses an
@@ -936,22 +958,24 @@ class _BatchedRouter:
             # incumbents prefer fresh corridors even at equal overflow
             # — the same pressure that spreads the sequential engine's
             # equal-cost reroutes.
-            stay_pen = self._stay_penalties(cand, h_pen0, v_pen0)
-            keep = stay_pen > 1e-12
-            cand = cand[keep]
-            if cand.size == 0:
+            old = self._route_edges(cand)
+            stay_pen = _stay_penalties(old, h_pen0, v_pen0, cand.size)
+            keep = np.flatnonzero(stay_pen > 1e-12)
+            if keep.size == 0:
                 break
             stay = (stay_pen[keep]
-                    + self._stay_penalties(cand, h_tax, v_tax))
+                    + _stay_penalties(old, h_tax, v_tax,
+                                      cand.size)[keep])
             pen, bend, fam = self._escape_moves(
-                cand, h_pen + h_tax, v_pen + v_tax)
+                cand[keep], h_pen + h_tax, v_pen + v_tax)
             gain = stay - pen
             movers = np.flatnonzero(gain > 1e-9)
             if movers.size == 0:
                 break
             order = movers[np.argsort(-gain[movers],
                                       kind="stable")]
-            mv, tb, tf = cand[order], bend[order], fam[order]
+            mv, tb, tf = cand[keep[order]], bend[order], fam[order]
+            tk = np.where(tf, _KIND_HVH, _KIND_VHV)
             # Capacity-aware acceptance, best gain first: a move is
             # accepted only if every edge of its new route either has
             # spare capacity left after the better-ranked moves ahead
@@ -961,38 +985,25 @@ class _BatchedRouter:
             # pile-ups that chunk-blind commits suffer.  Acceptance
             # runs several sub-waves against the same pricing: each
             # wave's commits free their old edges, so vacancy chains
-            # propagate without paying for a full re-pricing.
-            parts: dict = {True: None, False: None}
-            fidx: dict = {}
-            for f in (True, False):
-                fidx[f] = np.flatnonzero(tf == f)
-                if fidx[f].size:
-                    parts[f] = self._pattern_edge_parts(
-                        mv[fidx[f]], tb[fidx[f]], f)
+            # propagate without paying for a full re-pricing.  Old and
+            # new routes are keyed by mover rank.
+            rank_of = np.full(cand.size, -1)
+            rank_of[keep[order]] = np.arange(mv.size)
             entries: list = []
-            for ax in (0, 1):
-                own_flat = self.seg_h if ax == 0 else self.seg_v
-                n_edges = (g.h_usage if ax == 0 else g.v_usage).size
-                new_parts: list = [None] * mv.size
-                for f in (True, False):
-                    if fidx[f].size:
-                        for j, p in zip(fidx[f], parts[f][ax]):
-                            new_parts[j] = p
-                lens = np.asarray([p.size for p in new_parts])
-                edge = (np.concatenate(new_parts) if lens.any()
-                        else _EMPTY_I64)
-                owner = np.repeat(np.arange(mv.size), lens)
-                olens = np.asarray([own_flat[i].size for i in mv])
-                okey = (np.repeat(mv, olens) * n_edges
-                        + np.concatenate(
-                            [own_flat[i] for i in mv]))
-                held = np.isin(mv[owner] * n_edges + edge, okey)
-                entries.append((edge, owner, held))
+            for (o_edge, o_own), (edge, owner), n_edges in zip(
+                    old, self._descriptor_edges(mv, tk, tb),
+                    (g.h_usage.size, g.v_usage.size)):
+                o_rank = rank_of[o_own]
+                held_by = o_rank >= 0
+                o_edge, o_rank = o_edge[held_by], o_rank[held_by]
+                held = _members(owner * n_edges + edge,
+                                o_rank * n_edges + o_edge)
+                entries.append((edge, owner, held, o_edge, o_rank))
             alive = np.ones(mv.size, dtype=bool)
             committed = 0
             for _wave in range(_ACCEPT_WAVES):
                 bad = np.zeros(mv.size, dtype=np.int64)
-                for ax, (edge, owner, held) in enumerate(entries):
+                for ax, (edge, owner, held, _, _) in enumerate(entries):
                     avail = ((g.h_capacity - g.h_usage) if ax == 0
                              else (g.v_capacity
                                    - g.v_usage)).ravel()
@@ -1012,13 +1023,14 @@ class _BatchedRouter:
                 acc = alive & (bad == 0)
                 if not acc.any():
                     break
-                take, tbk, tfk = mv[acc], tb[acc], tf[acc]
-                self._rip_up(take)
-                for f in (True, False):
-                    s = tfk == f
-                    if s.any():
-                        self._commit_patterns(take[s], tbk[s], f)
-                committed += take.size
+                # Rip the accepted movers' old routes and commit their
+                # escapes from the entries priced above.
+                (hn, hno, _, ho, hoo), (vn, vno, _, vo, voo) = entries
+                self._shift_usage(ho[acc[hoo]], vo[acc[voo]], -1)
+                self._shift_usage(hn[acc[hno]], vn[acc[vno]], 1)
+                self.seg_kind[mv[acc]] = tk[acc]
+                self.seg_bend[mv[acc]] = tb[acc]
+                committed += int(acc.sum())
                 alive &= ~acc
             # Movers not committed are re-priced against the updated
             # usage; segments with no profitable escape are out until
@@ -1048,22 +1060,19 @@ class _BatchedRouter:
         h_of, v_of = self.grid.overflow_masks()
         n_seg = self.seg_net.size
         hit = np.zeros(n_seg, dtype=bool)
-        for flat, mask, cap in (
-                (self.seg_h, h_of.ravel(), self.grid.h_capacity),
-                (self.seg_v, v_of.ravel(), self.grid.v_capacity)):
-            routed = [i for i in range(n_seg)
-                      if flat[i] is not None and flat[i].size]
-            if not routed:
-                continue
-            cat = np.concatenate([flat[i] for i in routed])
-            sid = np.repeat(np.asarray(routed),
-                            [flat[i].size for i in routed])
-            bad = mask[cat]
-            edges, segs = cat[bad], sid[bad]
+        for (edge, seg), mask, cap in zip(
+                self._route_edges(np.arange(n_seg)),
+                (h_of.ravel(), v_of.ravel()),
+                (self.grid.h_capacity, self.grid.v_capacity)):
+            bad = mask[edge]
+            edges, segs = edge[bad], seg[bad]
             if edges.size == 0:
                 continue
-            order = np.lexsort((self.rng.permutation(edges.size),
-                                edges))
+            # By edge, ties in seeded random order: one argsort of a
+            # unique combined key, the same order as ``lexsort`` and
+            # several times faster.
+            order = np.argsort(edges * edges.size
+                               + self.rng.permutation(edges.size))
             edges, segs = edges[order], segs[order]
             starts = np.flatnonzero(
                 np.r_[True, edges[1:] != edges[:-1]])
@@ -1073,20 +1082,8 @@ class _BatchedRouter:
                                minlength=n_seg) > 0
         return np.flatnonzero(hit)
 
-    def _rip_up(self, ids: IntArray) -> None:
-        g = self.grid
-        h_sub = [self.seg_h[i] for i in ids
-                 if self.seg_h[i] is not None]
-        v_sub = [self.seg_v[i] for i in ids
-                 if self.seg_v[i] is not None]
-        if h_sub:
-            np.add.at(g.h_usage.ravel(), np.concatenate(h_sub), -1)
-        if v_sub:
-            np.add.at(g.v_usage.ravel(), np.concatenate(v_sub), -1)
-
     def _route_excess(self, ids: IntArray,
-                      congestion_weight: float,
-                      chunk: int = 32) -> None:
+                      congestion_weight: float) -> None:
         """Rip-and-reroute the redo set as small pattern batches.
 
         The sequential engine's negotiation reroutes essentially never
@@ -1101,31 +1098,25 @@ class _BatchedRouter:
         the line they already hold, so rip-and-recommit would be an
         expensive no-op (the sequential engine's equal-length reroutes
         never moved them either).
+
+        The old routes' edges are generated once for the whole set
+        and sliced per batch: a batch's routes cannot change before
+        its own rip.
         """
         bent = ids[(self.seg_sx[ids] != self.seg_dx[ids])
                    & (self.seg_sy[ids] != self.seg_dy[ids])]
         manhattan = (np.abs(self.seg_dx[bent] - self.seg_sx[bent])
                      + np.abs(self.seg_dy[bent] - self.seg_sy[bent]))
         bent = bent[np.argsort(manhattan, kind="stable")]
-        for lo in range(0, bent.size, chunk):
-            sub = bent[lo:lo + chunk]
-            self._rip_up(sub)
-            self._route_patterns(sub, congestion_weight, np.inf)
-
-    def _straight_paths(self, pids: IntArray) -> tuple:
-        """(L, 2) path cells of straight segments, one ragged run."""
-        sx, dx = self.seg_sx[pids], self.seg_dx[pids]
-        sy, dy = self.seg_sy[pids], self.seg_dy[pids]
-        horiz = sy == dy
-        ln = np.abs(dx - sx) + np.abs(dy - sy)
-        run = _ragged_runs(np.where(horiz, sx, sy),
-                           np.sign(np.where(horiz, dx - sx, dy - sy)),
-                           ln + 1)
-        fix = np.repeat(np.where(horiz, sy, sx), ln + 1)
-        hmask = np.repeat(horiz, ln + 1)
-        xy = np.stack([np.where(hmask, run, fix),
-                       np.where(hmask, fix, run)], axis=1)
-        return xy, ln + 1
+        (h, h_own), (v, v_own) = self._route_edges(bent)
+        cuts = np.r_[np.arange(0, bent.size, _EXCESS_CHUNK), bent.size]
+        h_cut = np.searchsorted(h_own, cuts)
+        v_cut = np.searchsorted(v_own, cuts)
+        for j, lo in enumerate(cuts[:-1]):
+            self._shift_usage(h[h_cut[j]:h_cut[j + 1]],
+                              v[v_cut[j]:v_cut[j + 1]], -1)
+            self._route_patterns(bent[lo:lo + _EXCESS_CHUNK],
+                                 congestion_weight, np.inf)
 
     def _pattern_paths(self, pids: IntArray, hvh: bool) -> tuple:
         """(L, 2) path cells of pattern routes, legs in walk order."""
@@ -1164,9 +1155,10 @@ class _BatchedRouter:
 
         Negotiation never materialized paths (rip-and-recommit would
         have thrown them away), so the survivors' cells are rebuilt
-        here from their route descriptors in four bulk batches — one
-        per kind.  Each emitted path is an ``(L, 2)`` int64 view into
-        its batch's cell array (the documented result contract allows
+        here in three bulk batches — one per kind: the two pattern
+        families from their descriptors, explicit routes from the
+        store.  Each emitted path is an ``(L, 2)`` int64 view into its
+        batch's cell array (the documented result contract allows
         arrays or lists per path); the only per-segment python work
         left is the dict append.
         """
@@ -1177,31 +1169,28 @@ class _BatchedRouter:
             return {}, _EMPTY_I64.copy(), _EMPTY_I64.copy()
         # kind -> (flat cell array, per-segment lengths), pids
         # ascending — consumed in the same order below.
-        pts: list = [None] * 5
-        lens: list = [None] * 5
-        for k, build in (
-                (_KIND_STRAIGHT, self._straight_paths),
-                (_KIND_HVH,
-                 lambda p: self._pattern_paths(p, True)),
-                (_KIND_VHV,
-                 lambda p: self._pattern_paths(p, False))):
+        pts: list = [None] * 4
+        lens: list = [None] * 4
+        for k in (_KIND_HVH, _KIND_VHV):
             pids = np.flatnonzero(kind == k)
             if pids.size:
-                xy, ln = build(pids)
+                xy, ln = self._pattern_paths(pids, k == _KIND_HVH)
                 pts[k], lens[k] = xy, ln.tolist()
         exp = np.flatnonzero(kind == _KIND_EXPLICIT)
         if exp.size:
-            pts[_KIND_EXPLICIT] = np.concatenate(
-                [self.seg_paths[i] for i in exp])
-            lens[_KIND_EXPLICIT] = [self.seg_paths[i].shape[0]
-                                    for i in exp]
+            exp_edges = self.x_h[exp] + self.x_v[exp]
+            pts[_KIND_EXPLICIT] = self._store()[_ragged_runs(
+                self.x_off[exp] + exp_edges,
+                np.ones(exp.size, dtype=np.int64),
+                2 * (exp_edges + 1))].reshape(-1, 2)
+            lens[_KIND_EXPLICIT] = (exp_edges + 1).tolist()
         paths: dict = {}
         get = paths.get
         names = self.net_names
         seg_net = self.seg_net.tolist()
         kind_l = kind.tolist()
-        ptr = [0] * 5
-        at = [0] * 5
+        ptr = [0] * 4
+        at = [0] * 4
         for i in routed.tolist():
             k = kind_l[i]
             j = ptr[k]
@@ -1221,24 +1210,19 @@ class _BatchedRouter:
             dtype=np.int64)
         net_idx = net_pos[self.seg_net[routed]]
         # Monotone routes are manhattan-length by construction;
-        # explicit (wavefront/maze) routes count their stored cells.
+        # explicit (wavefront/maze) routes count their stored edges.
         seg_wl = (np.abs(self.seg_dx - self.seg_sx)
                   + np.abs(self.seg_dy - self.seg_sy))[routed]
         if exp.size:
-            seg_wl[kind[routed] == _KIND_EXPLICIT] = (
-                np.asarray(lens[_KIND_EXPLICIT], dtype=np.int64) - 1)
+            seg_wl[kind[routed] == _KIND_EXPLICIT] = exp_edges
         nwl = np.bincount(net_idx, weights=seg_wl,
                           minlength=len(pos)).astype(np.int64)
         nof = np.zeros(len(pos), dtype=np.int64)
         h_of, v_of = g.overflow_masks()
         if h_of.any() or v_of.any():
-            for edges, mask in ((self.seg_h, h_of.ravel()),
-                                (self.seg_v, v_of.ravel())):
-                ln = np.fromiter((edges[i].size for i in routed),
-                                 dtype=np.int64, count=len(routed))
-                cat = np.concatenate([edges[i] for i in routed])
-                owner = np.repeat(net_idx, ln)
-                nof += np.bincount(owner[mask[cat]],
+            for (edge, owner), mask in zip(self._route_edges(routed),
+                                           (h_of.ravel(), v_of.ravel())):
+                nof += np.bincount(net_idx[owner[mask[edge]]],
                                    minlength=len(pos))
         return paths, nwl, nof
 
@@ -1252,28 +1236,25 @@ class _BatchedRouter:
              self.seg_dx, self.seg_dy) = _decompose(
                 self.placement, g, self.topology)
             self.windows = _windows(g, self.seg_sx, self.seg_sy,
-                                    self.seg_dx, self.seg_dy,
-                                    pad=_FIRST_PAD)
+                                    self.seg_dx, self.seg_dy)
         n_seg = self.seg_net.size
-        self.seg_paths: list = [None] * n_seg
-        self.seg_h: list = [None] * n_seg
-        self.seg_v: list = [None] * n_seg
+        # The route store: descriptors, plus the explicit routes'
+        # append-only blocks and per-segment offset and edge counts.
         self.seg_kind = np.zeros(n_seg, dtype=np.int8)
         self.seg_bend = np.zeros(n_seg, dtype=np.int64)
+        self.x_blocks: list = []
+        self.x_size = 0
+        self.x_off = np.zeros(n_seg, dtype=np.int64)
+        self.x_h = np.zeros(n_seg, dtype=np.int64)
+        self.x_v = np.zeros(n_seg, dtype=np.int64)
         self.failed: list = []
 
-        self._route_ids(np.arange(n_seg), 2.0, chunk_cap=_CHUNK_CAP)
+        self._route_ids(np.arange(n_seg), 2.0)
 
         iterations = 1
-        widened = False
         for rnd in range(self.max_iterations - 1):
             if g.total_overflow() == 0:
                 break
-            if not widened:
-                # Reroutes need detour headroom the first pass didn't.
-                self.windows = _windows(g, self.seg_sx, self.seg_sy,
-                                        self.seg_dx, self.seg_dy)
-                widened = True
             # One negotiation round: relocate the profitable
             # equal-length escapes first (free moves), then rip the
             # per-edge excess — plus any mover whose every profitable

@@ -1,12 +1,15 @@
 """Tests for the batched router and the engine-selection registry.
 
-Covers the PR-8 satellites: engine registry semantics (strict lookup,
-FlowOptions construction-time validation), RoutingResult schema parity
-across engines, hypothesis-driven both-engine parity (legal routes, overflow
+Covers engine registry semantics (strict lookup, FlowOptions
+construction-time validation), RoutingResult schema parity across
+engines, hypothesis-driven both-engine parity (legal routes, overflow
 no worse than maze, wirelength within 2%), bit-reproducibility of the
-batched engine, and flow-level cache-key sensitivity to the
-``routing_engine`` knob.
+batched engine within a run and against pinned digests, its maze
+fallback, an op-count guard on its route store, and flow-level
+cache-key sensitivity to the ``routing_engine`` knob.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,10 +23,10 @@ from repro.engines import (
     engine_names,
     get_engine,
 )
-from repro.netlist import build_library, logic_cloud
+from repro.netlist import build_library, logic_cloud, registered_cloud
 from repro.orchestrate import ResultCache, TelemetrySink, run
 from repro.place import global_place
-from repro.route import ROUTE_SCHEMA_VERSION, route_placement
+from repro.route import ROUTE_SCHEMA_VERSION, batched, route_placement
 from repro.tech import get_node
 
 LIB = build_library(get_node("28nm"))
@@ -35,8 +38,11 @@ def small_placement(gates=150, seed=0, utilization=0.35):
 
 
 def legal(result):
-    """Every path is a chain of adjacent gcells inside the grid."""
+    """Every path is a chain of adjacent gcells inside the grid, and
+    the grid's usage is exactly the edges of the paths."""
     g = result.grid
+    h_use = np.zeros_like(g.h_usage)
+    v_use = np.zeros_like(g.v_usage)
     for segs in result.paths.values():
         for p in segs:
             arr = np.asarray(p)
@@ -44,10 +50,40 @@ def legal(result):
             assert (arr[:, 1] >= 0).all() and (arr[:, 1] < g.ny).all()
             step = np.abs(np.diff(arr, axis=0)).sum(axis=1)
             assert (step == 1).all(), "non-adjacent hop in path"
-    # The grid's committed usage agrees with the paths.
+            x, y = arr[:, 0], arr[:, 1]
+            horiz = y[1:] == y[:-1]
+            np.add.at(h_use, (y[1:][horiz],
+                              np.minimum(x[1:], x[:-1])[horiz]), 1)
+            np.add.at(v_use, (np.minimum(y[1:], y[:-1])[~horiz],
+                              x[1:][~horiz]), 1)
+    # The grid's committed usage agrees with the paths edge for edge.
+    np.testing.assert_array_equal(g.h_usage, h_use)
+    np.testing.assert_array_equal(g.v_usage, v_use)
     edges = sum(len(p) - 1 for segs in result.paths.values()
                 for p in segs)
     assert result.grid.wirelength() == edges == result.wirelength
+
+
+def route_digest(result):
+    """SHA-256 over everything a RoutingResult reports, in a fixed
+    order: paths by sorted net, per-net arrays, final usage and
+    history, and the scalar totals."""
+    h = hashlib.sha256()
+    for net in sorted(result.paths):
+        h.update(net.encode())
+        for p in result.paths[net]:
+            cells = np.asarray(p, dtype="<i8")
+            h.update(len(cells).to_bytes(8, "little"))
+            h.update(cells.tobytes())
+    g = result.grid
+    for arr, dtype in ((result.net_wirelength, "<i8"),
+                       (result.net_overflow, "<i8"),
+                       (g.h_usage, "<i8"), (g.v_usage, "<i8"),
+                       (g.h_history, "<f8"), (g.v_history, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    h.update(repr((result.wirelength, result.overflow,
+                   result.iterations, sorted(result.failed))).encode())
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +186,93 @@ class TestParity:
                 np.testing.assert_array_equal(p, q)
         np.testing.assert_array_equal(a.net_wirelength,
                                       b.net_wirelength)
+
+
+# ----------------------------------------------------------------------
+# Batched router: bit-identity across commits, maze fallback, op counts
+
+
+@pytest.fixture(scope="module")
+def congested():
+    """A small design whose routing at gcell 2 um stays overflowed
+    through every negotiation round (so every negotiation helper
+    runs), at about 0.1 s per route."""
+    return global_place(registered_cloud(16, 48, 1500, LIB, seed=1),
+                        seed=0, utilization=0.7)
+
+
+def route_congested(placement, seed=0, iterations=4):
+    return route_placement(placement, engine="batched", gcell_um=2.0,
+                           max_iterations=iterations, seed=seed)
+
+
+class TestBatchedRouter:
+    @pytest.mark.parametrize("seed, iterations, overflow, digest", [
+        (0, 4, 1444, "439c1a9e584509f42c24f14c63644e5bf"
+         "7fdce5a54af76a2dacaf87af688f0f4"),
+        (1, 6, 1442, "cf165a59938e1975e50c5e9fdab58d83e"
+         "1851c049806ba328ee8bf43b8bf1fb5"),
+    ], ids=["seed0-4it", "seed1-6it"])
+    def test_pinned_digest(self, congested, seed, iterations, overflow,
+                           digest):
+        # Pinned results: any change to what the router returns — a
+        # path, a per-net number, a usage or history cell — fails here.
+        res = route_congested(congested, seed, iterations)
+        assert (res.overflow, res.iterations) == (overflow, iterations)
+        legal(res)
+        assert route_digest(res) == digest
+
+    def test_maze_fallback(self, congested, monkeypatch):
+        # Every real window descends, so force the fallback: mark every
+        # third backtrace row failed and route those rows with the maze.
+        backtrace = batched._backtrace
+        maze = batched.maze_route
+        fallbacks = []
+
+        def failing(*args):
+            px, py, done, ok = backtrace(*args)
+            ok[::3] = False
+            return px, py, done, ok
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[1:3])
+            return maze(*args, **kwargs)
+
+        monkeypatch.setattr(batched, "_backtrace", failing)
+        monkeypatch.setattr(batched, "maze_route", counted)
+        res = route_congested(congested)
+        assert fallbacks
+        assert not res.failed
+        legal(res)
+        assert int(res.net_wirelength.sum()) == res.wirelength
+
+    @pytest.mark.parametrize("table_size", [0, 1, 50, 400])
+    def test_members_matches_isin(self, table_size):
+        rng = np.random.default_rng(table_size)
+        table = rng.integers(0, 300, table_size)
+        keys = rng.integers(-5, 305, 200)
+        np.testing.assert_array_equal(batched._members(keys, table),
+                                      np.isin(keys, table))
+
+    def test_route_store_read_once_per_step(self, congested,
+                                            monkeypatch):
+        # The stored routes' edges are regenerated a fixed number of
+        # times per negotiation round (one read per relocation pass,
+        # the excess ranking, the excess rip-up), plus one for the
+        # emitted per-net overflow — never once per rip-up chunk.
+        read = batched._BatchedRouter._route_edges
+        calls = []
+
+        def counted(self, ids):
+            calls.append(ids.size)
+            return read(self, ids)
+
+        monkeypatch.setattr(batched._BatchedRouter, "_route_edges",
+                            counted)
+        res = route_congested(congested)
+        rounds = res.iterations - 1
+        assert rounds == 3
+        assert 0 < len(calls) <= 6 * rounds + 1
 
 
 # ----------------------------------------------------------------------
