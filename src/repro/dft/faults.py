@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.circuit import Netlist, _eval_cell
+from repro.netlist.bitsim import BitSimulator, unpack, word_mask
+from repro.netlist.circuit import Netlist
 
 
 @dataclass(frozen=True)
@@ -37,31 +38,19 @@ def enumerate_faults(netlist: Netlist) -> list:
     return out
 
 
+def _observed(sim: BitSimulator) -> np.ndarray:
+    """Rows of the full-observability response: POs, then flop D pins."""
+    return np.concatenate((sim.primary_outputs, sim.flop_d()))
+
+
 def _simulate_with_fault(netlist: Netlist, vec: np.ndarray,
                          state: np.ndarray, fault: Fault | None):
     """Full-observability simulation; returns PO + flop-D response."""
-    npat = vec.shape[0]
-    values: dict[str, np.ndarray] = {}
-    forced = fault.net if fault is not None else None
-
-    def assign(net: str, col: np.ndarray) -> None:
-        if net == forced:
-            col = np.full(npat, bool(fault.stuck_at))
-        values[net] = col
-
-    for i, net in enumerate(netlist.primary_inputs):
-        assign(net, vec[:, i])
-    flops = netlist.sequential_gates()
-    for q, g in zip(state.T, flops):
-        assign(g.output, q)
-    for g in netlist.topological_gates():
-        ins = [values[g.pins[p]] for p in g.cell.inputs]
-        assign(g.output, _eval_cell(g.cell, ins, npat))
-    cols = [values[po] for po in netlist.primary_outputs]
-    cols += [values[g.pins["D"]] for g in flops]
-    if not cols:
-        return np.zeros((npat, 0), dtype=bool)
-    return np.column_stack(cols)
+    sim = BitSimulator(netlist)
+    pi, q = sim.pack_inputs(vec, state)
+    stuck = None if fault is None else (fault.net, fault.stuck_at)
+    values = sim.run(pi, q, stuck)
+    return unpack(values[_observed(sim)], len(vec))
 
 
 def fault_simulate(netlist: Netlist, patterns: np.ndarray,
@@ -79,14 +68,15 @@ def fault_simulate(netlist: Netlist, patterns: np.ndarray,
         raise ValueError("patterns must be (n, num_PI)")
     if faults is None:
         faults = enumerate_faults(netlist)
-    flops = netlist.sequential_gates()
-    if state is None:
-        state = np.zeros((patterns.shape[0], len(flops)), dtype=bool)
-    good = _simulate_with_fault(netlist, patterns, state, None)
+    sim = BitSimulator(netlist)
+    pi, q = sim.pack_inputs(patterns, state)
+    observed = _observed(sim)
+    mask = word_mask(patterns.shape[0])
+    good = sim.run(pi, q)[observed]
     detected = {}
     for fault in faults:
-        bad = _simulate_with_fault(netlist, patterns, state, fault)
-        detected[fault] = bool((good ^ bad).any())
+        bad = sim.run(pi, q, (fault.net, fault.stuck_at))[observed]
+        detected[fault] = bool(((good ^ bad) & mask).any())
     return detected
 
 

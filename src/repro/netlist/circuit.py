@@ -15,10 +15,27 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from repro.netlist.bitsim import BitSimulator, unpack
 from repro.netlist.cells import Cell, CellLibrary
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on
+    and adds left to right before it, so QoR sums use this instead:
+    the result is the same on every supported Python, and it matches
+    the left-to-right accumulation of the vectorized kernels
+    (``np.bincount``, ``np.cumsum``).
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -370,11 +387,11 @@ class Netlist:
 
     def area_um2(self) -> float:
         """Total standard-cell area."""
-        return sum(g.cell.area_um2 for g in self.gates.values())
+        return left_sum(g.cell.area_um2 for g in self.gates.values())
 
     def leakage_nw(self) -> float:
         """Total static leakage."""
-        return sum(g.cell.leak_nw for g in self.gates.values())
+        return left_sum(g.cell.leak_nw for g in self.gates.values())
 
     # ------------------------------------------------------------------
     # Traversal
@@ -438,50 +455,21 @@ class Netlist:
         ``input_vectors``: bool array (patterns, num PIs).  ``state``:
         optional bool array (patterns, num flops) giving flop Q values;
         zeros if omitted.  Returns PO values (patterns, num POs).
+        Raises ``ValueError`` for any other input shape.
         """
-        vec = np.asarray(input_vectors, dtype=bool)
-        if vec.ndim != 2 or vec.shape[1] != len(self.primary_inputs):
-            raise ValueError("bad input vector shape")
-        npat = vec.shape[0]
-        values: dict[str, np.ndarray] = {}
-        for i, net in enumerate(self.primary_inputs):
-            values[net] = vec[:, i]
-        flops = self.sequential_gates()
-        if state is None:
-            state = np.zeros((npat, len(flops)), dtype=bool)
-        for q, g in zip(np.asarray(state, dtype=bool).T, flops):
-            values[g.output] = q
-        for g in self.topological_gates():
-            ins = [values[g.pins[p]] for p in g.cell.inputs]
-            values[g.output] = _eval_cell(g.cell, ins, npat)
-        out = np.empty((npat, len(self.primary_outputs)), dtype=bool)
-        for k, po in enumerate(self.primary_outputs):
-            out[:, k] = values[po]
-        return out
+        sim = BitSimulator(self)
+        pi, q = sim.pack_inputs(input_vectors, state)
+        values = sim.run(pi, q)
+        return unpack(values[sim.primary_outputs], len(input_vectors))
 
     def next_state(self, input_vectors: np.ndarray,
                    state: np.ndarray) -> np.ndarray:
-        """Flop D values after one combinational evaluation."""
-        vec = np.asarray(input_vectors, dtype=bool)
-        npat = vec.shape[0]
-        values: dict[str, np.ndarray] = {}
-        for i, net in enumerate(self.primary_inputs):
-            values[net] = vec[:, i]
-        flops = self.sequential_gates()
-        for q, g in zip(np.asarray(state, dtype=bool).T, flops):
-            values[g.output] = q
-        for g in self.topological_gates():
-            ins = [values[g.pins[p]] for p in g.cell.inputs]
-            values[g.output] = _eval_cell(g.cell, ins, npat)
-        nxt = np.empty((npat, len(flops)), dtype=bool)
-        for k, g in enumerate(flops):
-            d = values[g.pins["D"]]
-            if g.cell.is_scan:
-                se = values[g.pins["SE"]]
-                si = values[g.pins["SI"]]
-                d = np.where(se, si, d)
-            nxt[:, k] = d
-        return nxt
+        """Flop D values after one combinational evaluation (through
+        the scan mux of scan flops), shaped (patterns, num flops)."""
+        sim = BitSimulator(self)
+        pi, q = sim.pack_inputs(input_vectors, state)
+        return unpack(sim.next_state_rows(sim.run(pi, q)),
+                      len(input_vectors))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -489,18 +477,3 @@ class Netlist:
             f"{len(self.primary_inputs)} PI, {len(self.primary_outputs)} PO, "
             f"{len(self.sequential_gates())} flops)"
         )
-
-
-def _eval_cell(cell: Cell, inputs: list, npat: int) -> np.ndarray:
-    """Evaluate a combinational cell on bit-parallel input columns."""
-    if cell.function is None:
-        raise ValueError(f"cannot evaluate sequential cell {cell.name}")
-    tt = cell.function
-    # Build the minterm index per pattern, then look it up in the table.
-    idx = np.zeros(npat, dtype=np.int64)
-    for bit, col in enumerate(inputs):
-        idx |= col.astype(np.int64) << bit
-    table = np.array(
-        [bool(tt.bits >> m & 1) for m in range(1 << tt.nvars)], dtype=bool)
-    result = table[idx]
-    return result

@@ -13,9 +13,10 @@ One packed form feeds four consumers:
   insertion-order-independent SHA-256 of the design content, so two
   structurally identical netlists built in different orders share one
   cache entry without pickling either.
-* **Analysis kernels** — the incremental timing engine and the lint
-  rules build their CSR/levelized views straight from the packed
-  arrays (:meth:`comb_levels`, :func:`csr_gather`) instead of
+* **Analysis kernels** — the incremental timing engine, the lint
+  rules, the bit-parallel simulator (:mod:`repro.netlist.bitsim`) and
+  signoff power build their CSR/levelized views straight from the
+  packed arrays (:meth:`comb_levels`, :func:`csr_gather`) instead of
   re-walking gate dicts.
 * **Files** — :meth:`save`/:meth:`load` read and write the versioned
   binary ``.pnl`` format (header + raw array sections, checksummed,

@@ -6,67 +6,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.circuit import Netlist
+from repro.netlist.bitsim import BitSimulator, pack, toggle_counts
+from repro.netlist.cells import switch_energy_fj
+from repro.netlist.circuit import Netlist, left_sum
 
 
 class ActivityEstimator:
     """Estimate per-net switching activity by random simulation.
 
     ``activity`` of a net is the expected number of transitions per
-    clock cycle (toggle rate); ``static_prob`` is the probability the
-    net is 1.  Simulation-based (Monte Carlo over random input
-    vectors), which correctly captures reconvergent fanout that the
-    analytic propagation rules miss.
+    clock cycle (toggle rate).  Simulation-based (Monte Carlo over
+    random input vectors), which correctly captures reconvergent
+    fanout that the analytic propagation rules miss.
     """
 
     def __init__(self, netlist: Netlist, *, input_activity: float = 0.5,
                  patterns: int = 256, seed: int = 0):
         if not 0 <= input_activity <= 1:
             raise ValueError("input_activity must be in [0, 1]")
+        if patterns < 1:
+            raise ValueError("patterns must be at least 1")
         self.netlist = netlist
         self.input_activity = input_activity
         self.patterns = patterns
         self.seed = seed
 
     def estimate(self) -> dict:
-        """Returns net -> toggle rate in [0, 1]."""
-        nl = self.netlist
+        """Returns net -> toggle rate in [0, 1] for every primary
+        input, flop output and combinational gate output."""
+        sim = BitSimulator(self.netlist)
         rng = np.random.default_rng(self.seed)
-        n_pi = len(nl.primary_inputs)
-        flops = nl.sequential_gates()
+        n_pi = sim.primary_inputs.size
         # Two consecutive vectors per pattern pair; a net toggles when
         # its value differs between them.
         base = rng.random((self.patterns, n_pi)) < 0.5
         flip = rng.random((self.patterns, n_pi)) < self.input_activity
         after = base ^ flip
-        state = rng.random((self.patterns, len(flops))) < 0.5
+        state = rng.random((self.patterns, sim.flop_q.size)) < 0.5
 
-        values_before = self._evaluate(base, state)
-        # Sequential designs: next state from the first vector.
-        if flops:
-            nxt = nl.next_state(base, state)
-        else:
-            nxt = state
-        values_after = self._evaluate(after, nxt)
+        first = sim.run(*sim.pack_inputs(base, state))
+        # Sequential designs: the second vector sees the next state.
+        second = sim.run(pack(after), sim.next_state_rows(first))
 
-        rates = {}
-        for net in values_before:
-            toggles = np.mean(values_before[net] ^ values_after[net])
-            rates[net] = float(toggles)
-        return rates
-
-    def _evaluate(self, vec: np.ndarray, state: np.ndarray) -> dict:
-        nl = self.netlist
-        values: dict[str, np.ndarray] = {}
-        for i, net in enumerate(nl.primary_inputs):
-            values[net] = vec[:, i]
-        for q, g in zip(state.T, nl.sequential_gates()):
-            values[g.output] = q
-        from repro.netlist.circuit import _eval_cell
-        for g in nl.topological_gates():
-            ins = [values[g.pins[p]] for p in g.cell.inputs]
-            values[g.output] = _eval_cell(g.cell, ins, vec.shape[0])
-        return values
+        rows = np.concatenate((sim.primary_inputs, sim.flop_q,
+                               sim.comb_out))
+        counts = toggle_counts(first[rows], second[rows], self.patterns)
+        names = sim.net_names
+        return dict(zip([names[i] for i in rows.tolist()],
+                        (counts / self.patterns).tolist()))
 
 
 @dataclass
@@ -120,16 +107,24 @@ def power_report(netlist: Netlist, *, freq_ghz: float = 1.0,
         activities = ActivityEstimator(
             netlist, input_activity=input_activity,
             patterns=patterns, seed=seed).estimate()
-    fanout = netlist.fanout_map()
     vdd_scale = (vdd / node.vdd) ** 2
 
-    dyn_fj_per_cycle = 0.0
-    for gate in netlist.gates.values():
-        alpha = activities.get(gate.output, 0.0)
-        loads = fanout.get(gate.output, [])
-        load_ff = sum(g.cell.input_cap_ff for g, _ in loads)
-        energy = gate.cell.switch_energy_fj(node.vdd, load_ff) * vdd_scale
-        dyn_fj_per_cycle += alpha * energy
+    # Per-gate load: input caps summed per net in packed pin order (the
+    # fanout map's order), and a left-to-right total in gate order, so
+    # the sums do not depend on numpy's pairwise summation.
+    packed = netlist.to_packed()
+    gates = list(netlist.gates.values())
+    caps = np.array([g.cell.input_cap_ff for g in gates])
+    n_in = np.array([g.cell.num_inputs for g in gates])
+    alpha = np.array([activities.get(g.output, 0.0) for g in gates])
+    pin_gate = np.repeat(np.arange(len(gates)),
+                         np.diff(packed.pin_off.astype(np.int64)))
+    pin_cap = np.bincount(packed.pin_net, weights=caps[pin_gate],
+                          minlength=packed.num_nets)
+    load_ff = pin_cap[packed.gate_output]
+    energy = switch_energy_fj(caps, n_in, node.vdd, load_ff) * vdd_scale
+    dyn_fj_per_cycle = (float(np.cumsum(alpha * energy)[-1])
+                        if gates else 0.0)
 
     # fJ/cycle * GHz = uW  (1e-15 J * 1e9 /s = 1e-6 W).
     dynamic_uw = dyn_fj_per_cycle * freq_ghz
@@ -138,7 +133,7 @@ def power_report(netlist: Netlist, *, freq_ghz: float = 1.0,
     leakage_uw = netlist.leakage_nw() * (vdd / node.vdd) * 1e-3
 
     flops = netlist.sequential_gates()
-    clk_cap_ff = sum(2.0 * f.cell.input_cap_ff for f in flops)
+    clk_cap_ff = left_sum(2.0 * f.cell.input_cap_ff for f in flops)
     active = 1.0 - clock_gated_fraction
     clock_uw = clk_cap_ff * node.vdd ** 2 * vdd_scale * freq_ghz * active
 

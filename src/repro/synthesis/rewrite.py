@@ -122,6 +122,9 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
     hashing makes reuse of existing logic free.  Dead alternatives are
     swept by the final cleanup.  Cuts of different nodes often share
     a function, so each distinct truth table is factored once per call.
+    The per-node choice is local: a resynthesized cut can duplicate
+    logic that other fanouts still need, so a result larger than the
+    (cleaned) input is discarded and the input returned instead.
     """
     cuts = enumerate_cuts(aig, cut_size, per_node)
     trees: dict[TruthTable, tuple] = {}
@@ -153,7 +156,9 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
         mapping[n] = best_lit
     for lit, name in zip(aig.outputs, aig.output_names):
         new.add_output(mapping[lit_var(lit)] ^ (lit & 1), name)
-    return new.cleanup()
+    result = new.cleanup()
+    base = aig.cleanup()
+    return result if result.num_ands <= base.num_ands else base
 
 
 def refactor(aig: Aig, max_support: int = 10) -> Aig:

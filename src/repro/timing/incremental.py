@@ -26,7 +26,7 @@ to the scalar engine.
 Bit-identity is a hard invariant, not an aspiration: every arithmetic
 step mirrors the scalar engine's expression order (pin-cap sums are
 accumulated in packed pin order — the same left-to-right order as the
-scalar ``sum`` over the memoized fanout map; delays are
+scalar ``left_sum`` over the memoized fanout map; delays are
 ``intrinsic + res * load`` in that order; max/min reductions are
 exact), so ``arrival``, ``required``, and WNS match
 ``TimingAnalyzer.analyze()`` bit for bit after any edit sequence.
@@ -44,7 +44,7 @@ import heapq
 
 import numpy as np
 
-from repro.netlist.circuit import Netlist, NetlistEdit
+from repro.netlist.circuit import Netlist, NetlistEdit, left_sum
 from repro.netlist.packed import csr_gather
 from repro.timing.sta import WireModel, trace_critical
 
@@ -112,7 +112,7 @@ class _LevelGraph:
     gathers over the packed pin arrays, and pin-cap sums are
     ``np.bincount`` accumulations in packed pin order — the same
     left-to-right float addition order as the scalar engine's
-    ``sum`` over the memoized fanout map, keeping bit-identity.
+    ``left_sum`` over the memoized fanout map, keeping bit-identity.
     Cell parameters (intrinsic/res/cap/delay) still come from the live
     ``Cell`` objects so footprint swaps via ``_refresh_cells`` observe
     the same instances."""
@@ -582,7 +582,7 @@ class IncrementalTimingAnalyzer:
                     continue
                 touched_nets.add(nid)
                 net = g.net_names[nid]
-                g.pin_cap[nid] = sum(
+                g.pin_cap[nid] = left_sum(
                     ld.cell.input_cap_ff for ld, _ in fan[net])
                 if g.drv_gid[nid] >= 0:
                     dirty_gates.add(int(g.drv_gid[nid]))

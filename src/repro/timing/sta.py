@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netlist.circuit import Gate, Netlist
+from repro.netlist.circuit import Gate, Netlist, left_sum
 
 
 @dataclass
@@ -92,7 +92,7 @@ class TimingAnalyzer:
     def load_on_gate(self, gate: Gate, fanout_map: dict) -> float:
         """Capacitive load on a gate's output pin (pins + wire)."""
         loads = fanout_map.get(gate.output, [])
-        pin_cap = sum(g.cell.input_cap_ff for g, _ in loads)
+        pin_cap = left_sum(g.cell.input_cap_ff for g, _ in loads)
         return pin_cap + self.wire.net_cap_ff(gate.output, len(loads))
 
     def analyze(self) -> TimingReport:

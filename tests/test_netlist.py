@@ -1,5 +1,8 @@
 """Tests for cell libraries, netlists, generators, and hierarchy."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.netlist import (
     registered_cloud,
     ripple_carry_adder,
 )
+from repro.netlist.circuit import left_sum
 from repro.tech import get_node
 
 
@@ -203,6 +207,28 @@ class TestArithmeticGenerators:
             logic_cloud(1, 1, 10, lib28)
 
 
+class TestLeftToRightSums:
+    """QoR totals add left to right on every Python version (from 3.12
+    the builtin ``sum`` compensates float rounding)."""
+
+    TENTHS = [0.1] * 10
+    LEFT_TO_RIGHT = 0.9999999999999999
+
+    def test_left_sum_is_uncompensated(self):
+        assert left_sum(self.TENTHS) == self.LEFT_TO_RIGHT
+        assert math.fsum(self.TENTHS) == 1.0
+
+    def test_area_and_leakage(self, lib28):
+        tenth = dataclasses.replace(lib28["INV_X1_rvt"], name="INV_T",
+                                    area_um2=0.1, leak_nw=0.1)
+        nl = Netlist("tenths", lib28)
+        a = nl.add_input("a")
+        for _ in self.TENTHS:
+            nl.add_gate(tenth, [a])
+        assert nl.area_um2() == self.LEFT_TO_RIGHT
+        assert nl.leakage_nw() == self.LEFT_TO_RIGHT
+
+
 class TestCloudGenerators:
     def test_cloud_deterministic_given_seed(self, lib28):
         a = logic_cloud(8, 8, 100, lib28, seed=3)
@@ -233,6 +259,23 @@ class TestCloudGenerators:
         state = np.zeros((3, 8), dtype=bool)
         nxt = nl.next_state(vec, state)
         assert nxt.shape == (3, 8)
+
+    @pytest.mark.parametrize("vec_shape,state_shape", [
+        ((3, 4), (3, 11)),   # extra state columns
+        ((3, 6), (3, 8)),    # extra input columns
+        ((3, 4), (3, 5)),    # missing state columns
+        ((3, 4), (2, 8)),    # state for fewer patterns
+        ((4,), (1, 8)),      # not a (patterns, PIs) matrix
+    ])
+    def test_simulation_rejects_malformed_shapes(self, lib28, vec_shape,
+                                                 state_shape):
+        nl = registered_cloud(4, 8, 60, lib28, seed=1)  # 4 PIs, 8 flops
+        vec = np.zeros(vec_shape, dtype=bool)
+        state = np.zeros(state_shape, dtype=bool)
+        with pytest.raises(ValueError):
+            nl.simulate(vec, state)
+        with pytest.raises(ValueError):
+            nl.next_state(vec, state)
 
     def test_crossbar_routes_data(self, lib28):
         # With all select lines 0 every output should mirror input port 0.

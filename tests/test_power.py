@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.netlist import Netlist, build_library, registered_cloud
+from repro.netlist import build_library, registered_cloud
 from repro.netlist.generators import logic_cloud
 from repro.power import (
     ActivityEstimator,
@@ -59,6 +59,13 @@ class TestActivity:
     def test_bad_activity_rejected(self, design):
         with pytest.raises(ValueError):
             ActivityEstimator(design, input_activity=1.5)
+
+    @pytest.mark.parametrize("patterns", [0, -4])
+    def test_no_patterns_rejected(self, design, patterns):
+        with pytest.raises(ValueError):
+            ActivityEstimator(design, patterns=patterns)
+        with pytest.raises(ValueError):   # was total_uw = nan
+            power_report(design, patterns=patterns)
 
 
 class TestPowerReport:

@@ -1,12 +1,15 @@
 """Tests for the incremental timing engine, the netlist change
 journal, and the memoized netlist views."""
 
+import dataclasses
+import math
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import Netlist, build_library
+from repro.netlist.circuit import left_sum
 from repro.netlist.generators import registered_cloud
 from repro.orchestrate.telemetry import TelemetrySink, kernel_span
 from repro.tech import get_node
@@ -91,6 +94,27 @@ class TestIncrementalMatchesFull:
                 assert_matches_full(nl, inc, f"{op} at step {step}")
         finally:
             inc.close()
+
+    def test_pin_caps_add_left_to_right(self):
+        # 100 loads of 0.1 fF: the left-to-right total differs from the
+        # correctly rounded one (what Python 3.12's builtin sum gives),
+        # and the scalar engine, the refresh after a resize and the
+        # packed bincount must all add the same way.
+        caps = [0.1] * 100
+        assert left_sum(caps) != math.fsum(caps)
+        tenth = dataclasses.replace(LIB["INV_X1_rvt"], name="INV_T",
+                                    input_cap_ff=0.1)
+        nl = Netlist("tenths", LIB)
+        nl.add_gate(tenth, [nl.add_input("a")], "x")
+        loads = [nl.add_gate(tenth, ["x"]) for _ in caps]
+        for g in loads:
+            nl.add_output(g.output)
+        inc = IncrementalTimingAnalyzer(nl, WM, T)
+        inc.analyze()
+        assert_matches_full(nl, inc, "cold")
+        nl.resize_gate(loads[3].name,
+                       dataclasses.replace(tenth, name="INV_T2"))
+        assert_matches_full(nl, inc, "after resize")
 
     def test_many_resizes_then_repropagate(self):
         nl = registered_cloud(8, 12, 150, LIB, seed=5)
