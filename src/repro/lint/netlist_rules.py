@@ -14,8 +14,7 @@ subjects are often mutated behind the change journal's back — and the
 rules run vectorized over the interned int32 arrays: undriven reads,
 driver counts, load sums, cycle detection, and liveness are all numpy
 passes, with Python fallbacks only for the (rare) violating rows, so
-a full lint of a 50k-gate design stays well under a second
-(``benchmarks/bench_lint.py`` gates this).
+a full lint of a 50k-gate design stays well under a second.
 
 Rule table
 ----------

@@ -7,8 +7,9 @@ One packed form feeds four consumers:
 
 * **Caching / journaling / worker handoff** — the orchestrate codec
   (:func:`repro.orchestrate.cache.encode_value`) ships netlists as
-  ``.pnl`` bytes instead of deep pickles (smaller blobs, faster
-  encode; ``benchmarks/bench_serialize.py`` gates the ratios).
+  ``.pnl`` bytes instead of deep pickles (at least 3x smaller, which
+  ``test_netlist_blob_beats_pickle`` in ``tests/test_packed.py``
+  asserts).
 * **Cache keys** — :meth:`content_digest` is a canonical,
   insertion-order-independent SHA-256 of the design content, so two
   structurally identical netlists built in different orders share one

@@ -26,7 +26,6 @@ class SweepResult:
     wall_s: float
     jobs: int
     spans: list = field(default_factory=list)
-    cache_stats: object = None
 
     def __len__(self) -> int:
         return len(self.results)
@@ -164,5 +163,4 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
         telemetry.extend(spans)
     return SweepResult(
         results=results, wall_s=time.perf_counter() - t0, jobs=jobs,
-        spans=spans,
-        cache_stats=cache.stats if cache is not None else None)
+        spans=spans)

@@ -27,11 +27,12 @@ def kernel_span(sink: "TelemetrySink", stage: str):
     """Record one kernel execution (STA, place, route, ...) as a
     :class:`Span` in ``sink``.
 
-    The perf-regression harness (``benchmarks/bench_perf.py``) wraps
-    each timed kernel in one of these so per-kernel wall times flow
-    into the same :class:`TelemetrySink` / ``RunDatabase.log_telemetry``
-    pipeline the flow stages use — sweeps capture kernel regressions
-    for free.  Exceptions mark the span ``failed`` and re-raise.
+    The analytic placer records one per phase, the batched router one
+    per routing phase, and the maze and line-search routers
+    (``route_placement`` through ``sequential_route``) one per call,
+    so kernel wall times reach the same :class:`TelemetrySink` the
+    flow stages use.  Exceptions mark the span ``failed`` and
+    re-raise.
     """
     t0 = time.perf_counter()
     status = "ok"

@@ -11,7 +11,8 @@ journaled :meth:`~repro.netlist.Netlist.resize_gate` followed by a
 cone-limited ``update()`` instead of a whole-design re-analysis.  Pass
 ``incremental=False`` to fall back to a full scalar STA per trial (the
 pre-incremental behavior; the results are bit-identical either way,
-which ``benchmarks/bench_perf.py`` asserts).
+which ``test_sizing_engines_bit_identical`` in
+``tests/test_engines.py`` asserts).
 
 Flows select between the two through :mod:`repro.engines` — stage
 ``"sizing"``, engines ``"incremental"`` and ``"scalar"`` — via

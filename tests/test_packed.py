@@ -275,7 +275,7 @@ class TestCodec:
         packed_size = len(encode_value(nl))
         pickle_size = len(pickle.dumps(
             nl, protocol=pickle.HIGHEST_PROTOCOL))
-        assert packed_size * 2 < pickle_size
+        assert packed_size * 3 < pickle_size
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Covers the perf-tentpole acceptance claims: both engines produce legal
 placements (cells on rows, no overlaps, inside the die) over random
 circuits, seeded runs are bit-reproducible, the analytic engine's HPWL
-is no worse than 1.02x the baseline on the fixture designs, and the
-packed-input path never rehydrates an object ``Netlist``.  Also the
-star-model regression: big nets hub on their driving gate.
+is no worse than 1.02x the baseline and agrees with it on the sign of
+post-placement WNS, and the packed-input path never rehydrates an
+object ``Netlist``.  Also the star-model regression: big nets hub on
+their driving gate.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.place import (
 )
 from repro.place.timing_driven import timing_driven_place
 from repro.tech import get_node
+from repro.timing import TimingAnalyzer, WireModel
 
 LIB = build_library(get_node("28nm"))
 
@@ -199,17 +201,39 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# QoR: analytic HPWL within 2% of (usually better than) the baseline.
+# QoR: analytic HPWL within 2% of (usually better than) the baseline,
+# with a legal result and the same sign-off verdict.
+
+
+def signoff_wns(nl, placement, period_ps):
+    """Post-placement WNS with this placement's wire lengths."""
+    wm = WireModel.for_node(LIB.node, placement.net_lengths())
+    return TimingAnalyzer(nl, wm, period_ps).analyze().wns_ps
 
 
 class TestQor:
-    @pytest.mark.parametrize("seed,gates", [(1, 400), (11, 200)])
-    def test_hpwl_not_worse_than_baseline(self, seed, gates):
-        nl = logic_cloud(16, 16, gates, LIB, seed=seed, locality=0.9)
-        base = global_place(nl, seed=0)
+    @pytest.mark.parametrize("design, utilization", [
+        pytest.param(lambda: logic_cloud(16, 16, 400, LIB, seed=1,
+                                         locality=0.9), 0.7, id="1-400"),
+        pytest.param(lambda: logic_cloud(16, 16, 200, LIB, seed=11,
+                                         locality=0.9), 0.7, id="11-200"),
+        # 1,548 cells on a sparse die: 0.92x the baseline's HPWL.
+        pytest.param(lambda: registered_cloud(16, 48, 1500, LIB, seed=7),
+                     0.35, id="7-1500"),
+    ])
+    def test_hpwl_not_worse_than_baseline(self, design, utilization):
+        nl = design()
+        base = global_place(nl, seed=0, utilization=utilization)
         detailed_place(base, passes=2, seed=0)
-        new = analytic_place(nl, seed=0)
+        new = analytic_place(nl, seed=0, utilization=utilization)
         assert new.total_hpwl() <= base.total_hpwl() * 1.02
+        assert_legal(new)
+        # Both placements agree on sign-off: the sign of WNS at a clock
+        # 25% below the pre-placement critical delay.
+        period = 0.75 * TimingAnalyzer(
+            nl, WireModel.for_node(LIB.node)).analyze().critical_delay_ps
+        assert (signoff_wns(nl, new, period) >= 0) == \
+            (signoff_wns(nl, base, period) >= 0)
 
     def test_packed_hpwl_matches_object_bridge(self, cloud):
         pp = analytic_place(cloud.to_packed(), library=LIB, seed=0)

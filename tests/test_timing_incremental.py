@@ -117,19 +117,35 @@ class TestIncrementalMatchesFull:
         assert_matches_full(nl, inc, "after resize")
 
     def test_many_resizes_then_repropagate(self):
-        nl = registered_cloud(8, 12, 150, LIB, seed=5)
-        with IncrementalTimingAnalyzer(nl, WM, T) as inc:
-            inc.analyze()
-            for g in nl.combinational_gates()[::3]:
-                bigger = LIB.cells.get(
-                    g.cell.name.replace("_X1_", "_X4_"))
-                if bigger is not None:
-                    nl.resize_gate(g.name, bigger)
-            ref = TimingAnalyzer(nl, WM, T).analyze()
-            got = inc.repropagate()
-            assert got.arrival_ps == ref.arrival_ps
-            assert got.required_ps == ref.required_ps
-            assert got.wns_ps == ref.wns_ps
+        for nl in (registered_cloud(8, 12, 150, LIB, seed=5),
+                   registered_cloud(16, 48, 1500, LIB, seed=7)):
+            with IncrementalTimingAnalyzer(nl, WM, T) as inc:
+                inc.analyze()
+                assert_matches_full(nl, inc, "cold")
+                # 40 resize-and-revert pairs, each edit followed by a
+                # cone-limited update(), leave the engine bit-identical
+                # to a cold scalar analysis.
+                combs = nl.combinational_gates()
+                pairs = [(g.name, g.cell, LIB.cells[
+                    g.cell.name.replace("_X1_", "_X2_")])
+                    for g in combs[::len(combs) // 40][:40]]
+                assert len(pairs) == 40
+                for name, orig, other in pairs:
+                    nl.resize_gate(name, other)
+                    inc.update()
+                    nl.resize_gate(name, orig)
+                    inc.update()
+                assert_matches_full(nl, inc, "40 resize-and-revert")
+                for g in nl.combinational_gates()[::3]:
+                    bigger = LIB.cells.get(
+                        g.cell.name.replace("_X1_", "_X4_"))
+                    if bigger is not None:
+                        nl.resize_gate(g.name, bigger)
+                ref = TimingAnalyzer(nl, WM, T).analyze()
+                got = inc.repropagate()
+                assert got.arrival_ps == ref.arrival_ps
+                assert got.required_ps == ref.required_ps
+                assert got.wns_ps == ref.wns_ps
 
     def test_legacy_changed_gates_argument(self):
         # Cell mutated outside the journal: update(changed_gates=...)
