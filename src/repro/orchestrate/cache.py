@@ -11,9 +11,9 @@ Values travel through the *packed-design codec*
 placements are framed as columnar ``.pnl`` bytes
 (:class:`~repro.netlist.packed.PackedNetlist`) instead of deep
 pickles, and everything else falls back to a fixed-protocol pickle.
-The same codec frames
-:class:`~repro.orchestrate.resilience.RunJournal` stage blobs, so one
-encoding is the single design currency everywhere a design crosses a
+The run journal (:class:`~repro.orchestrate.resilience.RunJournal`)
+keeps its stage blobs in a :class:`ResultCache` too, so one encoding
+is the single design currency everywhere a design crosses a
 boundary.  Cache keys for design-bearing inputs use the canonical
 :meth:`~repro.netlist.packed.PackedNetlist.content_digest` rather
 than a pickle, so structurally identical netlists built in different
@@ -27,8 +27,9 @@ write, a flipped bit, or a blob copied under the wrong key is detected
 on read.  A bad entry is moved to a ``quarantine/`` sibling (kept for
 forensics) and reported as a miss, so the caller recomputes instead of
 crashing — the cache can only ever cost a recompute, never a wrong or
-aborted run.  The same sealed format protects the run journal
-(:mod:`repro.orchestrate.resilience`).
+aborted run.  Entries publish through :func:`atomic_write` (tmp,
+fsync, rename), so a killed writer leaves the old entry or the new
+one, never a torn file, and a published entry is durable.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def seal_blob(payload: bytes, key: str = "") -> bytes:
     digest = hashlib.sha256(payload).hexdigest()
     return _SEAL_MAGIC + digest.encode() + b" " + key.encode() \
         + b"\n" + payload
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` via tmp + fsync + rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def unseal_blob(data: bytes, key: str = "") -> bytes:
@@ -307,17 +323,7 @@ class ResultCache:
         self._remember(key, blob)
         self.stats.puts += 1
         if self.disk_dir:
-            # Atomic publish so concurrent sweep workers never observe
-            # a torn file.
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(seal_blob(blob, key))
-                os.replace(tmp, self.entry_path(key))
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            atomic_write(self.entry_path(key), seal_blob(blob, key))
 
     def _quarantine(self, path: Path) -> None:
         """Move a bad disk entry aside (kept for forensics) so the next

@@ -12,10 +12,10 @@ original traceback.
 
 Resilience hooks (see :mod:`repro.orchestrate.resilience`): a
 ``journal`` write-ahead-logs every completed stage so a killed process
-can resume; ``preloaded`` seeds outputs replayed from such a journal
-(spans carry ``cache="journal"``); a ``chaos`` policy deterministically
-injects stage faults and :class:`WorkerCrash` kills for
-fault-injection testing.
+can resume, and before running a stage the executor asks it to replay
+a verified checkpoint instead (spans carry ``cache="journal"``); a
+``chaos`` policy deterministically injects stage faults and
+:class:`WorkerCrash` kills for fault-injection testing.
 
 Parallelism lives one level up: :func:`repro.orchestrate.run_sweep`
 runs whole flow jobs on a process pool.
@@ -99,7 +99,7 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
     A stage that raises is recorded as ``failed`` with its exception
     on the outcome; it is not run again.  ``chaos`` (a
     :class:`~repro.orchestrate.resilience.ChaosPolicy`) may inject a
-    fault into the call and corrupt the freshly written cache entry.
+    fault into the call.
     """
     child_ctx = {k: ctx[k] for k in (*stage.deps, *stage.params)}
     t0 = time.perf_counter()
@@ -126,8 +126,6 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
                 peak_rss_kb=peak_rss_kb())
     if error is None and key is not None:
         cache.put(key, value)
-        if chaos is not None:
-            chaos.after_put(cache, key)
     return StageOutcome(stage.name, value, span, error, key=key)
 
 
@@ -142,18 +140,6 @@ class RunResult:
     failed: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
     replayed: list = field(default_factory=list)   # from a run journal
-
-
-def _journal_outcome(journal, outcome) -> None:
-    """Write-ahead-log one completed stage (best effort: an output the
-    journal cannot pickle simply re-executes on resume)."""
-    if journal is None:
-        return
-    try:
-        journal.record(outcome.name, outcome.value, key=outcome.key,
-                       wall_s=outcome.span.wall_s)
-    except Exception:   # noqa: BLE001 - journaling must not kill runs
-        pass
 
 
 def _sanitize_boundary(sanitizer, name, value, spans) -> None:
@@ -182,21 +168,28 @@ class SerialExecutor:
         self.chaos = chaos
 
     def run(self, dag, params, cache=None, sink=None, strict=True,
-            journal=None, preloaded=None, sanitizer=None) -> RunResult:
+            journal=None, sanitizer=None) -> RunResult:
         t0 = time.perf_counter()
-        # Journal replays get zero-cost ``cache="journal"`` spans, so
-        # telemetry counts exactly what a resume skipped.
-        outputs = {name: value for name, value in (preloaded or {}).items()
-                   if name in dag.stages}
-        replayed = list(outputs)
-        spans = [Span(name, 0.0, cache="journal") for name in replayed]
+        outputs: dict = {}
+        spans: list = []
         failed: list = []
         skipped: list = []
+        replayed: list = []
         degraded = False
         try:
             for stage in dag.topological_order():
-                if stage.name in outputs or stage.name in skipped:
+                if stage.name in skipped:
                     continue
+                if journal is not None:
+                    hit, value = journal.replay(stage.name)
+                    if hit:
+                        # Zero-cost ``cache="journal"`` spans, so
+                        # telemetry counts exactly what a resume skipped.
+                        outputs[stage.name] = value
+                        replayed.append(stage.name)
+                        spans.append(Span(stage.name, 0.0,
+                                          cache="journal"))
+                        continue
                 if self.chaos is not None:
                     self.chaos.pre_stage(stage.name)   # may crash
                 outcome = run_stage(stage, {**params, **outputs},
@@ -204,7 +197,15 @@ class SerialExecutor:
                 spans.append(outcome.span)
                 if outcome.error is None:
                     outputs[stage.name] = outcome.value
-                    _journal_outcome(journal, outcome)
+                    if journal is not None:
+                        # Best effort: an output the journal cannot
+                        # store re-executes on resume.
+                        try:
+                            journal.record(outcome.name, outcome.value,
+                                           key=outcome.key,
+                                           wall_s=outcome.span.wall_s)
+                        except Exception:   # noqa: BLE001
+                            pass
                     _sanitize_boundary(sanitizer, stage.name,
                                        outcome.value, spans)
                     continue
@@ -214,7 +215,7 @@ class SerialExecutor:
                     continue
                 failed.append(stage.name)
                 for name in sorted(dag.dependents(stage.name)):
-                    if name not in outputs and name not in skipped:
+                    if name not in skipped:
                         skipped.append(name)
                         spans.append(Span(name, 0.0, status="skipped"))
                 if strict:

@@ -218,8 +218,8 @@ def _pre_run_lint(dag, subject, options, mode, sink):
 def implement_dag(subject, library, options: FlowOptions | None = None,
                   *, run_db=None, cache=None, telemetry=None,
                   strict: bool = True, dag: FlowDAG | None = None,
-                  journal=None, preloaded=None, chaos=None,
-                  lint: str = "warn", sanitize: bool = False) -> FlowResult:
+                  journal=None, chaos=None, lint: str = "warn",
+                  sanitize: bool = False) -> FlowResult:
     """Run the implementation DAG and assemble a :class:`FlowResult`.
 
     The engine behind :func:`repro.orchestrate.run` (the documented
@@ -241,10 +241,10 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     span (and, under ``lint="strict"``, aborts the run).
 
     Resilience plumbing (see :mod:`repro.orchestrate.resilience`):
-    ``journal`` write-ahead-logs each completed stage, ``preloaded``
-    seeds journal-replayed outputs so only the frontier re-executes,
-    and ``chaos`` injects deterministic faults.  Each stage runs once:
-    a failed required stage fails the run.
+    ``journal`` write-ahead-logs each completed stage and replays the
+    stages it already verified, so only the frontier re-executes, and
+    ``chaos`` injects deterministic faults.  Each stage runs once: a
+    failed required stage fails the run.
 
     Engine names are validated again here (options decoded from a
     journal never ran the constructor check): an unknown one raises
@@ -274,7 +274,7 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
         dag, {"subject": subject, "library": library,
               "options": options},
         cache=cache, sink=sink, strict=strict, journal=journal,
-        preloaded=preloaded, sanitizer=sanitizer)
+        sanitizer=sanitizer)
 
     result = FlowResult.from_run(
         run, options,

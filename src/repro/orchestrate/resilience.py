@@ -9,10 +9,10 @@ that dies (a strict stage failure leaves its journal unfinished) is
 finished by :func:`resume_run`.  Three pieces deliver that:
 
 * :class:`RunJournal` — every completed stage is checkpointed to disk
-  (sealed pickle blob + append-only JSONL index).  Records are
-  published blob-first, index-second, each fsynced, so a kill at any
-  byte boundary leaves a prefix of verifiable records and never a torn
-  one.
+  (sealed blob in a per-run result store + append-only JSONL index).
+  Records are published blob-first, index-second, each fsynced, so a
+  kill at any byte boundary leaves a prefix of verifiable records and
+  never a torn one.
 * :func:`run` / :func:`resume_run` — the one documented flow API.
   ``run(subject, library, options, journal_root=...)`` journals as it
   goes; after a crash, ``resume_run(run_id, journal_root=...)``
@@ -21,9 +21,8 @@ finished by :func:`resume_run`.  Three pieces deliver that:
   metrics are bit-identical to an uninterrupted run's (the chaos soak
   in ``tests/test_resilience.py`` enforces this).
 * :class:`ChaosPolicy` — seeded, stateless fault injection: stage
-  exceptions, worker crashes (:class:`WorkerCrash`), and cache-entry
-  corruption, each decided by a hash of ``(seed, event, stage)`` so a
-  scenario replays exactly.
+  exceptions and worker crashes (:class:`WorkerCrash`), each decided
+  by a hash of ``(seed, event, stage)`` so a scenario replays exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import json
 import os
 import pickle
 import random
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass
@@ -40,6 +38,8 @@ from pathlib import Path
 
 from repro.orchestrate.cache import (
     CorruptEntry,
+    ResultCache,
+    atomic_write,
     decode_value,
     encode_value,
     seal_blob,
@@ -48,6 +48,7 @@ from repro.orchestrate.cache import (
 )
 from repro.lint.registry import LintGateError
 from repro.orchestrate.executor import WorkerCrash
+from repro.orchestrate.telemetry import TelemetrySink
 
 _PICKLE_PROTOCOL = 4
 
@@ -72,17 +73,18 @@ class RunJournal:
         meta.json        run metadata + completion marker
         inputs.pkl       sealed pickle of (subject, library, options)
         journal.jsonl    one line per completed stage (the index)
-        blobs/<stage>.pkl  sealed codec blob of that stage's output
-                           (designs as columnar ``.pnl`` bytes)
-        quarantine/      corrupted blobs moved aside on detection
+        blobs/<stage>.pkl  ``store``, a ResultCache keyed by stage
+                           name: sealed codec blob of that stage's
+                           output (designs as columnar ``.pnl`` bytes)
+        blobs/quarantine/  corrupted blobs moved aside on detection
 
     Crash safety: :meth:`record` publishes the blob atomically
-    (tmp + rename + fsync) *before* appending its index line (also
+    (tmp + fsync + rename) *before* appending its index line (also
     fsynced).  The index is the source of truth — a blob without an
     index line (kill between the two writes) is simply ignored, and an
-    index line whose blob fails verification is quarantined and
-    dropped.  Either way the stage re-executes on resume; it can never
-    be replayed from bad bytes.
+    index line whose blob fails verification is quarantined by the
+    store and reported as a miss.  Either way the stage re-executes on
+    resume; it can never be replayed from bad bytes.
     """
 
     #: v2: the subject is always journaled as a codec frame.
@@ -97,6 +99,9 @@ class RunJournal:
         self.meta_path = self.dir / "meta.json"
         self.index_path = self.dir / "journal.jsonl"
         self.inputs_path = self.dir / "inputs.pkl"
+        self.store = ResultCache(max_memory_entries=1,
+                                 disk_dir=self.blob_dir)
+        self._journaled: frozenset = frozenset()
 
     # -- creation / discovery ------------------------------------------
 
@@ -108,13 +113,12 @@ class RunJournal:
         if journal.meta_path.exists():
             raise JournalError(f"run {run_id!r} already journaled "
                                f"under {journal.root}")
-        journal.blob_dir.mkdir(parents=True, exist_ok=True)
         # The subject rides the packed codec like every stage blob;
         # library and options stay pickled (they are the rehydration
         # context, not design data).
         inputs = pickle.dumps((encode_value(subject), library, options),
                               protocol=_PICKLE_PROTOCOL)
-        _atomic_write(journal.inputs_path, seal_blob(inputs, "inputs"))
+        atomic_write(journal.inputs_path, seal_blob(inputs, "inputs"))
         journal._write_meta({
             "run_id": run_id,
             "schema_version": cls.SCHEMA_VERSION,
@@ -128,17 +132,15 @@ class RunJournal:
 
     @classmethod
     def open(cls, root, run_id: str) -> "RunJournal":
-        """Attach to an existing journal; raises if there is none."""
-        journal = cls(root, run_id)
-        if not journal.meta_path.exists():
+        """Attach to an existing journal and read its index (the
+        stages :meth:`replay` may return); raises if there is none."""
+        if not (Path(root) / run_id / "meta.json").exists():
             raise JournalError(
                 f"no journal for run {run_id!r} under {Path(root)}")
+        journal = cls(root, run_id)
+        journal._journaled = frozenset(
+            entry["stage"] for entry in journal.entries())
         return journal
-
-    @classmethod
-    def exists(cls, root, run_id: str) -> bool:
-        """``True`` when ``run_id`` has a journal under ``root``."""
-        return cls(root, run_id).meta_path.exists()
 
     @staticmethod
     def list_runs(root) -> list:
@@ -154,11 +156,20 @@ class RunJournal:
     # -- metadata ------------------------------------------------------
 
     def _write_meta(self, meta: dict) -> None:
-        _atomic_write(self.meta_path,
-                      json.dumps(meta, indent=1).encode())
+        atomic_write(self.meta_path, json.dumps(meta, indent=1).encode())
 
     def meta(self) -> dict:
-        return json.loads(self.meta_path.read_text())
+        """The run's metadata; :class:`JournalError` when it rotted."""
+        try:
+            meta = json.loads(self.meta_path.read_bytes())
+        except ValueError as err:    # undecodable bytes or bad JSON
+            raise JournalError(
+                f"run {self.run_id!r}: meta.json unreadable "
+                f"({err})") from err
+        if not isinstance(meta, dict):
+            raise JournalError(
+                f"run {self.run_id!r}: meta.json is not an object")
+        return meta
 
     @property
     def is_complete(self) -> bool:
@@ -177,16 +188,15 @@ class RunJournal:
                wall_s: float = 0.0) -> None:
         """Checkpoint one completed stage: blob first, index second.
 
-        Stage outputs travel the packed-design codec
+        Stage outputs go into :attr:`store` under the stage name,
+        through the packed-design codec
         (:func:`~repro.orchestrate.cache.encode_value`): a netlist or
         placement journals as columnar ``.pnl`` bytes, sharing the
         packing pass with the result cache.
         """
-        blob = encode_value(value)
-        blob_path = self.blob_dir / f"{stage}.pkl"
-        _atomic_write(blob_path, seal_blob(blob, stage))
-        line = json.dumps({"stage": stage, "key": key,
-                           "wall_s": wall_s, "blob": blob_path.name})
+        self.store.put(stage, value)
+        line = json.dumps({"stage": stage, "key": key, "wall_s": wall_s,
+                           "blob": self.store.entry_path(stage).name})
         with self.index_path.open("a") as fh:
             fh.write(line + "\n")
             fh.flush()
@@ -195,46 +205,34 @@ class RunJournal:
     def entries(self) -> list:
         """Parsed index records, last-write-wins per stage, in order.
 
-        A trailing torn line (kill mid-append) is ignored, matching the
-        blob-first publish discipline.
+        A line that is not a JSON object naming a ``stage`` — the torn
+        tail of an interrupted append, or a line that rotted on disk —
+        is ignored, so its stage re-executes on resume.
         """
         if not self.index_path.exists():
             return []
         by_stage: dict = {}
-        for line in self.index_path.read_text().splitlines():
+        for line in self.index_path.read_bytes().splitlines():
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue             # torn tail of an interrupted append
-            by_stage[entry["stage"]] = entry
+            except ValueError:       # torn, or undecodable bytes
+                continue
+            if isinstance(entry, dict) and \
+                    isinstance(entry.get("stage"), str):
+                by_stage[entry["stage"]] = entry
         return list(by_stage.values())
 
-    def completed(self) -> dict:
-        """Verified stage outputs: ``{stage: value}``.
+    def replay(self, stage: str):
+        """``(True, fresh_copy)`` when ``stage`` can be replayed.
 
-        Every blob is unsealed (checksum + stage-name check) and
-        decoded; a corrupted one is quarantined and dropped, so the
-        resume re-executes that stage instead of trusting bad bytes.
-        A blob without the codec frame counts as corrupt.
+        Only a stage the index listed at :meth:`open` replays, and only
+        if its blob verifies; a blob that fails is quarantined by the
+        store and reported as ``(False, None)``, so the stage
+        re-executes instead of trusting bad bytes.
         """
-        outputs: dict = {}
-        for entry in self.entries():
-            path = self.blob_dir / entry["blob"]
-            try:
-                blob = unseal_blob(path.read_bytes(), entry["stage"])
-                outputs[entry["stage"]] = decode_value(blob)
-            except Exception:   # noqa: BLE001 - missing, corrupt, or
-                # unpicklable blob: re-execute the stage instead.
-                self._quarantine(path)
-        return outputs
-
-    def _quarantine(self, path: Path) -> None:
-        qdir = self.dir / "quarantine"
-        qdir.mkdir(exist_ok=True)
-        try:
-            os.replace(path, qdir / path.name)
-        except OSError:              # blob never made it to disk
-            pass
+        if stage not in self._journaled:
+            return False, None
+        return self.store.get(stage)
 
     def load_inputs(self):
         """``(subject, library, options)`` as journaled at create time."""
@@ -249,21 +247,6 @@ class RunJournal:
         return subject, library, options
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Publish ``data`` at ``path`` via tmp + fsync + rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def resumable_runs(journal_root) -> list:
     """Run ids under ``journal_root`` that never reached completion —
     the work list after a farm node dies."""
@@ -272,7 +255,7 @@ def resumable_runs(journal_root) -> list:
         try:
             if not RunJournal.open(journal_root, run_id).is_complete:
                 out.append(run_id)
-        except (JournalError, json.JSONDecodeError, OSError):
+        except (JournalError, OSError):
             out.append(run_id)       # unreadable meta: still resumable
     return out
 
@@ -295,7 +278,6 @@ class ChaosPolicy:
     seed: int = 0
     crash_rate: float = 0.0      # kill the whole run (WorkerCrash)
     fail_rate: float = 0.0       # raise ChaosFailure in the stage
-    corrupt_rate: float = 0.0    # flip a byte of the fresh cache entry
     crash_stages: tuple = ()
     fail_stages: tuple = ()
 
@@ -317,15 +299,6 @@ class ChaosPolicy:
         if stage in self.fail_stages or \
                 self._roll("fail", stage) < self.fail_rate:
             raise ChaosFailure(f"chaos fault in {stage!r}")
-
-    def after_put(self, cache, key: str) -> None:
-        """Called after a cache publish; may corrupt the disk entry to
-        simulate bit rot (the checksum layer must catch it later)."""
-        if self._roll("corrupt", key) >= self.corrupt_rate:
-            return
-        if getattr(cache, "disk_dir", None) is None:
-            return
-        corrupt_file(cache.entry_path(key), seed=self.seed)
 
 
 def corrupt_file(path, *, seed: int = 0) -> bool:
@@ -402,8 +375,8 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     Inputs (subject, library, options) are reloaded from the journal,
     every checkpointed stage whose blob verifies is replayed without
     re-execution (its span carries ``cache="journal"``), and only the
-    frontier — stages the crash cut short, plus anything whose blob
-    was corrupted and quarantined — actually runs.  The final metrics
+    frontier — stages the crash cut short, plus anything whose index
+    line or blob rotted — actually runs.  The final metrics
     are bit-identical to an uninterrupted run; ``result.status`` is
     ``FlowStatus.RESUMED`` when any stage was replayed.
 
@@ -422,21 +395,22 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
             f"run {run_id!r}: journal schema_version {version!r}, this "
             f"build reads {RunJournal.SCHEMA_VERSION}; cannot resume")
     subject, library, options = journal.load_inputs()
-    preloaded = journal.completed()
+    sink = telemetry if telemetry is not None else TelemetrySink()
+    n_before = len(sink.spans)
     result = implement_dag(
         subject, library, options, run_db=run_db, cache=cache,
-        telemetry=telemetry, strict=strict, dag=dag,
-        journal=journal, preloaded=preloaded, chaos=chaos,
-        lint=lint, sanitize=sanitize)
+        telemetry=sink, strict=strict, dag=dag, journal=journal,
+        chaos=chaos, lint=lint, sanitize=sanitize)
     journal.finish(result.status)
     if run_db is not None and hasattr(run_db, "log_recovery"):
         from repro.learn.rundb import RecoveryRecord
         design = result.netlist.name if result.netlist is not None \
             else "<failed>"
+        replayed = sum(s.cache == "journal"
+                       for s in sink.spans[n_before:])
         run_db.log_recovery(RecoveryRecord(
-            run_id=run_id, design=design,
-            replayed=len(preloaded),
-            executed=len(result.stage_runtimes) - len(preloaded),
+            run_id=run_id, design=design, replayed=replayed,
+            executed=len(result.stage_runtimes) - replayed,
             status=str(result.status)))
     return result
 

@@ -8,6 +8,7 @@ of which must resume to signoff metrics bit-identical to an
 uninterrupted run while re-executing only the frontier.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -105,8 +106,11 @@ class TestRunJournal:
         journal.record("a", {"v": 1}, key="k-a", wall_s=0.5)
         journal.record("b", [1, 2, 3])
         journal.record("a", {"v": 2})       # last write wins
+        assert journal.replay("a") == (False, None)   # index not read
         reopened = RunJournal.open(tmp_path, "r1")
-        assert reopened.completed() == {"a": {"v": 2}, "b": [1, 2, 3]}
+        assert reopened.replay("a") == (True, {"v": 2})
+        assert reopened.replay("b") == (True, [1, 2, 3])
+        assert reopened.replay("c") == (False, None)
         subject, library, options = reopened.load_inputs()
         assert subject == "subj" and options == FlowOptions()
 
@@ -122,26 +126,73 @@ class TestRunJournal:
     def test_torn_index_tail_ignored(self, tmp_path):
         journal = RunJournal.create(tmp_path, "r1", None, None, None)
         journal.record("a", 1)
+        journal.store.put("b", 2)              # blob published, then
         with journal.index_path.open("a") as fh:
             fh.write('{"stage": "b", "blo')   # kill mid-append
-        assert journal.completed() == {"a": 1}
+        reopened = RunJournal.open(tmp_path, "r1")
+        assert reopened.replay("a") == (True, 1)
+        assert reopened.replay("b") == (False, None)
 
     def test_blob_without_index_line_ignored(self, tmp_path):
         journal = RunJournal.create(tmp_path, "r1", None, None, None)
         journal.record("a", 1)
         # Kill between blob publish and index append: blob exists,
         # index never saw it.
-        (journal.blob_dir / "orphan.pkl").write_bytes(
-            seal_blob(pickle.dumps(2), "orphan"))
-        assert journal.completed() == {"a": 1}
+        journal.store.put("orphan", 2)
+        assert (journal.blob_dir / "orphan.pkl").exists()
+        reopened = RunJournal.open(tmp_path, "r1")
+        assert reopened.replay("a") == (True, 1)
+        assert reopened.replay("orphan") == (False, None)
 
     def test_corrupted_blob_quarantined_and_dropped(self, tmp_path):
         journal = RunJournal.create(tmp_path, "r1", None, None, None)
         journal.record("a", 1)
         journal.record("b", 2)
         corrupt_file(journal.blob_dir / "a.pkl", seed=7)
-        assert journal.completed() == {"b": 2}
-        assert (journal.dir / "quarantine" / "a.pkl").exists()
+        reopened = RunJournal.open(tmp_path, "r1")
+        assert reopened.replay("a") == (False, None)
+        assert reopened.replay("b") == (True, 2)
+        assert (journal.blob_dir / "quarantine" / "a.pkl").exists()
+
+    def test_rotted_index_lines_ignored(self, tmp_path):
+        journal = RunJournal.create(tmp_path, "r1", None, None, None)
+        for stage in ("a", "b", "c"):
+            journal.record(stage, stage * 2)
+        lines = journal.index_path.read_bytes().splitlines(keepends=True)
+        # One bit off in b's "stage" key ("s" 0x73 -> "r" 0x72), and a
+        # line of valid JSON that is not an object.
+        lines[1] = lines[1].replace(b'"stage"', b'"rtage"')
+        journal.index_path.write_bytes(b"".join(lines) + b"[1, 2]\n")
+        reopened = RunJournal.open(tmp_path, "r1")
+        assert [e["stage"] for e in reopened.entries()] == ["a", "c"]
+        assert reopened.replay("b") == (False, None)
+        assert reopened.replay("c") == (True, "cc")
+
+    def test_write_ahead_fsync_order(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def logged_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        # Every disk-tier put makes its entry durable.
+        cache = ResultCache(disk_dir=tmp_path / "cache")
+        keys = [stage_key("s", "1", {"x": i}) for i in range(3)]
+        for key in keys:
+            cache.put(key, {"qor": key})
+        assert all(cache.entry_path(key).stat().st_ino in synced
+                   for key in keys)
+        # The journal's blob is durable before its index line is.
+        journal = RunJournal.create(tmp_path / "runs", "r1", None,
+                                    None, None)
+        synced.clear()
+        journal.record("a", {"v": 1})
+        blob = (journal.blob_dir / "a.pkl").stat().st_ino
+        index = journal.index_path.stat().st_ino
+        assert blob in synced and index in synced
+        assert synced.index(blob) < synced.index(index)
 
     def test_completion_marker_and_resumable_listing(self, tmp_path):
         done = RunJournal.create(tmp_path, "done", None, None, None)
@@ -150,6 +201,15 @@ class TestRunJournal:
         assert done.is_complete
         assert done.meta()["flow_status"] == "ok"
         assert resumable_runs(tmp_path) == ["stuck"]
+
+    def test_rotted_meta_still_resumable_but_refused(self, tmp_path):
+        for run_id in ("r0", "r1", "r2"):
+            RunJournal.create(tmp_path, run_id, "subj", None,
+                              FlowOptions())
+        assert corrupt_file(tmp_path / "r1" / "meta.json", seed=0)
+        assert sorted(resumable_runs(tmp_path)) == ["r0", "r1", "r2"]
+        with pytest.raises(JournalError, match="meta.json"):
+            resume_run("r1", journal_root=tmp_path)
 
     def test_old_schema_journal_refused(self, tmp_path):
         journal = RunJournal.create(tmp_path, "old", "subj", None,
@@ -417,6 +477,31 @@ class TestResume:
         assert loaded.recovery == [rec]
         assert isinstance(loaded.recovery[0], RecoveryRecord)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotted_index_line_re_executes(self, lib, tmp_path,
+                                           clean_qor, seed):
+        with pytest.raises(WorkerCrash, match="routing"):
+            run(small_design(lib), lib, FlowOptions(**OPTS),
+                journal_root=tmp_path, run_id="rot",
+                chaos=ChaosPolicy(seed=seed, crash_stages=("routing",)))
+        journal = RunJournal.open(tmp_path, "rot")
+        journaled = {e["stage"] for e in journal.entries()}
+        assert corrupt_file(journal.index_path, seed=seed)
+        intact = set()
+        for line in journal.index_path.read_bytes().split(b"\n"):
+            try:
+                intact.add(json.loads(line)["stage"])
+            except ValueError:     # the flipped line (or two, if the
+                pass               # flip hit the newline between them)
+        assert intact < journaled
+        sink = TelemetrySink()
+        resumed = resume_run("rot", journal_root=tmp_path,
+                             telemetry=sink)
+        assert qor(resumed) == clean_qor
+        assert sorted(s.stage for s in sink.spans) == sorted(STAGE_NAMES)
+        assert {s.stage for s in sink.spans
+                if s.cache == "journal"} == intact
+
     def test_sweep_jobs_journal_individually(self, lib, tmp_path):
         sweep = run_sweep(
             [small_design(lib, seed=3), small_design(lib, seed=4)],
@@ -450,9 +535,6 @@ class _SigkillAt:
             os.kill(os.getpid(), signal.SIGKILL)
 
     def in_stage(self, stage):
-        pass
-
-    def after_put(self, cache, key):
         pass
 
 
