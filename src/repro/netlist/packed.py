@@ -101,6 +101,11 @@ def csr_gather(starts: Int64Array, counts: Int64Array) -> Int64Array:
     return out
 
 
+def _node_name(library: "CellLibrary") -> str:
+    """The technology node a library targets ("" when it has none)."""
+    return str(getattr(getattr(library, "node", None), "name", ""))
+
+
 def _names_to_blob(names: Sequence[str]) -> bytes:
     """Encode a name table as one NUL-separated UTF-8 blob.
 
@@ -268,9 +273,8 @@ class PackedNetlist:
             np.cumsum(np.asarray(counts, dtype=np.int32),
                       out=pin_off[1:])
 
-        node = getattr(getattr(nl.library, "node", None), "name", "")
         return cls(
-            name=nl.name, node=str(node),
+            name=nl.name, node=_node_name(nl.library),
             counter=int(getattr(nl, "_counter", 0)),
             net_names=tuple(net_id),
             gate_names=tuple(gates),
@@ -343,6 +347,14 @@ class PackedNetlist:
         unknown cell raises :class:`PackError` naming the offending
         gate — reconstruction never dies with a bare ``KeyError`` deep
         inside the loop.
+
+        When ``library`` has the node and cell tables this form was
+        packed against, the rebuilt netlist's ``to_packed()`` memo is
+        seeded with ``self``: the ``.pnl`` round trip is byte-stable,
+        so packing it again would reproduce ``self`` exactly.  Keying
+        or re-encoding a design that a cache hit just decoded then
+        never packs it again; the first journaled edit clears the memo
+        as usual.
         """
         from repro.netlist.circuit import Gate, Netlist
 
@@ -381,6 +393,12 @@ class PackedNetlist:
             driver.setdefault(outs[gi], gname)
         nl.primary_outputs = [net[i] for i in self.primary_outputs]
         nl._counter = self.counter
+        if _node_name(library) == self.node and \
+                [(c.name, tuple(c.inputs), bool(c.is_sequential))
+                 for c in cells] == list(zip(self.cell_names,
+                                             self.cell_pins,
+                                             self.cell_seq)):
+            nl._packed_memo = (nl._edit_version, self)
         return nl
 
     # -- canonical content identity ------------------------------------------
@@ -452,7 +470,7 @@ class PackedNetlist:
         self._digest = h.hexdigest()
         return self._digest
 
-    # -- derived analysis views ------------------------------------------------
+    # -- derived analysis views -------------------------------------------
 
     def seq_gate_mask(self) -> npt.NDArray[np.bool_]:
         """Per-gate boolean mask of sequential (flop) instances."""
@@ -496,7 +514,7 @@ class PackedNetlist:
         self._levels = (level, cyclic)
         return self._levels
 
-    # -- binary .pnl format ------------------------------------------------------
+    # -- binary .pnl format -----------------------------------------------
 
     def _sections(self) -> list[npt.NDArray[np.int32] | bytes]:
         return [_names_to_blob(self.net_names),

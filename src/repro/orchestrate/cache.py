@@ -15,11 +15,13 @@ The run journal (:class:`~repro.orchestrate.resilience.RunJournal`)
 keeps its stage blobs in a :class:`ResultCache` too, so one encoding
 is the single design currency everywhere a design crosses a
 boundary.  Cache keys for design-bearing inputs use the canonical
-:meth:`~repro.netlist.packed.PackedNetlist.content_digest` rather
-than a pickle, so structurally identical netlists built in different
-insertion orders share one entry.  Every ``get`` decodes a *fresh
-copy*, so downstream stages that mutate their inputs (scan insertion,
-detailed placement) can never corrupt a cached result.
+:meth:`~repro.netlist.packed.PackedNetlist.content_digest` (and, for
+placements, :meth:`~repro.place.placement.Placement.content_digest`)
+rather than a pickle or a per-entry walk, so structurally identical
+designs built in different insertion orders share one entry.  Every
+``get`` decodes a *fresh copy*, so downstream stages that mutate their
+inputs (scan insertion, detailed placement) can never corrupt a cached
+result.
 
 Disk entries are *sealed* (:func:`seal_blob`): a header line carries
 the SHA-256 of the payload and the entry's own key, so a truncated
@@ -178,9 +180,14 @@ def decode_value(data: bytes):
 def _design_digest(obj) -> str | None:
     """Canonical key material for design-bearing objects, or ``None``.
 
-    Uses the packed form's :meth:`content_digest` instead of a pickle,
-    plus the fresh-name counter (stages that generate names must not
-    share an entry across different construction histories).
+    Uses the object's own ``content_digest()`` instead of a pickle or
+    a field walk, plus its fresh-name counter (stages that generate
+    names must not share an entry across different construction
+    histories).  A netlist digests its packed form, and a
+    :class:`~repro.place.placement.Placement` hashes its netlist's
+    digest and counter, its dimensions and its coordinate tables as
+    columns in one SHA-256 pass, so a key costs the same few hash
+    objects at any design size.
     """
     digest = getattr(obj, "content_digest", None)
     if digest is None:
@@ -200,7 +207,7 @@ def _update(h, obj) -> None:
     Deterministic for the container/scalar types flows actually pass
     around; dicts hash as sorted (key, value) digests, sets as sorted
     element digests, design-bearing objects (anything exposing
-    ``content_digest``) as their canonical packed digest, dataclasses
+    ``content_digest``) as that canonical digest, dataclasses
     as (qualname, field dict).  Anything else falls back to a
     fixed-protocol pickle, which is stable within a process for
     identically constructed objects.

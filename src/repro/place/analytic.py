@@ -353,13 +353,22 @@ def _spring_system(prob: _Problem, die_w: float, die_h: float
 def _cg_solve(lap: Any, diag: FloatArray, b: FloatArray,
               x0: FloatArray, rtol: float = 1e-7,
               maxiter: int = 500) -> FloatArray:
-    """One warm-started CG solve of the SPD spring system."""
+    """One warm-started CG solve of the SPD spring system.
+
+    Raises :class:`RuntimeError` when CG does not converge within
+    ``maxiter`` (or breaks down) instead of returning a best effort.
+    """
     from scipy import sparse
     from scipy.sparse.linalg import cg
 
     m = sparse.diags(1.0 / diag, format="csr")
-    x, _info = cg(lap, b, x0=x0, rtol=rtol, atol=0.0,
-                  maxiter=maxiter, M=m)
+    x, info = cg(lap, b, x0=x0, rtol=rtol, atol=0.0,
+                 maxiter=maxiter, M=m)
+    if info != 0:
+        resid = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
+        raise RuntimeError(
+            f"CG did not converge: info={info}, maxiter={maxiter}, "
+            f"relative residual {resid:.3e} (rtol {rtol:g})")
     return np.asarray(x, dtype=np.float64)
 
 

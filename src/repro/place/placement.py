@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,42 @@ class Placement:
     row_height_um: float = 1.0
 
     # ------------------------------------------------------------------
+
+    def content_digest(self) -> str:
+        """Canonical SHA-256 of the placement (hex): the cache-key
+        identity of placement-bearing stage inputs.
+
+        One pass over every field: the netlist's content digest and
+        its fresh-name counter (the key hook reads a counter only from
+        the object it keys, and a placement has none), the die and row
+        dimensions as float64, then ``positions`` and
+        ``pad_positions`` as columns.  Each table hashes its names as
+        one sorted fixed-width unicode array with its dtype string (as
+        :meth:`PackedNetlist.content_digest` hashes name tables) and
+        its (x, y) pairs in that order as one float64 buffer, so the
+        digest ignores insertion order and is exact to the last bit
+        (``-0.0`` != ``0.0``).  Not memoized: a placement is mutable
+        and has no edit journal.
+        """
+        h = hashlib.sha256(b"placement-digest:1\x00")
+        nl = self.netlist
+        h.update(f"{nl.content_digest()}:{int(nl._counter)};".encode())
+        h.update(np.array([self.die_w_um, self.die_h_um,
+                           self.row_height_um], dtype=np.float64)
+                 .tobytes())
+        for points in (self.positions, self.pad_positions):
+            h.update(f"{len(points)};".encode())
+            if not points:
+                continue
+            names = np.asarray(list(points))
+            if names.dtype.kind != "U":     # object arrays hash pointers
+                raise TypeError("placed names must be strings")
+            order = np.argsort(names, kind="stable")
+            xy = np.asarray(list(points.values()), dtype=np.float64)
+            h.update(str(names.dtype).encode("ascii"))
+            h.update(np.ascontiguousarray(names[order]).tobytes())
+            h.update(np.ascontiguousarray(xy[order]).tobytes())
+        return h.hexdigest()
 
     def net_pins(self) -> dict:
         """net -> [(x, y)] of all pins on the net (driver + loads)."""

@@ -2,9 +2,12 @@
 the executor (one attempt per stage, degraded runs), sweeps, and
 telemetry."""
 
+import dataclasses
+import hashlib
 import pickle
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import FlowOptions
@@ -25,6 +28,8 @@ from repro.orchestrate import (
     stable_hash,
     stage_key,
 )
+from repro.orchestrate.cache import decode_value, encode_value
+from repro.place import Placement, analytic_place
 from repro.tech import get_node
 
 
@@ -130,6 +135,132 @@ class TestCache:
         assert cache.stats.evictions == 2
         assert not cache.get("k0")[0]
         assert cache.get("k3")[0]
+
+
+def placed_cloud(lib, gates=300, flops=16):
+    return analytic_place(registered_cloud(8, flops, gates, lib, seed=3),
+                          seed=0)
+
+
+def placement_key(placement):
+    return stage_key("dft", "1", {"placement": placement})
+
+
+def _bump(points, name, axis=0):
+    """Move one point up by one ulp along ``axis``."""
+    xy = list(points[name])
+    xy[axis] = float(np.nextafter(xy[axis], np.inf))
+    points[name] = tuple(xy)
+
+
+class TestPlacementKeys:
+    """Keys over a placement tell placements apart exactly as a walk
+    over every dataclass field would, at a cost that does not grow
+    with the design."""
+
+    def test_one_ulp_cell_move_changes_key(self, lib):
+        placement = placed_cloud(lib)
+        names = list(placement.positions)
+        base = placement_key(placement)
+        for name in (names[0], names[len(names) // 2], names[-1]):
+            for axis in (0, 1):
+                saved = placement.positions[name]
+                _bump(placement.positions, name, axis)
+                assert placement_key(placement) != base, (name, axis)
+                placement.positions[name] = saved
+        assert placement_key(placement) == base
+
+    def test_signed_zero_changes_key(self, lib):
+        placement = placed_cloud(lib)
+        name = next(iter(placement.positions))
+        placement.positions[name] = (0.0, 1.0)
+        zero = placement_key(placement)
+        placement.positions[name] = (-0.0, 1.0)
+        assert placement_key(placement) != zero
+
+    def test_every_field_changes_key(self, lib):
+        def resize_one(p):
+            gate = next(iter(p.netlist.gates.values()))
+            swap = "_hvt" if gate.cell.name.endswith("_rvt") else "_rvt"
+            p.netlist.resize_gate(gate.name, gate.cell.name[:-4] + swap)
+
+        perturb = {
+            "netlist": resize_one,
+            "die_w_um": lambda p: setattr(p, "die_w_um",
+                                          p.die_w_um + 0.5),
+            "die_h_um": lambda p: setattr(p, "die_h_um",
+                                          p.die_h_um + 0.5),
+            "positions": lambda p: _bump(p.positions,
+                                         next(iter(p.positions))),
+            "pad_positions": lambda p: _bump(
+                p.pad_positions, next(iter(p.pad_positions)), axis=1),
+            "row_height_um": lambda p: setattr(p, "row_height_um",
+                                               p.row_height_um * 2),
+        }
+        # A field added to Placement must be added here (and so to the
+        # digest) before this test passes again.
+        assert set(perturb) == {f.name for f in dataclasses.fields(
+            Placement)}
+        for name, edit in perturb.items():
+            placement = placed_cloud(lib)
+            base = placement_key(placement)
+            edit(placement)
+            assert placement_key(placement) != base, name
+
+    def test_fresh_name_counter_changes_key(self, lib):
+        placement = placed_cloud(lib)
+        base = placement_key(placement)
+        placement.netlist._counter += 1
+        assert placement_key(placement) != base
+
+    def test_insertion_order_does_not_change_key(self, lib):
+        placement = placed_cloud(lib)
+        twin = Placement(
+            netlist=placement.netlist, die_w_um=placement.die_w_um,
+            die_h_um=placement.die_h_um,
+            positions=dict(reversed(placement.positions.items())),
+            pad_positions=dict(reversed(
+                placement.pad_positions.items())),
+            row_height_um=placement.row_height_um)
+        assert list(twin.positions) != list(placement.positions)
+        assert placement_key(twin) == placement_key(placement)
+
+    def test_codec_roundtrip_keeps_key(self, lib):
+        placement = placed_cloud(lib)
+        clone = decode_value(encode_value(placement))
+        assert placement_key(clone) == placement_key(placement)
+
+    def test_empty_tables_are_keyed(self, lib):
+        nl = small_design(lib)
+        empty = Placement(netlist=nl, die_w_um=10.0, die_h_um=10.0)
+        one_pad = Placement(netlist=nl, die_w_um=10.0, die_h_um=10.0,
+                            pad_positions={"a": (0.0, 0.0)})
+        assert placement_key(empty) != placement_key(one_pad)
+
+    def test_key_cost_does_not_grow_with_the_design(self, lib,
+                                                    monkeypatch):
+        real = hashlib.sha256
+        created = []
+
+        def counting(*args, **kwargs):
+            created.append(1)
+            return real(*args, **kwargs)
+
+        small = placed_cloud(lib, 500, 16)
+        # The empty placement pins that the columnar digest, not a
+        # per-entry fallback walk, keys empty tables too.
+        designs = [Placement(netlist=small.netlist, die_w_um=10.0,
+                             die_h_um=10.0),
+                   small, placed_cloud(lib, 2000, 32)]
+        counts = []
+        for placement in designs:
+            placement_key(placement)     # memoize the netlist digest
+            monkeypatch.setattr(hashlib, "sha256", counting)
+            created.clear()
+            placement_key(placement)
+            monkeypatch.setattr(hashlib, "sha256", real)
+            counts.append(len(created))
+        assert len(set(counts)) == 1, counts
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +429,10 @@ class TestSweep:
                            jobs=1)
         parallel = run_sweep(small_design(lib), lib, options_list,
                              jobs=2)
-        as_qor = lambda r: (r.delay_ps, r.power_uw, r.hpwl_um,
-                            r.routed_wirelength, r.overflow)
+        def as_qor(r):
+            return (r.delay_ps, r.power_uw, r.hpwl_um,
+                    r.routed_wirelength, r.overflow)
+
         assert [as_qor(r) for r in serial.results] == \
                [as_qor(r) for r in parallel.results]
 

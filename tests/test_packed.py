@@ -12,7 +12,6 @@ metric-bit-identical to pickle runs.
 
 import pickle
 import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -102,6 +101,29 @@ class TestRoundTrip:
         gate = next(iter(nl.gates.values()))
         nl.resize_gate(gate.name, _vt_swap(gate.cell.name))
         assert nl.to_packed() is not first
+
+    def test_rebuilt_netlist_keeps_its_packed_form(self, lib):
+        packed = registered_cloud(8, 16, 200, lib, seed=1).to_packed()
+        back = packed.to_netlist(lib)
+        assert back.to_packed() is packed
+        # The seed is exact: packing the rebuilt netlist afresh gives
+        # the same bytes.
+        assert PackedNetlist.from_netlist(back).to_bytes() == \
+            packed.to_bytes()
+        gate = next(iter(back.gates.values()))
+        swapped = _vt_swap(gate.cell.name)
+        back.resize_gate(gate.name, swapped)
+        fresh = back.to_packed()
+        assert fresh is not packed
+        assert fresh.cell_names[fresh.gate_cell[0]] == swapped
+
+    def test_other_library_packs_afresh(self, lib):
+        packed = ripple_carry_adder(4, lib).to_packed()
+        other = build_library(get_node("7nm"),
+                              vt_flavors=("lvt", "rvt", "hvt"))
+        back = packed.to_netlist(other)
+        assert back.to_packed() is not packed
+        assert back.to_packed().node == "7nm"
 
     def test_digest_ignores_construction_history(self, lib):
         nl = ripple_carry_adder(6, lib)

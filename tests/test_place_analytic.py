@@ -147,6 +147,40 @@ class TestPoissonField:
 
 
 # ----------------------------------------------------------------------
+# The CG solve reports non-convergence instead of a best effort.
+
+
+class TestCgSolve:
+    N = 8
+
+    def _chain(self):
+        """An anchored 8-cell chain: one CG step cannot solve it."""
+        from scipy import sparse
+        n = self.N
+        main = np.full(n, 2.0)
+        main[[0, -1]] = 1.0
+        off = -np.ones(n - 1)
+        lap = sparse.diags([off, main + 0.01, off], [-1, 0, 1],
+                           format="csr")
+        b = np.zeros(n)
+        b[0] = 1.0
+        return lap, lap.diagonal(), b
+
+    def test_converged_solve_returns_the_solution(self):
+        from repro.place.analytic import _cg_solve
+        lap, diag, b = self._chain()
+        x = _cg_solve(lap, diag, b, np.zeros(self.N))
+        assert np.linalg.norm(b - lap @ x) <= 1e-7 * np.linalg.norm(b)
+
+    def test_non_convergence_raises(self):
+        from repro.place.analytic import _cg_solve
+        lap, diag, b = self._chain()
+        with pytest.raises(RuntimeError,
+                           match=r"info=1, maxiter=1, relative residual"):
+            _cg_solve(lap, diag, b, np.zeros(self.N), maxiter=1)
+
+
+# ----------------------------------------------------------------------
 # Legality of both engines, object and packed forms.
 
 
