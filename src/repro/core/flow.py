@@ -41,6 +41,44 @@ class FlowStatus(str, Enum):
         return self.value
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    return _number(value) and 0 < value < math.inf
+
+
+def _int_at_least(low: int):
+    return lambda value: (isinstance(value, int)
+                          and not isinstance(value, bool)
+                          and value >= low)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+#: ``FlowOptions`` field -> (check, what the check demands); ``era`` is
+#: checked against the synthesis recipes in :meth:`FlowOptions.validate`.
+_FIELD_CHECKS = {
+    "utilization": (lambda v: _number(v) and 0 < v <= 1,
+                    "a number in (0, 1]"),
+    "spreading_passes": (_int_at_least(1), "an int >= 1"),
+    "detailed_passes": (_int_at_least(0), "an int >= 0"),
+    "routing_layers": (_int_at_least(2), "an int >= 2 (metal layers)"),
+    "routing_iterations": (_int_at_least(1), "an int >= 1"),
+    "gcell_um": (_finite_positive, "a finite number > 0"),
+    "scan": (_is_bool, "a bool"),
+    "scan_chains": (_int_at_least(1), "an int >= 1"),
+    "layout_aware_scan": (_is_bool, "a bool"),
+    "cts": (_is_bool, "a bool"),
+    "clock_period_ps": (_finite_positive, "a finite number > 0"),
+    "freq_ghz": (_finite_positive, "a finite number > 0"),
+    "seed": (_int_at_least(0), "an int >= 0"),
+}
+
+
 @dataclass
 class FlowOptions:
     """Recipe knobs for :func:`repro.orchestrate.run`.
@@ -48,25 +86,17 @@ class FlowOptions:
     The named constructors give the two era recipes; individual knobs
     remain overridable for ablations and tuning (E8).
 
-    The ``*_engine`` fields name engines in the :mod:`repro.engines`
-    registry — one per flow stage (``synth_engine``, ``place_engine``,
-    ``cts_engine``, ``routing_engine``) plus ``sizing_engine`` for the
-    STA-hot sizing loop inside synthesis — and are validated, along
-    with the option values their knob schemas constrain, when the
-    options object is constructed, so a typo is a ``ValueError`` here
-    rather than a surprise mid-flow.  Unpickling (journal/cache
-    decode) bypasses the check, so the flow validates again before it
-    runs: an unknown name is refused, never replaced by a default.
+    :meth:`validate` checks every field when the options object is
+    constructed, so an out-of-range value is a ``ValueError`` naming
+    the field here rather than a surprise mid-flow.  Unpickling
+    (journal/cache decode) and later attribute assignment bypass that
+    check, so the flow validates again before any stage runs.
     """
 
     era: str = "2016"
-    synth_engine: str = "area"       # registry stage "synthesis"
-    sizing_engine: str = "incremental"  # registry stage "sizing"
     utilization: float = 0.4
-    place_engine: str = "analytic"   # registry stage "placement"
     spreading_passes: int = 3
     detailed_passes: int = 2
-    routing_engine: str = "batched"  # registry stage "routing"
     routing_layers: int = 6
     routing_iterations: int = 4
     gcell_um: float = 2.0
@@ -74,14 +104,22 @@ class FlowOptions:
     scan_chains: int = 1
     layout_aware_scan: bool = True
     cts: bool = False
-    cts_engine: str = "htree"        # registry stage "cts"
     clock_period_ps: float = 2000.0
     freq_ghz: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from repro.engines import validate_options
-        validate_options(self)
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field out of range."""
+        from repro.synthesis.flow import ERAS
+        if self.era not in ERAS:
+            raise ValueError(f"era={self.era!r}: must be one of {ERAS}")
+        for name, (check, doc) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name}={value!r}: must be {doc}")
 
     @staticmethod
     def basic() -> "FlowOptions":

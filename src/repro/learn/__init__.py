@@ -22,7 +22,7 @@ from repro.learn.rundb import (
     design_features,
 )
 from repro.learn.predictor import QorPredictor
-from repro.learn.tuner import KnobSpace, engine_space, tune_knobs
+from repro.learn.tuner import KnobSpace, tune_knobs
 
 __all__ = [
     "RecoveryRecord",
@@ -32,6 +32,5 @@ __all__ = [
     "design_features",
     "QorPredictor",
     "KnobSpace",
-    "engine_space",
     "tune_knobs",
 ]

@@ -1,11 +1,4 @@
-"""Knob tuning: successive halving, warm-started from the run DB.
-
-:func:`engine_space` bridges the tuner to the
-:mod:`repro.engines` registry: the engine choice of every flow stage
-becomes an ordinary categorical knob axis, so an ablation or tuning
-session enumerates "every engine of every stage" from the registry's
-one source of truth instead of a hand-maintained list.
-"""
+"""Knob tuning: successive halving, warm-started from the run DB."""
 
 from __future__ import annotations
 
@@ -46,34 +39,6 @@ class KnobSpace:
             return grid
         idx = rng.choice(len(grid), size=count, replace=False)
         return [grid[i] for i in idx]
-
-
-def engine_space(stages: tuple | list | None = None) -> KnobSpace:
-    """A :class:`KnobSpace` over the registry's engine axes.
-
-    Each axis is keyed by the :class:`~repro.core.flow.FlowOptions`
-    field that selects the stage's engine (``synth_engine``,
-    ``place_engine``, ...), with the registered engine names as
-    candidates — so ``engine_space().grid()`` entries splat straight
-    into ``FlowOptions(**knobs)``.  ``stages`` restricts the space
-    (e.g. ``("synthesis", "cts", "sizing")`` for a
-    synthesis×CTS×sizing ablation); stages without a FlowOptions
-    selector are skipped.
-    """
-    from repro.engines import axes
-    from repro.engines.registry import OPTION_ENGINE_FIELDS
-    field_of = dict(OPTION_ENGINE_FIELDS)
-    knobs = {}
-    for stage, names in axes().items():
-        if stages is not None and stage not in stages:
-            continue
-        attr = field_of.get(stage)
-        if attr is None:
-            continue
-        knobs[attr] = list(names)
-    if not knobs:
-        raise ValueError(f"no engine axes for stages {stages!r}")
-    return KnobSpace(knobs)
 
 
 @dataclass

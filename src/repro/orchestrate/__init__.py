@@ -56,8 +56,7 @@ from repro.orchestrate.resilience import (
     resume_run,
     run,
 )
-from repro.orchestrate.sweep import (SweepResult,
-                                     engine_grid_options, run_sweep)
+from repro.orchestrate.sweep import SweepResult, run_sweep
 from repro.orchestrate.telemetry import (
     RunReport,
     Span,
@@ -98,7 +97,6 @@ __all__ = [
     "resume_run",
     "run",
     "run_stage",
-    "engine_grid_options",
     "run_sweep",
     "seal_blob",
     "stable_hash",

@@ -26,7 +26,6 @@ Data-dependency notes mirrored from the legacy serial order:
 from __future__ import annotations
 
 from repro.core.flow import FlowOptions, FlowResult
-from repro.engines import validate_options
 from repro.orchestrate.dag import FlowDAG, Stage
 from repro.orchestrate.executor import SerialExecutor
 from repro.orchestrate.telemetry import Span, TelemetrySink
@@ -36,44 +35,30 @@ STAGE_NAMES = ("synthesis", "placement", "dft", "cts", "routing",
 
 
 def stage_synthesis(ctx) -> object:
-    """RTL-ish subject to mapped netlist (skipped for a netlist).
-
-    ``options.synth_engine`` (the mapper: ``area`` | ``delay`` |
-    ``trivial``) and ``options.sizing_engine`` (the STA behind the
-    sizing loop: ``incremental`` | ``scalar``) resolve through the
-    :mod:`repro.engines` registry, like every other stage, and feed
-    :class:`~repro.synthesis.flow.SynthesisFlow`, whose body never
-    branches on them.
-    """
+    """RTL-ish subject to mapped netlist (skipped for a netlist)."""
     from repro.netlist.circuit import Netlist
     from repro.synthesis.flow import SynthesisFlow
     subject = ctx["subject"]
     if isinstance(subject, Netlist):
         return subject
     options = ctx["options"]
-    flow = SynthesisFlow(
-        ctx["library"], options.era, options.clock_period_ps,
-        engine=options.synth_engine,
-        sizing_engine=options.sizing_engine)
+    flow = SynthesisFlow(ctx["library"], options.era,
+                         options.clock_period_ps)
     return flow.run(subject).netlist
 
 
 def stage_placement(ctx) -> object:
-    """Global + optional detailed placement of the mapped netlist.
+    """Analytic global + detailed placement of the mapped netlist.
 
-    ``options.place_engine`` resolves through the :mod:`repro.engines`
-    registry: ``analytic`` (the vectorized CSR-native engine) is the
-    stage default, ``quadratic`` (the original object-graph placer)
-    stays registered as the QoR baseline.  Every placement kernel
-    shares one signature, so the stage body never branches on engine
-    names.
+    ``spreading_passes`` sets the electrostatic iteration budget at 8
+    iterations per pass (the default 3 passes is the placer's own
+    default of 24), so the knob stays meaningful in the cache key.
     """
-    from repro.engines import get_engine
+    from repro.place.analytic import analytic_place
     options = ctx["options"]
-    kernel = get_engine("placement", options.place_engine).load()
-    return kernel(
+    return analytic_place(
         ctx["synthesis"], utilization=options.utilization,
-        seed=options.seed, spreading_passes=options.spreading_passes,
+        seed=options.seed, max_iterations=8 * options.spreading_passes,
         detailed_passes=options.detailed_passes)
 
 
@@ -98,38 +83,28 @@ def stage_dft(ctx) -> object:
 
 
 def stage_cts(ctx) -> object:
-    """Clock-tree synthesis over the placement (optional stage).
-
-    ``options.cts_engine`` resolves through the
-    :mod:`repro.engines` registry: ``htree`` (recursive-bisection
-    balanced tree, the default) or ``spine`` (the serpentine ablation
-    strawman).  Both kernels share the ``fn(placement) -> ClockTree``
-    signature, so the stage body never branches on engine names.
-    """
+    """Balanced clock-tree synthesis over the placement (optional
+    stage)."""
     options, placement = ctx["options"], ctx["dft"]
     if options.cts and placement.netlist.sequential_gates():
-        from repro.engines import get_engine
-        kernel = get_engine("cts", options.cts_engine).load()
-        return kernel(placement)
+        from repro.timing.cts import synthesize_clock_tree
+        return synthesize_clock_tree(placement)
     return None
 
 
 def stage_routing(ctx) -> object:
-    """Global routing over the post-DFT placement (scan-chain nets
-    are routed, as in the serial flow).
+    """Batched global routing over the post-DFT placement (scan-chain
+    nets are routed, as in the serial flow).
 
-    ``options.routing_engine`` resolves through the
-    :mod:`repro.engines` registry, like placement.  ``options.seed``
-    feeds the batched engine's deterministic tie-break jitter, which
-    is why ``seed`` is part of this stage's cache key.
+    ``options.seed`` feeds the router's deterministic tie-break
+    jitter, which is why ``seed`` is part of this stage's cache key.
     """
-    from repro.route.global_route import route_placement
+    from repro.route.batched import batched_route
     options = ctx["options"]
-    return route_placement(
-        ctx["dft"], engine=options.routing_engine,
-        layers=options.routing_layers, gcell_um=options.gcell_um,
-        max_iterations=options.routing_iterations,
-        seed=options.seed)
+    return batched_route(
+        ctx["dft"], layers=options.routing_layers,
+        gcell_um=options.gcell_um,
+        max_iterations=options.routing_iterations, seed=options.seed)
 
 
 def stage_signoff(ctx) -> dict:
@@ -160,23 +135,21 @@ def build_implement_dag() -> FlowDAG:
     dag = FlowDAG()
     dag.add(Stage("synthesis", stage_synthesis,
                   params=("subject", "library", "options"),
-                  knobs=("era", "clock_period_ps", "synth_engine",
-                         "sizing_engine")))
+                  knobs=("era", "clock_period_ps")))
     dag.add(Stage("placement", stage_placement,
                   deps=("synthesis",), params=("options",),
-                  knobs=("utilization", "place_engine",
-                         "spreading_passes", "detailed_passes",
-                         "seed")))
+                  knobs=("utilization", "spreading_passes",
+                         "detailed_passes", "seed")))
     dag.add(Stage("dft", stage_dft,
                   deps=("placement",), params=("options",),
                   knobs=("scan", "scan_chains", "layout_aware_scan")))
     dag.add(Stage("cts", stage_cts,
                   deps=("dft",), params=("options",),
-                  knobs=("cts", "cts_engine"), optional=True))
+                  knobs=("cts",), optional=True))
     dag.add(Stage("routing", stage_routing,
                   deps=("dft",), params=("options",),
-                  knobs=("routing_engine", "routing_layers",
-                         "routing_iterations", "gcell_um", "seed")))
+                  knobs=("routing_layers", "routing_iterations",
+                         "gcell_um", "seed")))
     dag.add(Stage("signoff", stage_signoff,
                   deps=("dft",),
                   params=("library", "options"),
@@ -246,17 +219,17 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     ``chaos`` injects deterministic faults.  Each stage runs once: a
     failed required stage fails the run.
 
-    Engine names are validated again here (options decoded from a
-    journal never ran the constructor check): an unknown one raises
-    :class:`~repro.engines.UnknownEngineError` before any stage runs,
-    so a run never falls back to an engine its options do not name.
+    ``options`` are validated again here, since options decoded from
+    a journal or changed after construction never ran the constructor
+    check: an out-of-range field raises ``ValueError`` before any
+    stage runs.
     """
     if lint not in LINT_MODES:
         raise ValueError(
             f"lint must be one of {LINT_MODES}, got {lint!r}")
     if options is None:
         options = FlowOptions()
-    validate_options(options)
+    options.validate()
     if dag is None:
         dag = build_implement_dag()
     sink = telemetry if telemetry is not None else TelemetrySink()
@@ -299,7 +272,7 @@ def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
     (Rossi's "information useful to the next runs").
 
     The record's knobs are every option a stage of ``dag`` reads (the
-    union of :attr:`Stage.knobs`), so it names the engines that ran.
+    union of :attr:`Stage.knobs`).
     """
     from repro.learn.rundb import RunRecord, design_features
     if result.netlist is None:      # failed run: no QoR to learn from

@@ -45,28 +45,6 @@ class SweepResult:
                 f", {len(self.degraded)} degraded)")
 
 
-def engine_grid_options(stages=None, **base):
-    """One :class:`~repro.core.flow.FlowOptions` per engine combination.
-
-    The ablation front door: enumerate the
-    :func:`repro.engines.axes` grid (optionally restricted to
-    ``stages``) and build an options object per combination, with
-    ``base`` knobs applied to every variant —
-
-        run_sweep(design, lib, engine_grid_options(
-            stages=("synthesis", "cts", "sizing"), cts=True))
-
-    sweeps every synthesis×CTS×sizing engine choice of the registry.
-    Engine names validate at construction like any other
-    ``FlowOptions``, so the grid cannot silently drift from the
-    registry.
-    """
-    from repro.core.flow import FlowOptions
-    from repro.learn.tuner import engine_space
-    return [FlowOptions(**base, **knobs)
-            for knobs in engine_space(stages).grid()]
-
-
 def _run_one(payload):
     """Worker body (module-level for pickling): run one flow job."""
     subject, library, options, cache_dir, flow_fn, job, \

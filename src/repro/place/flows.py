@@ -16,7 +16,6 @@ from repro.netlist.hierarchy import Design, flatten, implement_by_block
 from repro.place.analytic import analytic_place
 from repro.place.buffering import estimate_buffers
 from repro.place.detailed import detailed_place
-from repro.place.global_place import global_place
 from repro.place.placement import Placement
 from repro.power.analysis import power_report
 from repro.timing import TimingAnalyzer, WireModel
@@ -66,31 +65,20 @@ def _qor(placement: Placement, style: str, freq_ghz: float) -> PnrResult:
     )
 
 
-def _global(nl, engine: str, *, utilization: float, seed: int):
-    """One global pass with the selected engine (no detailed moves)."""
-    if engine == "analytic":
-        return analytic_place(nl, utilization=utilization, seed=seed,
-                              detailed_passes=0)
-    if engine != "quadratic":
-        raise ValueError(f"unknown engine {engine!r}")
-    return global_place(nl, utilization=utilization, seed=seed)
-
-
 def place_flat(design: Design, *, utilization: float = 0.7,
                freq_ghz: float = 0.5, seed: int = 0,
-               detailed_passes: int = 1,
-               engine: str = "analytic") -> PnrResult:
+               detailed_passes: int = 1) -> PnrResult:
     """Flatten and implement as a single netlist."""
     nl = flatten(design)
-    placement = _global(nl, engine, utilization=utilization, seed=seed)
+    placement = analytic_place(nl, utilization=utilization, seed=seed,
+                               detailed_passes=0)
     detailed_place(placement, passes=detailed_passes, seed=seed)
     return _qor(placement, "flat", freq_ghz)
 
 
 def place_hierarchical(design: Design, *, utilization: float = 0.7,
                        freq_ghz: float = 0.5, seed: int = 0,
-                       detailed_passes: int = 1,
-                       engine: str = "analytic") -> PnrResult:
+                       detailed_passes: int = 1) -> PnrResult:
     """Block-by-block implementation with boundary buffers.
 
     The assembled netlist (with isolation buffers) is placed with each
@@ -98,7 +86,8 @@ def place_hierarchical(design: Design, *, utilization: float = 0.7,
     flows lose the cross-block optimization freedom.
     """
     nl = implement_by_block(design)
-    placement = _global(nl, engine, utilization=utilization, seed=seed)
+    placement = analytic_place(nl, utilization=utilization, seed=seed,
+                               detailed_passes=0)
     # Partition the die into block regions and pull each block's cells
     # toward its region center (region constraint approximation).
     blocks = sorted({g.split(".")[0] for g in nl.gates if "." in g})

@@ -9,7 +9,6 @@ wirelength cost.
 from __future__ import annotations
 
 from repro.netlist.circuit import Netlist
-from repro.place.global_place import global_place
 from repro.place.placement import Placement
 from repro.timing import IncrementalTimingAnalyzer, WireModel
 
@@ -45,31 +44,19 @@ def timing_driven_place(netlist: Netlist, *,
                         clock_period_ps: float = 1000.0,
                         utilization: float = 0.4,
                         max_weight: float = 6.0,
-                        seed: int = 0,
-                        engine: str = "analytic") -> Placement:
-    """Two-pass timing-driven placement.
+                        seed: int = 0) -> Placement:
+    """Two-pass timing-driven analytic placement.
 
     Returns the second-pass placement (the first exists only to
-    measure slack).  ``engine`` selects the placer: ``analytic`` (the
-    vectorized CSR-native engine) or ``quadratic`` (the baseline).
+    measure slack).
     """
-    if engine == "analytic":
-        from repro.place.analytic import analytic_place
-
-        def _place(weights=None):
-            return analytic_place(netlist, utilization=utilization,
-                                  seed=seed, net_weights=weights)
-    elif engine == "quadratic":
-        def _place(weights=None):
-            return global_place(netlist, utilization=utilization,
-                                seed=seed, net_weights=weights)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    first = _place()
+    from repro.place.analytic import analytic_place
+    first = analytic_place(netlist, utilization=utilization, seed=seed)
     weights = slack_weights(netlist, first,
                             clock_period_ps=clock_period_ps,
                             max_weight=max_weight)
-    return _place(weights)
+    return analytic_place(netlist, utilization=utilization, seed=seed,
+                          net_weights=weights)
 
 
 def critical_path_length_um(netlist: Netlist,

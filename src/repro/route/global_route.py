@@ -2,9 +2,9 @@
 
 This module holds the *sequential* engines (maze A* and line-probe),
 the original per-net reference implementations the vectorized engine
-(:mod:`repro.route.batched`) is gated against.  The shared result
-contract lives in :mod:`repro.route.result`; engine selection goes
-through :mod:`repro.engines`.
+(:mod:`repro.route.batched`) is gated against, and
+:func:`route_placement`, which runs any of the three by name.  The
+shared result contract lives in :mod:`repro.route.result`.
 """
 
 from __future__ import annotations
@@ -150,15 +150,15 @@ def sequential_route(placement: Placement, *, layers: int = 6,
                      max_iterations: int = 4, seed: int = 0,
                      telemetry=None,
                      engine: str = "maze") -> RoutingResult:
-    """Uniform-kernel adapter over :class:`GlobalRouter`.
+    """One sequential routing run (``engine`` ``"maze"`` or
+    ``"line_search"``) through :class:`GlobalRouter`.
 
-    This is the callable the engine registry loads for the ``maze``
-    and ``line_search`` engines; it matches the routing-kernel
-    signature.  ``seed`` is accepted for signature parity — the
-    sequential engines are deterministic without it.  When a
-    ``telemetry`` sink is given the whole run is recorded as one
-    ``route_<engine>`` kernel span (the batched engine reports
-    per-phase spans instead).
+    It takes the same knobs as
+    :func:`~repro.route.batched.batched_route`; ``seed`` is accepted
+    for signature parity — the sequential engines are deterministic
+    without it.  When a ``telemetry`` sink is given the whole run is
+    recorded as one ``route_<engine>`` kernel span (the batched engine
+    reports per-phase spans instead).
     """
     del seed
     router = GlobalRouter(placement, engine=engine, layers=layers,
@@ -177,15 +177,18 @@ def route_placement(placement: Placement, *, engine: str = "maze",
                     seed: int = 0, telemetry=None) -> RoutingResult:
     """One-call global routing of a placement.
 
-    ``engine`` resolves through the :mod:`repro.engines` registry
-    (strict: a typo raises :class:`~repro.engines.UnknownEngineError`
-    naming the known engines; deprecated aliases resolve with a
-    warning).  All engines share this signature, so swapping engines
-    is a string change.
+    ``engine`` picks the router: ``"batched"``
+    (:func:`~repro.route.batched.batched_route`, the one the flow
+    runs) or a sequential reference, ``"maze"`` or ``"line_search"``
+    (:func:`sequential_route`).  Any other name raises ``ValueError``.
     """
-    from repro.engines import get_engine
-
-    kernel = get_engine("routing", engine).load()
-    return kernel(placement, layers=layers, gcell_um=gcell_um,
-                  topology=topology, max_iterations=max_iterations,
-                  seed=seed, telemetry=telemetry)
+    knobs = dict(layers=layers, gcell_um=gcell_um, topology=topology,
+                 max_iterations=max_iterations, seed=seed,
+                 telemetry=telemetry)
+    if engine == "batched":
+        from repro.route.batched import batched_route
+        return batched_route(placement, **knobs)
+    if engine not in ("maze", "line_search"):
+        raise ValueError(f"unknown routing engine {engine!r}; expected "
+                         f"'batched', 'maze' or 'line_search'")
+    return sequential_route(placement, engine=engine, **knobs)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.engines import get_engine
 from repro.netlist.aig import Aig
 from repro.netlist.cells import CellLibrary
 from repro.netlist.circuit import Netlist
@@ -57,43 +56,22 @@ class SynthesisFlow:
     library:
         Target cell library (should include lvt/rvt/hvt for era 2016).
     era:
-        "1996" (trivial mapping of swept logic), "2006" (two-level +
-        algebraic multi-level, area mapping, single drive), or "2016"
-        (full AIG optimization, delay-aware mapping, sizing, multi-Vt).
+        "1996" (2-cut mapping of swept logic, single drive), "2006"
+        (two-level + algebraic multi-level, 3-cut mapping, single
+        drive), or "2016" (full AIG optimization, 4-cut mapping over
+        the whole library, sizing, multi-Vt).  Every era maps in
+        :func:`~repro.synthesis.mapping.map_aig`'s area mode.
     clock_period_ps:
         Timing target used by sizing and Vt recovery.
-    engine:
-        Mapper engine from the :mod:`repro.engines` registry
-        (``"area"`` | ``"delay"`` | ``"trivial"``; ``None`` means the
-        stage default).  The era recipe keeps choosing the
-        optimization script, cut size, and cell filter around it; the
-        run body never branches on the name.
-    sizing_engine:
-        Sizing-loop engine from the registry (``"incremental"`` |
-        ``"scalar"``; ``None`` means the stage default).  Both produce
-        bit-identical netlists — the engine only picks the timing
-        analyzer behind each trial resize.
-
-    Engine typos raise :class:`~repro.engines.UnknownEngineError` (a
-    ``ValueError``) here in the constructor; callers replaying old
-    journals resolve retired names leniently *before* constructing the
-    flow (see :func:`repro.orchestrate.flows.stage_synthesis`).
     """
 
     def __init__(self, library: CellLibrary, era: str = "2016",
-                 clock_period_ps: float = 1000.0, *,
-                 engine: str | None = None,
-                 sizing_engine: str | None = None) -> None:
-        from repro.engines import default_engine
+                 clock_period_ps: float = 1000.0) -> None:
         if era not in ERAS:
             raise ValueError(f"era must be one of {ERAS}")
         self.library = library
         self.era = era
         self.clock_period_ps = clock_period_ps
-        self.engine = get_engine(
-            "synthesis", engine or default_engine("synthesis")).name
-        self.sizing_engine = get_engine(
-            "sizing", sizing_engine or default_engine("sizing")).name
         node = library.node
         self.wire_model = WireModel.for_node(node)
 
@@ -101,6 +79,10 @@ class SynthesisFlow:
 
     def run(self, subject: "Aig | LogicNetwork") -> SynthesisResult:
         """Synthesize an AIG or logic network to a mapped netlist."""
+        # Looked up per call so that wrappers installed on the module
+        # attributes (benchmarks/flow/tracing.py) see these kernels.
+        from repro.synthesis.mapping import map_aig
+        from repro.synthesis.sizing import size_gates
         if isinstance(subject, LogicNetwork):
             network = subject
         elif isinstance(subject, Aig):
@@ -108,17 +90,16 @@ class SynthesisFlow:
         else:
             raise TypeError("subject must be an Aig or LogicNetwork")
 
-        mapper = get_engine("synthesis", self.engine).load()
         if self.era == "1996":
             network.sweep()
             aig = network.to_aig()
-            netlist = mapper(
+            netlist = map_aig(
                 aig, self.library, cut_size=2,
                 cell_filter=_only("X1", ("rvt",)))
         elif self.era == "2006":
             network.optimize(effort="medium")
             aig = balance(network.to_aig())
-            netlist = mapper(
+            netlist = map_aig(
                 aig, self.library, cut_size=3,
                 cell_filter=_only("X1", ("rvt",)))
         else:  # 2016
@@ -127,11 +108,9 @@ class SynthesisFlow:
             # Area-mode mapping by default: the decade's gains land on
             # area, delay, and power *simultaneously* (Domic), with
             # sizing recovering speed where the clock demands it.
-            netlist = mapper(aig, self.library, cut_size=4,
-                             cell_filter=None)
-            size = get_engine("sizing", self.sizing_engine).load()
-            size(netlist, wire_model=self.wire_model,
-                 clock_period_ps=self.clock_period_ps)
+            netlist = map_aig(aig, self.library, cut_size=4)
+            size_gates(netlist, wire_model=self.wire_model,
+                       clock_period_ps=self.clock_period_ps)
             if any(c.vt_flavor == "hvt" for c in self.library):
                 assign_vt(netlist, wire_model=self.wire_model,
                           clock_period_ps=self.clock_period_ps)

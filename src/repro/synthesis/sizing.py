@@ -10,14 +10,10 @@ hottest consumers of STA in the flow.  By default they drive the
 journaled :meth:`~repro.netlist.Netlist.resize_gate` followed by a
 cone-limited ``update()`` instead of a whole-design re-analysis.  Pass
 ``incremental=False`` to fall back to a full scalar STA per trial (the
-pre-incremental behavior; the results are bit-identical either way,
-which ``test_sizing_engines_bit_identical`` in
-``tests/test_engines.py`` asserts).
-
-Flows select between the two through :mod:`repro.engines` — stage
-``"sizing"``, engines ``"incremental"`` and ``"scalar"`` — via
-``FlowOptions.sizing_engine`` rather than calling this module
-directly.
+pre-incremental behavior, kept as the reference; the results are
+bit-identical either way, which
+``test_scalar_sizing_bit_identical`` in ``tests/test_synthesis.py``
+asserts).  The flow always runs the incremental default.
 """
 
 from __future__ import annotations

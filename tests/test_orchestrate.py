@@ -400,7 +400,7 @@ class TestImplementDag:
         assert set(knobs) == {knob for stage in
                               build_implement_dag().stages.values()
                               for knob in stage.knobs}
-        assert knobs["routing_engine"] == "batched"
+        assert knobs["routing_layers"] == 6
 
     def test_run_has_no_jobs_option(self, lib):
         with pytest.raises(TypeError, match="jobs"):

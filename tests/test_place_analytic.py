@@ -301,34 +301,29 @@ class TestNoRehydration:
 
 
 # ----------------------------------------------------------------------
-# Engine knob wiring: orchestrate flows and timing-driven placement.
+# The placer behind orchestrate flows and timing-driven placement.
 
 
 class TestEngineKnob:
     def test_flow_default_engine_is_analytic(self, reg):
-        assert FlowOptions().place_engine == "analytic"
         result = run(reg, LIB, FlowOptions(utilization=0.6))
         assert result.status is FlowStatus.OK
         assert_legal(result.placement)
-
-    def test_flow_quadratic_engine_still_runs(self, reg):
-        result = run(reg, LIB, FlowOptions(utilization=0.6,
-                                           place_engine="quadratic"))
-        assert result.status is FlowStatus.OK
-        # The baseline detailed pass may overlap unequal-width swaps;
-        # rows and die bounds still hold.
-        assert_on_rows(result.placement)
+        direct = analytic_place(reg, utilization=0.6, seed=0,
+                                max_iterations=24, detailed_passes=2)
+        assert result.placement.positions == direct.positions
 
     def test_unknown_engine_rejected(self, reg):
-        with pytest.raises(Exception):
-            run(reg, LIB, FlowOptions(place_engine="annealing"),
-                strict=True)
+        from repro.place import place_flat
+        with pytest.raises(TypeError, match="place_engine"):
+            FlowOptions(place_engine="annealing")
+        with pytest.raises(TypeError, match="engine"):
+            timing_driven_place(reg, engine="quadratic")
+        with pytest.raises(TypeError, match="engine"):
+            place_flat(None, engine="quadratic")
 
-    def test_timing_driven_both_engines(self, reg):
-        for engine in ("analytic", "quadratic"):
-            pl = timing_driven_place(reg, utilization=0.5, seed=0,
-                                     engine=engine)
-            assert_legal(pl)
+    def test_timing_driven_is_legal(self, reg):
+        assert_legal(timing_driven_place(reg, utilization=0.5, seed=0))
 
     def test_net_weights_contract_weighted_nets(self, cloud):
         unweighted = analytic_place(cloud, seed=0)

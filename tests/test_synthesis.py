@@ -261,6 +261,19 @@ class TestSizingAndVt:
         report = size_gates(nl)
         assert report["after_ps"] <= report["before_ps"]
 
+    def test_scalar_sizing_bit_identical(self, lib):
+        """The full-STA-per-trial reference takes the same resize
+        decisions as the default cone-limited incremental STA."""
+        wm = WireModel.for_node(lib.node)
+        outcomes = []
+        for incremental in (True, False):
+            nl = map_aig(random_aig(8, 80, 4, seed=9), lib, mode="area")
+            report = size_gates(nl, wire_model=wm, clock_period_ps=100.0,
+                                incremental=incremental)
+            outcomes.append((nl.to_packed().content_digest(), report))
+        assert outcomes[0][1]["resized"] > 0
+        assert outcomes[0] == outcomes[1]
+
     def test_sizing_preserves_function(self, lib):
         aig = make_test_aig(seed=41)
         nl = map_aig(aig, lib, mode="area")
