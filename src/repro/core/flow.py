@@ -29,13 +29,14 @@ class FlowStatus(str, Enum):
     A ``str`` mixin keeps every existing ``result.status == "ok"``
     comparison working; ``RESUMED`` means the run completed after
     replaying a journal prefix (its metrics are bit-identical to an
-    uninterrupted ``OK`` run).
+    uninterrupted ``OK`` run).  A failed required stage raises
+    :class:`~repro.orchestrate.executor.StageError` rather than
+    returning a status.
     """
 
     OK = "ok"
     DEGRADED = "degraded"      # an optional stage failed
     RESUMED = "resumed"        # completed via journal replay
-    FAILED = "failed"          # a required stage failed (strict=False)
 
     def __str__(self) -> str:
         return self.value
@@ -154,7 +155,7 @@ class FlowResult:
     clock_tree: object = None
     status: FlowStatus = FlowStatus.OK
     run_id: str | None = None    # set when the run was journaled
-    lint: object = None          # LintReport from the pre-run gate
+    lint: object = None          # netlist LintReport; None otherwise
 
     @classmethod
     def from_run(cls, run, options: FlowOptions,
@@ -163,34 +164,31 @@ class FlowResult:
         """The canonical ``RunResult`` → ``FlowResult`` conversion.
 
         Every flow front-end (``repro.orchestrate.run``,
-        ``resume_run``) assembles its result here, so field
-        mapping, status derivation (``resumed`` when journal replays
-        contributed, priority failed > degraded > resumed > ok), and
-        failed-run defaults cannot drift between entry points.  A
-        ``failed`` run (only reachable with ``strict=False``) yields
-        NaN metrics rather than raising on missing stage outputs.
+        ``resume_run``) assembles its result here, so field mapping
+        and status derivation (``resumed`` when journal replays
+        contributed, priority degraded > resumed > ok) cannot drift
+        between entry points.
         """
         outputs = run.outputs
-        placement = outputs.get("dft")
-        netlist = placement.netlist if placement is not None else None
-        routing = outputs.get("routing")
-        signoff = outputs.get("signoff") or {}
+        placement = outputs["dft"]
+        netlist = placement.netlist
+        routing = outputs["routing"]
+        signoff = outputs["signoff"]
         status = FlowStatus(run.status)
-        if status is FlowStatus.OK and getattr(run, "replayed", None):
+        if status is FlowStatus.OK and run.replayed:
             status = FlowStatus.RESUMED
-        nan = math.nan
         return cls(
             netlist=netlist,
             placement=placement,
             routing=routing,
             options=options,
-            instances=netlist.num_instances() if netlist else 0,
-            area_um2=netlist.area_um2() if netlist else nan,
-            hpwl_um=placement.total_hpwl() if placement else nan,
-            routed_wirelength=routing.wirelength if routing else 0,
-            overflow=routing.overflow if routing else 0,
-            delay_ps=signoff.get("delay_ps", nan),
-            power_uw=signoff.get("power_uw", nan),
+            instances=netlist.num_instances(),
+            area_um2=netlist.area_um2(),
+            hpwl_um=placement.total_hpwl(),
+            routed_wirelength=routing.wirelength,
+            overflow=routing.overflow,
+            delay_ps=signoff["delay_ps"],
+            power_uw=signoff["power_uw"],
             runtime_s=run.wall_s,
             stage_runtimes=dict(stage_runtimes or {}),
             clock_tree=outputs.get("cts"),

@@ -4,7 +4,7 @@ The panel's economics are blunt: design cost and debug time, not tool
 speed, bound what gets built.  The cheapest debug hour is the one a
 static check made unnecessary — so this package gives the suite
 signoff-style lint with one rule registry and machine-readable
-reports, wired into the orchestrator as a pre-run gate:
+reports:
 
 * **Netlist lint** (:mod:`~repro.lint.netlist_rules`) — undriven and
   multi-driven nets, floating pins, dangling POs, combinational
@@ -18,13 +18,12 @@ reports, wired into the orchestrator as a pre-run gate:
   cache-soundness hazards in stage functions: wall-clock reads,
   unseeded randomness, environment reads, captured-global mutation
   (``PURE-xxx``), with inline ``# lint: waive`` support.
-* **Stage-boundary sanitizing** (:mod:`~repro.lint.sanitize`) —
-  re-run the invariant rules on every stage output so the first
-  corrupting stage is named in telemetry.
 
 Everything lands in a :class:`LintReport` (JSON / SARIF export,
-waiver files), and ``orchestrate.run(..., lint="strict")`` refuses to
-execute a flow whose report has unwaived errors.
+waiver files).  ``orchestrate.run`` lints a ``Netlist`` subject before
+any stage runs: errors become a failed ``lint`` telemetry span, the
+run proceeds, and the report is ``FlowResult.lint``.  A caller that
+wants a gate checks first: ``if not lint_netlist(design).ok: ...``.
 
 Command line::
 
@@ -44,14 +43,7 @@ from repro.lint.netlist_rules import (
     lint_netlist,
 )
 from repro.lint.purity import check_flow_purity, check_stage_purity
-from repro.lint.registry import (
-    REGISTRY,
-    LintError,
-    LintGateError,
-    Rule,
-    RuleRegistry,
-    rule,
-)
+from repro.lint.registry import REGISTRY, Rule, RuleRegistry, rule
 from repro.lint.report import (
     Finding,
     LintReport,
@@ -59,7 +51,6 @@ from repro.lint.report import (
     Waiver,
     Waivers,
 )
-from repro.lint.sanitize import StageSanitizer, find_netlists
 
 __all__ = [
     "DEFAULT_RUN_PARAMS",
@@ -67,20 +58,16 @@ __all__ = [
     "FlowLintContext",
     "INVARIANT_RULE_IDS",
     "LintConfig",
-    "LintError",
-    "LintGateError",
     "LintReport",
     "NetlistLintContext",
     "REGISTRY",
     "Rule",
     "RuleRegistry",
     "Severity",
-    "StageSanitizer",
     "Waiver",
     "Waivers",
     "check_flow_purity",
     "check_stage_purity",
-    "find_netlists",
     "lint_design",
     "lint_flow",
     "lint_netlist",

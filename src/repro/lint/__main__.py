@@ -10,7 +10,8 @@ netlist rule set::
         --waivers waivers.txt
 
 Exit status: 0 when the report is clean (no unwaived errors), 1 when
-error findings gate, 2 on usage/parse problems.
+error findings gate, 2 on usage/parse problems (including a
+``--max-findings`` below 1).
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = LintConfig(max_findings_per_rule=args.max_findings)
+    except ValueError as err:
+        parser.error(f"--max-findings: {err}")
     from repro.netlist import build_library
     from repro.netlist.io import read_verilog
     from repro.tech import get_node
@@ -66,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     waivers = Waivers.load(args.waivers) if args.waivers else None
-    config = LintConfig(max_findings_per_rule=args.max_findings)
     report: LintReport = lint_netlist(netlist, config=config,
                                       waivers=waivers)
     if args.json:

@@ -5,8 +5,9 @@ misspells a knob, or reads an undeclared ``ctx`` key fails *minutes or
 hours* into a run — or worse, silently widens/narrows its cache key
 and replays wrong results.  Every one of those is statically decidable
 from the :class:`~repro.orchestrate.dag.FlowDAG` alone, so
-:func:`lint_flow` decides them up front; the orchestrator's pre-run
-gate calls it on every ``run()``.
+:func:`lint_flow` decides them up front.  The shipped implement DAG is
+fixed code, so ``tests/test_lint.py`` lints it once rather than every
+``run()`` re-checking it.
 
 Rule table
 ----------

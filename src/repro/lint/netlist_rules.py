@@ -47,7 +47,7 @@ from repro.lint.report import LintReport, Severity, Waivers
 from repro.netlist.packed import PackedNetlist, _kahn_levels, csr_gather
 
 #: Rules that must hold for the analysis/optimization kernels to be
-#: trustworthy at all — the set the stage-boundary sanitizer re-runs.
+#: trustworthy at all.
 INVARIANT_RULE_IDS = ("NET-001", "NET-002", "NET-003", "NET-004",
                       "NET-005")
 
@@ -60,11 +60,20 @@ class LintConfig:
     multiple of its own input capacitance (a cell driving more than
     ~48x its input cap is far outside the linear-delay model's
     calibration).  ``max_fanout`` is an absolute load-count backstop.
+    ``max_findings_per_rule`` caps what one rule reports (the rest are
+    counted in ``LintReport.truncated``); below 1 an error would never
+    fail the report, so it raises ``ValueError``.
     """
 
     max_slope_ff_ratio: float = 48.0
     max_fanout: int = 256
     max_findings_per_rule: int = 50
+
+    def __post_init__(self) -> None:
+        if self.max_findings_per_rule < 1:
+            raise ValueError(
+                f"max_findings_per_rule={self.max_findings_per_rule!r}"
+                ": must be >= 1")
 
 
 class NetlistLintContext:
@@ -189,7 +198,7 @@ class NetlistLintContext:
 
 
 # ----------------------------------------------------------------------
-# Invariant rules (the sanitizer re-runs these at stage boundaries)
+# Invariant rules (INVARIANT_RULE_IDS)
 
 
 @rule("NET-001", Severity.ERROR, "undriven net", "netlist")
@@ -422,7 +431,7 @@ def lint_netlist(netlist: Any, *, config: LintConfig | None = None,
                  only: list[str] | None = None) -> LintReport:
     """Run every netlist-scope rule over a flat mapped netlist.
 
-    ``only`` restricts to specific rule ids (the sanitizer passes
+    ``only`` restricts to specific rule ids (e.g.
     :data:`INVARIANT_RULE_IDS`); ``waivers`` marks reviewed findings.
     """
     t0 = time.perf_counter()

@@ -293,16 +293,13 @@ def _location(fn: Callable[..., object], lineno: int) -> str:
 
 
 def check_stage_purity(fn: Callable[..., object], *,
-                       stage_name: str | None = None,
-                       cacheable: bool = True) -> list[Finding]:
+                       stage_name: str | None = None) -> list[Finding]:
     """Statically check one stage function for cache-soundness hazards.
 
     Returns :class:`~repro.lint.report.Finding` records (empty when the
-    function is clean).  For ``cacheable=False`` stages the hazards are
-    downgraded to info: an uncached stage cannot poison the cache, the
-    findings just document nondeterminism.  A function whose source is
-    unavailable (builtins, C extensions) yields one info finding
-    (PURE-000) rather than a false clean bill.
+    function is clean).  A function whose source is unavailable
+    (builtins, C extensions) yields one info finding (PURE-000) rather
+    than a false clean bill.
     """
     subject = stage_name or getattr(fn, "__name__", "<stage>")
     try:
@@ -352,9 +349,6 @@ def check_stage_purity(fn: Callable[..., object], *,
     for rule_id, rel_line, message in hazards:
         lineno = first_line + max(rel_line - 1, 0)
         severity = severities.get(rule_id, Severity.WARNING)
-        if not cacheable and severity is not Severity.INFO:
-            severity = Severity.INFO
-            message += " (stage is not cacheable; informational)"
         waived = False
         reason = ""
         line_waiver = waivers.get(lineno)
@@ -372,7 +366,6 @@ def check_flow_purity(dag: Any) -> LintReport:
     report = LintReport(subject="flow-purity")
     stages: Iterable[Any] = dag.stages.values()
     for stage in stages:
-        report.extend(check_stage_purity(
-            stage.fn, stage_name=stage.name,
-            cacheable=bool(stage.cacheable)))
+        report.extend(check_stage_purity(stage.fn,
+                                         stage_name=stage.name))
     return report

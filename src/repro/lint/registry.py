@@ -28,28 +28,6 @@ CheckFn = Callable[..., Iterable[Violation]]
 _F = TypeVar("_F", bound=CheckFn)
 
 
-class LintError(RuntimeError):
-    """Base class for lint subsystem failures."""
-
-
-class LintGateError(LintError):
-    """A strict lint gate refused to run a flow.
-
-    Carries the offending :class:`~repro.lint.report.LintReport` so
-    callers (and tests) can inspect exactly which rules fired where.
-    """
-
-    def __init__(self, report: LintReport) -> None:
-        self.report = report
-        heads = "; ".join(str(f) for f in report.errors[:5])
-        more = len(report.errors) - 5
-        if more > 0:
-            heads += f"; ... {more} more"
-        super().__init__(
-            f"lint gate: {len(report.errors)} error finding(s) on "
-            f"{report.subject or '<subject>'}: {heads}")
-
-
 @dataclass(frozen=True)
 class Rule:
     """One registered lint rule."""

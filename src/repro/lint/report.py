@@ -4,9 +4,10 @@ The common currency of :mod:`repro.lint`: every rule — netlist,
 hierarchy, flow, or purity — emits :class:`Finding` records that a
 :class:`LintReport` aggregates.  Reports export to JSON and a
 SARIF-style dict so CI and dashboards consume the same data the
-pre-run gate does, and a :class:`Waivers` set can mark known findings
-as reviewed without deleting the evidence (the signoff-tool idiom:
-waived violations stay in the report, they just stop gating).
+flow's pre-run lint records, and a :class:`Waivers` set can mark
+known findings as reviewed without deleting the evidence (the
+signoff-tool idiom: waived violations stay in the report, they just
+stop gating).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ REPORT_SCHEMA_VERSION = 1
 class Severity(str, Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings gate strict runs; ``WARNING`` and ``INFO`` are
-    recorded but never block.  The ``str`` mixin keeps comparisons like
-    ``finding.severity == "error"`` working.
+    Unwaived ``ERROR`` findings fail a report (``LintReport.ok``);
+    ``WARNING`` and ``INFO`` are recorded but never fail it.  The
+    ``str`` mixin keeps comparisons like ``finding.severity ==
+    "error"`` working.
     """
 
     ERROR = "error"

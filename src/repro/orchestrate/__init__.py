@@ -22,7 +22,6 @@ and meter every stage with structured spans
 """
 
 from repro.core.flow import FlowOptions, FlowResult, FlowStatus
-from repro.lint.registry import LintGateError
 from repro.lint.report import LintReport
 from repro.orchestrate.cache import (
     CacheStats,
@@ -41,11 +40,7 @@ from repro.orchestrate.executor import (
     WorkerCrash,
     run_stage,
 )
-from repro.orchestrate.flows import (
-    LINT_MODES,
-    build_implement_dag,
-    implement_dag,
-)
+from repro.orchestrate.flows import build_implement_dag
 from repro.orchestrate.resilience import (
     ChaosFailure,
     ChaosPolicy,
@@ -75,8 +70,6 @@ __all__ = [
     "FlowResult",
     "FlowStatus",
     "JournalError",
-    "LINT_MODES",
-    "LintGateError",
     "LintReport",
     "ResultCache",
     "RunJournal",
@@ -91,7 +84,6 @@ __all__ = [
     "WorkerCrash",
     "build_implement_dag",
     "corrupt_file",
-    "implement_dag",
     "peak_rss_kb",
     "resumable_runs",
     "resume_run",

@@ -34,7 +34,6 @@ class Stage:
     params: tuple = ()
     knobs: tuple = ()
     optional: bool = False      # failure degrades the run, not kills it
-    cacheable: bool = True
     version: str = "1"          # bump to invalidate cached results
 
 

@@ -6,9 +6,9 @@ the stage once, in the calling thread, and emits a telemetry span
 either way.  Stages are deterministic, so there is no retry: running a
 failed stage again would fail the same way.  A failed *optional* stage
 (e.g. CTS) marks the run ``degraded`` and its output ``None``; a
-failed required stage kills its transitive dependents and — under
-``strict`` — raises :class:`StageError` so single-run callers see the
-original traceback.
+failed required stage marks its transitive dependents skipped and
+raises :class:`StageError`, so the caller sees the original traceback
+and a journaled run stays resumable.
 
 Resilience hooks (see :mod:`repro.orchestrate.resilience`): a
 ``journal`` write-ahead-logs every completed stage so a killed process
@@ -90,7 +90,7 @@ class StageOutcome:
     value: object
     span: Span
     error: Exception | None = None
-    key: str | None = None       # content-hash key, when cacheable
+    key: str | None = None       # content-hash key, with a cache
 
 
 def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
@@ -104,7 +104,7 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
     child_ctx = {k: ctx[k] for k in (*stage.deps, *stage.params)}
     t0 = time.perf_counter()
     key = None
-    if cache is not None and stage.cacheable:
+    if cache is not None:
         key = stage_key(stage.name, stage.version,
                         cache_inputs(stage, ctx))
         hit, value = cache.get(key)
@@ -134,31 +134,10 @@ class RunResult:
     """Outcome of executing a whole DAG once."""
 
     outputs: dict
-    status: str                      # ok | degraded | failed
+    status: str                      # ok | degraded
     spans: list
     wall_s: float
-    failed: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
     replayed: list = field(default_factory=list)   # from a run journal
-
-
-def _sanitize_boundary(sanitizer, name, value, spans) -> None:
-    """Run the opt-in stage-boundary sanitizer on one completed stage.
-
-    The span (``sanitize:<stage>``) is recorded even when strict mode
-    raises, so the corrupting stage is named in telemetry either way.
-    """
-    if sanitizer is None:
-        return
-    try:
-        sanitizer.check(name, value)
-    finally:
-        report = sanitizer.reports.get(name)
-        if report is not None:
-            spans.append(Span(
-                f"sanitize:{name}", report.wall_s,
-                status="failed" if report.errors else "ok",
-                notes=tuple(str(f) for f in report.findings[:8])))
 
 
 class SerialExecutor:
@@ -167,19 +146,15 @@ class SerialExecutor:
     def __init__(self, chaos=None):
         self.chaos = chaos
 
-    def run(self, dag, params, cache=None, sink=None, strict=True,
-            journal=None, sanitizer=None) -> RunResult:
+    def run(self, dag, params, cache=None, sink=None,
+            journal=None) -> RunResult:
         t0 = time.perf_counter()
         outputs: dict = {}
         spans: list = []
-        failed: list = []
-        skipped: list = []
         replayed: list = []
         degraded = False
         try:
             for stage in dag.topological_order():
-                if stage.name in skipped:
-                    continue
                 if journal is not None:
                     hit, value = journal.replay(stage.name)
                     if hit:
@@ -206,25 +181,19 @@ class SerialExecutor:
                                            wall_s=outcome.span.wall_s)
                         except Exception:   # noqa: BLE001
                             pass
-                    _sanitize_boundary(sanitizer, stage.name,
-                                       outcome.value, spans)
                     continue
                 if stage.optional:
                     outputs[stage.name] = None
                     degraded = True
                     continue
-                failed.append(stage.name)
-                for name in sorted(dag.dependents(stage.name)):
-                    if name not in skipped:
-                        skipped.append(name)
-                        spans.append(Span(name, 0.0, status="skipped"))
-                if strict:
-                    raise StageError(stage.name,
-                                     outcome.error) from outcome.error
+                spans.extend(Span(name, 0.0, status="skipped")
+                             for name in sorted(dag.dependents(stage.name)))
+                raise StageError(stage.name,
+                                 outcome.error) from outcome.error
         finally:
             if sink is not None:
                 sink.extend(spans)
-        status = "failed" if failed else ("degraded" if degraded else "ok")
-        return RunResult(outputs=outputs, status=status, spans=spans,
-                         wall_s=time.perf_counter() - t0, failed=failed,
-                         skipped=skipped, replayed=replayed)
+        return RunResult(outputs=outputs,
+                         status="degraded" if degraded else "ok",
+                         spans=spans, wall_s=time.perf_counter() - t0,
+                         replayed=replayed)

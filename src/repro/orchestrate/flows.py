@@ -1,5 +1,6 @@
-"""The implementation flow as a DAG, and the engine behind
-:func:`repro.orchestrate.run`.
+"""The implementation flow as a DAG, and :func:`implement_dag`, the
+private engine behind :func:`repro.orchestrate.run` and
+:func:`repro.orchestrate.resume_run`.
 
 Each stage of the legacy hand-rolled flow becomes a :class:`Stage`
 node with explicit data dependencies and a narrowed cache-key domain
@@ -157,111 +158,66 @@ def build_implement_dag() -> FlowDAG:
     return dag
 
 
-#: Accepted values for the ``lint`` pre-run gate mode.
-LINT_MODES = ("off", "warn", "strict")
+def _pre_run_lint(subject, sink):
+    """Netlist lint of a ``Netlist`` subject, before any stage runs.
 
-
-def _pre_run_lint(dag, subject, options, mode, sink):
-    """The static gate: flow verification plus netlist lint.
-
-    When the gate finds *errors* it records a ``lint`` telemetry span
-    (even when the strict gate then refuses the run) whose notes carry
-    the rendered findings, so ``lint="warn"`` leaves an audit trail
-    without blocking.  Runs without errors stay span-silent: the stage
-    span stream is unchanged and the report itself
-    (``FlowResult.lint``) is the record that the gate ran —
-    warning-level findings live there.
+    Errors are recorded as a failed ``lint`` telemetry span whose notes
+    carry the rendered findings; the run proceeds either way.  Runs
+    without errors stay span-silent, and the report itself
+    (``FlowResult.lint``) is the record that lint ran.  Other subjects
+    (an AIG, a logic network) are not linted: ``None``.
     """
-    from repro.lint import LintGateError, lint_flow, lint_netlist
+    from repro.lint import lint_netlist
     from repro.netlist.circuit import Netlist
-    report = lint_flow(dag, options)
-    if isinstance(subject, Netlist):
-        report.merge(lint_netlist(subject))
-    try:
-        if mode == "strict" and report.errors:
-            raise LintGateError(report)
-    finally:
-        if report.errors:
-            sink.record(Span(
-                "lint", report.wall_s, status="failed",
-                notes=tuple(str(f) for f in report.findings[:16])))
+    if not isinstance(subject, Netlist):
+        return None
+    report = lint_netlist(subject)
+    if report.errors:
+        sink.record(Span(
+            "lint", report.wall_s, status="failed",
+            notes=tuple(str(f) for f in report.findings[:16])))
     return report
 
 
 def implement_dag(subject, library, options: FlowOptions | None = None,
                   *, run_db=None, cache=None, telemetry=None,
-                  strict: bool = True, dag: FlowDAG | None = None,
-                  journal=None, chaos=None, lint: str = "warn",
-                  sanitize: bool = False) -> FlowResult:
+                  journal=None, chaos=None) -> FlowResult:
     """Run the implementation DAG and assemble a :class:`FlowResult`.
 
-    The engine behind :func:`repro.orchestrate.run` (the documented
-    facade, which adds crash-safe journaling on top): ``cache`` (a
+    The private engine of :func:`repro.orchestrate.run` and
+    :func:`repro.orchestrate.resume_run`: ``cache`` (a
     :class:`~repro.orchestrate.cache.ResultCache`) replays unchanged
     stages, ``telemetry`` (a :class:`TelemetrySink`) collects spans,
-    and a custom ``dag`` swaps in experimental stage graphs.  Stages
-    run one at a time on :class:`SerialExecutor`; run many flows at
-    once with :func:`repro.orchestrate.run_sweep`.
-
-    Static checks (see :mod:`repro.lint`): ``lint`` gates the run on
-    pre-run findings — ``"strict"`` raises
-    :class:`~repro.lint.registry.LintGateError` on any unwaived
-    error-level finding, ``"warn"`` (the default) records findings in
-    the telemetry span and :attr:`FlowResult.lint` but proceeds, and
-    ``"off"`` skips the gate.  ``sanitize=True`` additionally re-runs
-    the netlist invariant rules at every stage boundary, so the first
-    stage that corrupts the design is named in a ``sanitize:<stage>``
-    span (and, under ``lint="strict"``, aborts the run).
-
-    Resilience plumbing (see :mod:`repro.orchestrate.resilience`):
     ``journal`` write-ahead-logs each completed stage and replays the
-    stages it already verified, so only the frontier re-executes, and
-    ``chaos`` injects deterministic faults.  Each stage runs once: a
-    failed required stage fails the run.
+    stages it already verified, and ``chaos`` injects deterministic
+    faults.  Stages run one at a time on :class:`SerialExecutor`; each
+    runs once, and a failed required stage raises
+    :class:`~repro.orchestrate.executor.StageError`.
 
     ``options`` are validated again here, since options decoded from
     a journal or changed after construction never ran the constructor
     check: an out-of-range field raises ``ValueError`` before any
     stage runs.
     """
-    if lint not in LINT_MODES:
-        raise ValueError(
-            f"lint must be one of {LINT_MODES}, got {lint!r}")
     if options is None:
         options = FlowOptions()
     options.validate()
-    if dag is None:
-        dag = build_implement_dag()
+    dag = build_implement_dag()
     sink = telemetry if telemetry is not None else TelemetrySink()
     n_before = len(sink.spans)
-    lint_report = None
-    if lint != "off":
-        lint_report = _pre_run_lint(dag, subject, options, lint, sink)
-    sanitizer = None
-    if sanitize:
-        from repro.lint import StageSanitizer
-        sanitizer = StageSanitizer(
-            mode="strict" if lint == "strict" else "warn")
-        sanitizer.baseline(subject)
+    lint_report = _pre_run_lint(subject, sink)
     run = SerialExecutor(chaos=chaos).run(
         dag, {"subject": subject, "library": library,
               "options": options},
-        cache=cache, sink=sink, strict=strict, journal=journal,
-        sanitizer=sanitizer)
+        cache=cache, sink=sink, journal=journal)
 
     result = FlowResult.from_run(
         run, options,
         stage_runtimes={s.stage: s.wall_s
                         for s in sink.spans[n_before:]
-                        if s.stage != "lint"
-                        and not s.stage.startswith("sanitize:")},
+                        if s.stage != "lint"},
         run_id=getattr(journal, "run_id", None))
     result.lint = lint_report
-    if sanitizer is not None and sanitizer.reports:
-        merged = sanitizer.merged()
-        if merged.findings:
-            result.lint = (lint_report.merge(merged)
-                           if lint_report is not None else merged)
     if run_db is not None:
         _log_run(run_db, result, dag, sink.spans[n_before:])
     return result
@@ -275,8 +231,6 @@ def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
     union of :attr:`Stage.knobs`).
     """
     from repro.learn.rundb import RunRecord, design_features
-    if result.netlist is None:      # failed run: no QoR to learn from
-        return
     options = result.options
     run_db.log(RunRecord(
         design=result.netlist.name,
@@ -292,5 +246,4 @@ def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
         },
         tags=["flow"],
     ))
-    if hasattr(run_db, "log_telemetry"):
-        run_db.log_telemetry(result.netlist.name, spans)
+    run_db.log_telemetry(result.netlist.name, spans)

@@ -5,8 +5,8 @@ This module is the production hardening the panelists' economics
 demand: an EDA farm run is hours long, and a killed worker, a failed
 stage, or a rotted cache entry must cost *one stage*, not the run.
 Recovery is by resume, not by retry: each stage runs once, and a run
-that dies (a strict stage failure leaves its journal unfinished) is
-finished by :func:`resume_run`.  Three pieces deliver that:
+that dies (a required-stage failure raises and leaves its journal
+unfinished) is finished by :func:`resume_run`.  Three pieces deliver that:
 
 * :class:`RunJournal` — every completed stage is checkpointed to disk
   (sealed blob in a per-run result store + append-only JSONL index).
@@ -46,7 +46,6 @@ from repro.orchestrate.cache import (
     stable_hash,
     unseal_blob,
 )
-from repro.lint.registry import LintGateError
 from repro.orchestrate.executor import WorkerCrash
 from repro.orchestrate.telemetry import TelemetrySink
 
@@ -320,28 +319,29 @@ def corrupt_file(path, *, seed: int = 0) -> bool:
 
 
 def run(subject, library, options=None, *, run_db=None, cache=None,
-        telemetry=None, strict: bool = True, dag=None,
-        journal_root=None, run_id: str | None = None, chaos=None,
-        lint: str = "warn", sanitize: bool = False):
+        telemetry=None, journal_root=None, run_id: str | None = None,
+        chaos=None):
     """Run the implementation flow — the single documented entry point.
 
-    The classic surface (``run_db``, ``cache``, ``telemetry``,
-    ``strict``, ``dag``) behaves exactly as on
-    :func:`~repro.orchestrate.flows.implement_dag`, which this wraps.
-    On top of it:
-
+    * ``run_db`` — a :class:`~repro.learn.rundb.RunDatabase` that
+      receives the run's QoR record and telemetry spans.
+    * ``cache`` — a :class:`~repro.orchestrate.cache.ResultCache`;
+      stages whose inputs are unchanged replay from it.
+    * ``telemetry`` — a :class:`~repro.orchestrate.telemetry.TelemetrySink`
+      collecting one span per stage.
     * ``journal_root`` — checkpoint every completed stage under
       ``journal_root/run_id`` (``run_id`` is generated when omitted;
       read it back from ``result.run_id``).  If the process dies
       mid-run, :func:`resume_run` finishes the job.
     * ``chaos`` — a :class:`ChaosPolicy` injecting deterministic
-      faults, for resilience testing.  Each stage runs once, so an
-      injected fault fails its stage (and a required stage, the run).
-    * ``lint`` — the static pre-run gate (see :mod:`repro.lint`):
-      ``"strict"`` refuses to start on any unwaived error finding,
-      ``"warn"`` (default) records findings, ``"off"`` skips.
-    * ``sanitize`` — re-check netlist invariants at every stage
-      boundary so the first corrupting stage is named in telemetry.
+      faults, for resilience testing.
+
+    Each stage runs once.  A failed required stage raises
+    :class:`~repro.orchestrate.executor.StageError` after recording a
+    ``failed`` span and one ``skipped`` span per dependent, and leaves
+    the journal resumable.  A ``Netlist`` subject is linted before any
+    stage runs (see :mod:`repro.lint`): errors become a failed ``lint``
+    span and the run proceeds; the report is ``result.lint``.
 
     Returns a :class:`~repro.core.flow.FlowResult`; its ``status`` is a
     :class:`~repro.core.flow.FlowStatus` and its ``run_id`` echoes the
@@ -353,23 +353,16 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
         run_id = run_id or _new_run_id()
         journal = RunJournal.create(journal_root, run_id, subject,
                                     library, options)
-    try:
-        result = implement_dag(
-            subject, library, options, run_db=run_db, cache=cache,
-            telemetry=telemetry, strict=strict, dag=dag,
-            journal=journal, chaos=chaos, lint=lint, sanitize=sanitize)
-    except LintGateError:
-        if journal is not None:
-            journal.finish("failed")
-        raise
+    result = implement_dag(
+        subject, library, options, run_db=run_db, cache=cache,
+        telemetry=telemetry, journal=journal, chaos=chaos)
     if journal is not None:
         journal.finish(result.status)
     return result
 
 
 def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
-               telemetry=None, strict: bool = True, dag=None,
-               chaos=None, lint: str = "warn", sanitize: bool = False):
+               telemetry=None, chaos=None):
     """Finish an interrupted journaled run.
 
     Inputs (subject, library, options) are reloaded from the journal,
@@ -399,17 +392,15 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     n_before = len(sink.spans)
     result = implement_dag(
         subject, library, options, run_db=run_db, cache=cache,
-        telemetry=sink, strict=strict, dag=dag, journal=journal,
-        chaos=chaos, lint=lint, sanitize=sanitize)
+        telemetry=sink, journal=journal, chaos=chaos)
     journal.finish(result.status)
-    if run_db is not None and hasattr(run_db, "log_recovery"):
+    if run_db is not None:
         from repro.learn.rundb import RecoveryRecord
-        design = result.netlist.name if result.netlist is not None \
-            else "<failed>"
         replayed = sum(s.cache == "journal"
                        for s in sink.spans[n_before:])
         run_db.log_recovery(RecoveryRecord(
-            run_id=run_id, design=design, replayed=replayed,
+            run_id=run_id, design=result.netlist.name,
+            replayed=replayed,
             executed=len(result.stage_runtimes) - replayed,
             status=str(result.status)))
     return result

@@ -33,10 +33,9 @@ class SweepResult:
     @property
     def degraded(self) -> list:
         """Indices of jobs that finished degraded (optional-stage
-        failure) or failed — ``resumed`` jobs count as healthy."""
+        failure) — ``resumed`` jobs count as healthy."""
         return [i for i, r in enumerate(self.results)
-                if str(getattr(r, "status", "ok"))
-                in ("degraded", "failed")]
+                if str(getattr(r, "status", "ok")) == "degraded"]
 
     def summary(self) -> str:
         per_job = self.wall_s / max(len(self.results), 1)
@@ -106,7 +105,7 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
 
     t0 = time.perf_counter()
     spans: list[Span] = []
-    if jobs <= 1:
+    if jobs <= 1 or not options_list:
         results = []
         for i, (subj, options) in enumerate(zip(subjects,
                                                 options_list)):

@@ -65,7 +65,7 @@ class Span:
     cache: str | None = None    # "hit" | "miss" | "journal" | None
     peak_rss_kb: int | None = None
     job: int | None = None      # sweep job index, when part of a sweep
-    notes: tuple = ()           # lint/sanitizer findings, rendered
+    notes: tuple = ()           # lint findings, rendered
 
     def to_dict(self) -> dict:
         payload = asdict(self)

@@ -3,9 +3,9 @@
 Covers the full static-analysis surface: the fixture sweep over every
 generator/benchmark circuit (all must be error-clean), seeded
 violations for each netlist rule, waivers and report export, flow
-static verification, the AST purity checker, the orchestrator's
-pre-run gate and stage-boundary sanitizer, and the invariant that the
-shipped implement DAG is itself lint-clean.
+static verification, the AST purity checker, the flow's pre-run
+netlist lint, and the invariant that the shipped implement DAG is
+itself lint-clean.
 """
 
 import json
@@ -14,20 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lint
 from repro.lint import (
     INVARIANT_RULE_IDS,
     LintConfig,
-    LintGateError,
     REGISTRY,
     Severity,
     Waivers,
     check_stage_purity,
-    find_netlists,
     lint_design,
     lint_flow,
     lint_netlist,
 )
-from repro.netlist import build_library
+from repro.lint.__main__ import main as lint_main
+from repro.netlist import build_library, random_aig
 from repro.netlist.benchmark_circuits import all_benchmark_circuits
 from repro.netlist.circuit import Netlist
 from repro.netlist.generators import (
@@ -40,7 +40,15 @@ from repro.netlist.generators import (
     registered_cloud,
     ripple_carry_adder,
 )
-from repro.orchestrate import FlowDAG, FlowOptions, Stage
+from repro.netlist.io import write_verilog
+from repro.orchestrate import (
+    FlowDAG,
+    FlowOptions,
+    Stage,
+    StageError,
+    TelemetrySink,
+    run,
+)
 from repro.orchestrate.flows import build_implement_dag
 from repro.tech import get_node
 
@@ -182,6 +190,22 @@ class TestNetlistRules:
         dead = [f for f in report.findings if f.rule_id == "NET-007"]
         assert len(dead) == 5
         assert report.truncated.get("NET-007", 0) >= 25
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_finding_cap_below_one_rejected(self, lib, tmp_path, cap):
+        # A cap below 1 used to truncate every error away and report a
+        # broken netlist clean (exit 0, ``"ok": true``).
+        nl = lfsr(8, lib)
+        gate = next(iter(nl.gates.values()))
+        gate.pins[next(iter(gate.pins))] = "ghost_net"   # NET-001
+        path = tmp_path / "bad.v"
+        path.write_text(write_verilog(nl))
+        assert lint_main([str(path)]) == 1
+        with pytest.raises(ValueError, match="max_findings_per_rule"):
+            LintConfig(max_findings_per_rule=cap)
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([str(path), f"--max-findings={cap}"])
+        assert exit_info.value.code == 2
 
 
 # ----------------------------------------------------------------------
@@ -399,12 +423,6 @@ class TestPurity:
         flagged = [f for f in findings if f.rule_id == "PURE-001"]
         assert flagged and all(f.waived for f in flagged)
 
-    def test_noncacheable_stage_downgrades(self):
-        from _lint_stage_samples import draws_random
-        findings = check_stage_purity(draws_random, cacheable=False)
-        assert all(f.severity is not Severity.ERROR
-                   for f in findings)
-
     def test_location_names_module_and_line(self):
         from _lint_stage_samples import draws_random
         finding = next(f for f in check_stage_purity(draws_random)
@@ -414,134 +432,44 @@ class TestPurity:
 
 
 # ----------------------------------------------------------------------
-# Orchestrator integration: the gate and the sanitizer.
-
-
-def _passthrough(ctx):
-    return ctx["subject"]
-
-
-def _corrupt_netlist(ctx):
-    netlist = ctx["synthesis"]
-    gates = list(netlist.gates.values())
-    gates[4].output = gates[2].output
-    return netlist
-
-
-def _summarize(ctx):
-    return {"gates": len(ctx["mangle"].gates)}
-
-
-def _three_stage_dag():
-    dag = FlowDAG()
-    dag.add(Stage("synthesis", _passthrough,
-                  params=("subject", "library", "options"),
-                  cacheable=False))
-    dag.add(Stage("mangle", _corrupt_netlist, deps=("synthesis",),
-                  cacheable=False))
-    dag.add(Stage("summary", _summarize, deps=("mangle",),
-                  cacheable=False))
-    return dag
+# Orchestrator integration: the pre-run netlist lint.
 
 
 class TestGateIntegration:
-    def test_strict_refuses_multi_driven_netlist(self, lib):
-        from repro.orchestrate import run
-        nl = lfsr(8, lib)
-        gates = list(nl.gates.values())
-        gates[4].output = gates[2].output
-        with pytest.raises(LintGateError) as exc:
-            run(nl, lib, FlowOptions(), lint="strict")
-        report = exc.value.report
-        assert any(f.rule_id == "NET-002" for f in report.errors)
-        assert "NET-002" in str(exc.value)
-
-    def test_strict_refuses_impure_stage(self, lib):
-        from repro.orchestrate import run
-        from _lint_stage_samples import draws_random
-        dag = FlowDAG()
-        dag.add(Stage("synthesis", draws_random,
-                      params=("subject", "library", "options")))
-        with pytest.raises(LintGateError) as exc:
-            run(lfsr(8, lib), lib, FlowOptions(), dag=dag,
-                lint="strict")
-        assert any(f.rule_id == "PURE-002"
-                   for f in exc.value.report.errors)
-
-    def test_warn_mode_runs_and_records(self, lib):
-        from repro.orchestrate import TelemetrySink, run
+    def test_lint_errors_land_in_a_failed_span(self, lib):
         nl = lfsr(8, lib)
         nl.primary_outputs.append("no_such_net")   # NET-004 error
         sink = TelemetrySink()
-        run(nl, lib, FlowOptions(), telemetry=sink, lint="warn",
-            strict=False)
-        span = next(s for s in sink.spans if s.stage == "lint")
-        assert span.status == "failed"
-        assert any("NET-004" in note for note in span.notes)
-
-    def test_off_mode_skips_gate(self, lib):
-        from repro.orchestrate import TelemetrySink, run
-        sink = TelemetrySink()
-        result = run(lfsr(8, lib), lib, FlowOptions(),
-                     telemetry=sink, lint="off")
-        assert not [s for s in sink.spans if s.stage == "lint"]
-        assert result.lint is None
+        with pytest.raises(StageError) as info:
+            run(nl, lib, FlowOptions(), telemetry=sink)
+        assert info.value.stage == "signoff"
+        first = sink.spans[0]
+        assert first.stage == "lint" and first.status == "failed"
+        assert any("NET-004" in note for note in first.notes)
 
     def test_clean_run_attaches_report(self, lib):
-        from repro.orchestrate import run
-        result = run(lfsr(8, lib), lib, FlowOptions(), lint="warn")
+        result = run(lfsr(8, lib), lib, FlowOptions())
         assert result.lint is not None and result.lint.ok
 
-    def test_invalid_mode_rejected(self, lib):
-        from repro.orchestrate import run
-        with pytest.raises(ValueError, match="lint must be"):
-            run(lfsr(8, lib), lib, FlowOptions(), lint="loud")
+    def test_run_does_not_lint_the_flow_graph(self, lib, monkeypatch):
+        # The implement DAG is fixed code, checked once by
+        # ``test_implement_dag_is_clean``, not on every run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("lint_flow called by run")
 
-    def test_sanitizer_names_corrupting_stage(self, lib):
-        from repro.orchestrate import TelemetrySink, run
-        sink = TelemetrySink()
-        run(lfsr(8, lib), lib, FlowOptions(), dag=_three_stage_dag(),
-            telemetry=sink, lint="off", sanitize=True, strict=False)
-        failed = [s for s in sink.spans
-                  if s.stage.startswith("sanitize:")
-                  and s.status == "failed"]
-        assert [s.stage for s in failed] == ["sanitize:mangle"]
-        assert any("NET-002" in note for note in failed[0].notes)
-        assert "sanitize:mangle" in sink.report().by_stage
+        monkeypatch.setattr(repro.lint, "lint_flow", refuse)
+        result = run(lfsr(8, lib), lib, FlowOptions())
+        assert result.status == "ok"
 
-    def test_sanitizer_strict_aborts_at_stage(self, lib):
-        from repro.orchestrate import run
-        with pytest.raises(LintGateError) as exc:
-            run(lfsr(8, lib), lib, FlowOptions(),
-                dag=_three_stage_dag(), lint="strict",
-                sanitize=True)
-        assert exc.value.report.subject == "sanitize:mangle"
-
-    def test_sanitizer_baseline_excludes_preexisting(self, lib):
-        from repro.orchestrate import TelemetrySink, run
+    def test_report_holds_netlist_findings_only(self, lib):
+        aig = run(random_aig(6, 40, 3, seed=1), lib, FlowOptions())
+        assert aig.lint is None
         nl = lfsr(8, lib)
-        nl.primary_outputs.append("no_such_net")   # pre-existing
-        dag = FlowDAG()
-        dag.add(Stage("synthesis", _passthrough,
-                      params=("subject", "library", "options"),
-                      cacheable=False))
-        sink = TelemetrySink()
-        run(nl, lib, FlowOptions(), dag=dag, telemetry=sink,
-            lint="off", sanitize=True, strict=False)
-        spans = [s for s in sink.spans
-                 if s.stage == "sanitize:synthesis"]
-        assert spans and spans[0].status == "ok"
-
-    def test_find_netlists_discovers_nested(self, lib):
-        nl = lfsr(4, lib)
-
-        class Bundle:
-            netlist = nl
-
-        assert [n for _, n in find_netlists(nl)] == [nl]
-        assert [n for _, n in find_netlists(Bundle())] == [nl]
-        assert [n for _, n in
-                find_netlists({"placement": Bundle()})] == [nl]
+        nl.add_gate("INV_X1_rvt", [nl.primary_inputs[0]])  # dead cone
+        result = run(nl, lib, FlowOptions())
+        assert result.lint.findings
+        assert all(f.rule_id.startswith("NET-")
+                   for f in result.lint.findings)
 
     def test_span_notes_roundtrip_jsonl(self, tmp_path):
         from repro.orchestrate import Span, TelemetrySink
@@ -594,19 +522,3 @@ class TestLintPreservation:
         assert not lint_netlist(placement.netlist,
                                 only=invariants).findings, \
             "placement broke a netlist invariant"
-
-
-# ----------------------------------------------------------------------
-# Full-flow gate on the real implement DAG stays green end to end.
-
-
-class TestFullFlowStrict:
-    def test_real_flow_under_strict_gate(self, lib):
-        from repro.orchestrate import run
-        from repro.core.flow import FlowStatus
-        result = run(ripple_carry_adder(8, lib), lib,
-                     FlowOptions(detailed_passes=0,
-                                 routing_iterations=2),
-                     lint="strict", sanitize=True)
-        assert result.status in (FlowStatus.OK, FlowStatus.DEGRADED)
-        assert result.lint is not None

@@ -22,7 +22,7 @@ from repro.orchestrate import (
     StageError,
     TelemetrySink,
     build_implement_dag,
-    implement_dag,
+    resume_run,
     run,
     run_sweep,
     stable_hash,
@@ -288,7 +288,7 @@ class TestExecutor:
 
         dag = FlowDAG().add(Stage("ctrl_c", interrupted))
         with pytest.raises(KeyboardInterrupt):
-            SerialExecutor().run(dag, {}, strict=False)
+            SerialExecutor().run(dag, {})
 
     def test_retired_retry_and_timeout_knobs_raise(self):
         for knob in ("retries", "timeout_s", "backoff_s"):
@@ -298,6 +298,16 @@ class TestExecutor:
             run(None, None, FlowOptions(), max_retries=3)
         with pytest.raises(TypeError, match="retries"):
             build_implement_dag(retries=2)
+
+    @pytest.mark.parametrize("knob",
+                             ["strict", "dag", "lint", "sanitize"])
+    def test_retired_flow_knobs_raise(self, knob, tmp_path):
+        with pytest.raises(TypeError, match=knob):
+            run(None, None, FlowOptions(), **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            resume_run("r", journal_root=tmp_path, **{knob: None})
+        with pytest.raises(TypeError, match="cacheable"):
+            Stage("s", lambda ctx: 1, cacheable=False)
 
     def test_optional_failure_degrades_and_dependents_run(self):
         dag = (FlowDAG()
@@ -317,10 +327,11 @@ class TestExecutor:
                .add(Stage("boom", lambda ctx: 1 / 0))
                .add(Stage("child", lambda ctx: 1, deps=("boom",)))
                .add(Stage("island", lambda ctx: 2)))
-        run = SerialExecutor().run(dag, {}, strict=False)
-        assert run.status == "failed"
-        assert run.failed == ["boom"] and run.skipped == ["child"]
-        assert run.outputs["island"] == 2
+        sink = TelemetrySink()
+        with pytest.raises(StageError, match="boom"):
+            SerialExecutor().run(dag, {}, sink=sink)
+        assert [(s.stage, s.status) for s in sink.spans] == \
+            [("boom", "failed"), ("child", "skipped")]
 
     def test_caching_skips_execution(self):
         calls = {"n": 0}
@@ -358,10 +369,10 @@ class TestImplementDag:
         cache = ResultCache()
         sink1, sink2 = TelemetrySink(), TelemetrySink()
         opts = FlowOptions(scan=True, cts=True)
-        first = implement_dag(small_design(lib), lib, opts,
-                              cache=cache, telemetry=sink1)
-        second = implement_dag(small_design(lib), lib, opts,
-                               cache=cache, telemetry=sink2)
+        first = run(small_design(lib), lib, opts,
+                    cache=cache, telemetry=sink1)
+        second = run(small_design(lib), lib, opts,
+                     cache=cache, telemetry=sink2)
         assert [s.cache for s in sink1.spans] == ["miss"] * 6
         assert [s.cache for s in sink2.spans] == ["hit"] * 6
         assert (first.delay_ps, first.power_uw, first.hpwl_um,
@@ -371,12 +382,10 @@ class TestImplementDag:
 
     def test_knob_change_reruns_only_downstream(self, lib):
         cache = ResultCache()
-        implement_dag(small_design(lib), lib, FlowOptions(),
-                      cache=cache)
+        run(small_design(lib), lib, FlowOptions(), cache=cache)
         sink = TelemetrySink()
-        implement_dag(small_design(lib), lib,
-                      FlowOptions(routing_iterations=2),
-                      cache=cache, telemetry=sink)
+        run(small_design(lib), lib, FlowOptions(routing_iterations=2),
+            cache=cache, telemetry=sink)
         dispositions = {s.stage: s.cache for s in sink.spans}
         assert dispositions["routing"] == "miss"
         for stage in ("synthesis", "placement", "dft", "cts",
@@ -448,6 +457,12 @@ class TestSweep:
         hits = [s for s in sink.spans if s.cache == "hit"]
         assert {s.job for s in hits} == {1}
 
+    def test_empty_sweep_returns_no_results(self, lib):
+        # ``jobs=2`` used to raise from ``multiprocessing.Pool(0)``.
+        for jobs in (1, 2):
+            sweep = run_sweep(small_design(lib), lib, [], jobs=jobs)
+            assert len(sweep) == 0
+
     def test_subject_list_must_match(self, lib):
         with pytest.raises(ValueError, match="subjects"):
             run_sweep([1, 2], lib, [FlowOptions()], flow_fn=_quick_flow)
@@ -483,8 +498,7 @@ class TestSweep:
 class TestTelemetry:
     def test_jsonl_roundtrip(self, tmp_path, lib):
         sink = TelemetrySink()
-        implement_dag(small_design(lib), lib, FlowOptions(),
-                      telemetry=sink)
+        run(small_design(lib), lib, FlowOptions(), telemetry=sink)
         path = tmp_path / "spans.jsonl"
         sink.emit_jsonl(path)
         loaded = TelemetrySink.load_jsonl(path)
@@ -494,10 +508,10 @@ class TestTelemetry:
     def test_report_aggregates(self, lib):
         cache = ResultCache()
         sink = TelemetrySink()
-        implement_dag(small_design(lib), lib, FlowOptions(),
-                      cache=cache, telemetry=sink)
-        implement_dag(small_design(lib), lib, FlowOptions(),
-                      cache=cache, telemetry=sink)
+        run(small_design(lib), lib, FlowOptions(), cache=cache,
+            telemetry=sink)
+        run(small_design(lib), lib, FlowOptions(), cache=cache,
+            telemetry=sink)
         report = sink.report()
         assert report.spans == 12
         assert report.cache_hits == 6 and report.cache_misses == 6

@@ -352,13 +352,10 @@ class TestChaosPolicy:
         dag = (FlowDAG().add(Stage("flaky", _ok))
                .add(Stage("after", _ok, deps=("flaky",))))
         sink = TelemetrySink()
-        result = SerialExecutor(chaos=chaos).run(dag, {}, sink=sink,
-                                                 strict=False)
-        assert result.failed == ["flaky"] and result.skipped == ["after"]
-        assert [s.status for s in sink.spans] == ["failed", "skipped"]
         with pytest.raises(StageError, match="chaos fault") as info:
-            SerialExecutor(chaos=chaos).run(dag, {})
+            SerialExecutor(chaos=chaos).run(dag, {}, sink=sink)
         assert isinstance(info.value.cause, ChaosFailure)
+        assert [s.status for s in sink.spans] == ["failed", "skipped"]
 
     def test_chaos_crash_aborts_run(self):
         chaos = ChaosPolicy(seed=0, crash_stages=("boom",))
@@ -400,18 +397,22 @@ class TestUnifiedApi:
         assert FlowStatus.OK == "ok"
         assert str(FlowStatus.RESUMED) == "resumed"
         assert f"{FlowStatus.DEGRADED}" == "degraded"
-        assert FlowStatus("failed") is FlowStatus.FAILED
+        with pytest.raises(ValueError):     # failures raise instead
+            FlowStatus("failed")
 
-    def test_from_run_tolerates_failed_runs(self):
-        from repro.core.flow import FlowResult
-        from repro.orchestrate import RunResult
-        failed = RunResult(outputs={}, status="failed", spans=[],
-                           wall_s=0.1, failed=["synthesis"],
-                           skipped=["placement"])
-        result = FlowResult.from_run(failed, FlowOptions())
-        assert result.status is FlowStatus.FAILED
-        assert result.netlist is None and result.instances == 0
-        assert result.delay_ps != result.delay_ps   # NaN
+    def test_required_failure_raises_and_stays_resumable(
+            self, lib, tmp_path):
+        sink = TelemetrySink()
+        with pytest.raises(StageError) as info:
+            run(small_design(lib), lib, FlowOptions(**OPTS),
+                telemetry=sink, journal_root=tmp_path, run_id="dies",
+                chaos=ChaosPolicy(fail_stages=("dft",)))
+        assert info.value.stage == "dft"
+        assert [(s.stage, s.status) for s in sink.spans] == [
+            ("synthesis", "ok"), ("placement", "ok"), ("dft", "failed"),
+            ("cts", "skipped"), ("routing", "skipped"),
+            ("signoff", "skipped")]
+        assert resumable_runs(tmp_path) == ["dies"]
 
     def test_journaled_run_reports_run_id(self, lib, tmp_path):
         result = run(small_design(lib), lib, FlowOptions(**OPTS),
