@@ -35,18 +35,9 @@ def _escape(name: str) -> str:
     return f"\\{name} "
 
 
-def write_verilog(netlist) -> str:
-    """Serialize a mapped netlist as flat structural Verilog.
-
-    Accepts either a :class:`~repro.netlist.circuit.Netlist` or its
-    columnar :class:`~repro.netlist.packed.PackedNetlist` form (no
-    cell library needed — only names are emitted); both produce
-    byte-identical text for the same design.
-    """
-    from repro.netlist.packed import PackedNetlist
-
-    if isinstance(netlist, PackedNetlist):
-        return _write_verilog_packed(netlist)
+def write_verilog(netlist: Netlist) -> str:
+    """Serialize a mapped :class:`~repro.netlist.circuit.Netlist` as
+    flat structural Verilog."""
     lines = []
     ports = [_escape(p) for p in
              netlist.primary_inputs + netlist.primary_outputs]
@@ -71,44 +62,6 @@ def write_verilog(netlist) -> str:
         conns.append(f".Y({_escape(gate.output)})")
         lines.append(
             f"  {gate.cell.name} {_escape(gate.name)} "
-            f"({', '.join(conns)});")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
-
-
-def _write_verilog_packed(packed) -> str:
-    """The packed-form writer: direct iteration over the interned
-    tables and CSR pin arrays, no object netlist materialized."""
-    nn = packed.net_names
-    pis = [nn[i] for i in packed.primary_inputs.tolist()]
-    pos_ = [nn[i] for i in packed.primary_outputs.tolist()]
-    lines = [f"module {_escape(packed.name)} (",
-             "  " + ", ".join(_escape(p) for p in pis + pos_),
-             ");"]
-    for pi in pis:
-        lines.append(f"  input {_escape(pi)};")
-    for po in pos_:
-        lines.append(f"  output {_escape(po)};")
-    gout = packed.gate_output.tolist()
-    pi_set, po_set = set(pis), set(pos_)
-    driven = dict.fromkeys(pis)
-    driven.update(dict.fromkeys(nn[i] for i in gout))
-    internal = [n for n in driven
-                if n not in pi_set and n not in po_set]
-    for net in sorted(internal):
-        lines.append(f"  wire {_escape(net)};")
-    off = packed.pin_off.tolist()
-    pnet = packed.pin_net.tolist()
-    pname = packed.pin_name.tolist()
-    pt = packed.pin_names
-    gcell = packed.gate_cell.tolist()
-    for gi, gname in enumerate(packed.gate_names):
-        conns = [f".{pin}({_escape(net)})" for pin, net in sorted(
-            (pt[pname[k]], nn[pnet[k]])
-            for k in range(off[gi], off[gi + 1]))]
-        conns.append(f".Y({_escape(nn[gout[gi]])})")
-        lines.append(
-            f"  {packed.cell_names[gcell[gi]]} {_escape(gname)} "
             f"({', '.join(conns)});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,9 @@
 :class:`PackedNetlist` is the compact design currency the scaling
 layers move around: interned net/gate/cell name tables plus int32
 CSR connectivity arrays, instead of a dict of :class:`Gate` objects.
-One packed form feeds four consumers:
+It is an internal form: every public kernel takes the object
+:class:`~repro.netlist.circuit.Netlist`, and ``Netlist.to_packed()``
+(memoized on the edit journal) hands the arrays to three consumers:
 
 * **Caching / journaling / worker handoff** — the orchestrate codec
   (:func:`repro.orchestrate.cache.encode_value`) ships netlists as
@@ -15,13 +17,11 @@ One packed form feeds four consumers:
   structurally identical netlists built in different orders share one
   cache entry without pickling either.
 * **Analysis kernels** — the incremental timing engine, the lint
-  rules, the bit-parallel simulator (:mod:`repro.netlist.bitsim`) and
-  signoff power build their CSR/levelized views straight from the
-  packed arrays (:meth:`comb_levels`, :func:`csr_gather`) instead of
-  re-walking gate dicts.
-* **Files** — :meth:`save`/:meth:`load` read and write the versioned
-  binary ``.pnl`` format (header + raw array sections, checksummed,
-  atomically published).
+  rules, the bit-parallel simulator (:mod:`repro.netlist.bitsim`),
+  signoff power and the analytic placer
+  (:mod:`repro.place.analytic`) build their CSR/levelized views
+  straight from the packed arrays (:meth:`comb_levels`,
+  :func:`csr_gather`) instead of re-walking gate dicts.
 
 Round trip: ``Netlist.to_packed()`` / :meth:`to_netlist` is lossless
 for any netlist (including lint-broken ones: pins are stored with
@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 import zlib
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -649,37 +647,6 @@ class PackedNetlist:
                 packed.pin_name.size != packed.pin_net.size:
             raise PackError("corrupt .pnl blob (array shape mismatch)")
         return packed
-
-    def save(self, path: str | os.PathLike[str], *,
-             compress: bool = True) -> None:
-        """Atomically publish a ``.pnl`` file (tmp + fsync + rename)."""
-        data = self.to_bytes(compress=compress)
-        directory = os.path.dirname(os.fspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path: str | os.PathLike[str]) -> "PackedNetlist":
-        """Read a ``.pnl`` file written by :meth:`save`."""
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
-    # -- misc ---------------------------------------------------------------
-
-    def iter_gate_pins(self, gi: int) -> Iterator[tuple[str, str]]:
-        """(pin name, net name) pairs of gate ``gi`` in stored order."""
-        for k in range(int(self.pin_off[gi]), int(self.pin_off[gi + 1])):
-            yield (self.pin_names[self.pin_name[k]],
-                   self.net_names[self.pin_net[k]])
 
 
 def _kahn_levels(n_gates: int, comb: npt.NDArray[np.bool_],

@@ -109,7 +109,6 @@ def unseal_blob(data: bytes, key: str = "") -> bytes:
 _CODEC_MAGIC = b"PVC1"
 _TAG_NETLIST = b"N"
 _TAG_PLACEMENT = b"P"
-_TAG_PACKED = b"K"
 _TAG_PICKLE = b"G"
 
 
@@ -117,23 +116,21 @@ def encode_value(value) -> bytes:
     """Frame a stage value for storage or transport.
 
     Designs go columnar: a :class:`~repro.netlist.circuit.Netlist`
-    becomes (pickled library, ``.pnl`` bytes), a
+    becomes (pickled library, ``.pnl`` bytes), and a
     :class:`~repro.place.placement.Placement` becomes (pickled
-    non-netlist fields + library, ``.pnl`` bytes of its netlist), and a
-    bare :class:`~repro.netlist.packed.PackedNetlist` passes through as
-    its own bytes.  Everything else is pickled.  ``to_packed()`` /
-    ``to_bytes()`` are memoized on the design, so the cache blob and
-    the journal blob of one stage output share one packing pass.
+    non-netlist fields + library, ``.pnl`` bytes of its netlist).
+    Everything else is pickled, a bare
+    :class:`~repro.netlist.packed.PackedNetlist` included (no stage
+    returns one).  ``to_packed()`` / ``to_bytes()`` are memoized on
+    the design, so the cache blob and the journal blob of one stage
+    output share one packing pass.
     """
     from repro.netlist.circuit import Netlist
-    from repro.netlist.packed import PackedNetlist
     if type(value) is Netlist:
         head = pickle.dumps(value.library, protocol=_PICKLE_PROTOCOL)
         return (_CODEC_MAGIC + _TAG_NETLIST
                 + len(head).to_bytes(4, "little") + head
                 + value.to_packed().to_bytes())
-    if isinstance(value, PackedNetlist):
-        return _CODEC_MAGIC + _TAG_PACKED + value.to_bytes()
     from repro.place.placement import Placement
     if type(value) is Placement:
         shell = {f.name: getattr(value, f.name)
@@ -160,8 +157,6 @@ def decode_value(data: bytes):
     if tag == _TAG_PICKLE:
         return pickle.loads(body)
     from repro.netlist.packed import PackedNetlist
-    if tag == _TAG_PACKED:
-        return PackedNetlist.from_bytes(body)
     if tag == _TAG_NETLIST:
         n = int.from_bytes(body[:4], "little")
         library = pickle.loads(body[4:4 + n])

@@ -6,8 +6,8 @@ scaling (E7), hot-spot-aware spreading (E9), and layout-aware scan
 reordering (E10).
 """
 
-from repro.place.placement import Placement, half_perimeter_wirelength
-from repro.place.analytic import PackedPlacement, analytic_place
+from repro.place.placement import Placement
+from repro.place.analytic import analytic_place
 from repro.place.global_place import global_place, star_pairs
 from repro.place.detailed import detailed_place
 from repro.place.buffering import buffer_long_nets, estimate_buffers
@@ -23,8 +23,6 @@ from repro.place.timing_driven import (
 
 __all__ = [
     "Placement",
-    "PackedPlacement",
-    "half_perimeter_wirelength",
     "analytic_place",
     "global_place",
     "star_pairs",

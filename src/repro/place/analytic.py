@@ -4,10 +4,10 @@ The vectorized successor to :func:`repro.place.global_place.global_place`:
 the whole pipeline — net-model assembly, quadratic solves, density
 spreading, legalization, and detailed refinement — runs on the packed
 columnar arrays (int32 CSR connectivity) with numpy/scipy bulk
-operations.  No rehydration to the object :class:`Netlist` happens on
-the hot path; an object ``Netlist`` input is packed once (memoized on
-the edit journal) and only its *identity* is kept to build the returned
-:class:`~repro.place.placement.Placement`.
+operations.  The object :class:`Netlist` is packed once (memoized on
+the edit journal), no object netlist is rebuilt on the hot path, and
+the returned legalized :class:`~repro.place.placement.Placement`
+refers to the input netlist itself.
 
 Pipeline phases (each recorded as a ``kernel_span``):
 
@@ -36,11 +36,12 @@ Pipeline phases (each recorded as a ``kernel_span``):
     on density overflow.
 ``legalize``
     Vectorized Tetris/Abacus row legalization: cells are partitioned
-    into rows along width quantiles of the y-order (legal by
-    construction at any utilization the die was sized for) and packed
-    with the abacus forward/backward passes expressed as *segmented*
-    running max/min — two ``np.maximum.accumulate`` calls legalize
-    every row at once.
+    into rows along width quantiles of the y-order and packed with the
+    abacus forward/backward passes expressed as *segmented* running
+    max/min — two ``np.maximum.accumulate`` calls legalize every row
+    at once.  A utilization so high that the widest row exceeds the
+    die width raises :class:`ValueError` instead of placing cells
+    outside the die.
 ``detailed``
     Array-based same-row adjacent swaps: per-net top-3/bottom-3 x
     extremes make the exact HPWL delta of removing up to two pins and
@@ -48,7 +49,7 @@ Pipeline phases (each recorded as a ``kernel_span``):
     sweep scores every candidate swap in bulk; improving,
     net-disjoint swaps are applied together.
 
-For designs above ``cluster_above`` gates a multilevel scheme kicks
+For designs above :data:`CLUSTER_ABOVE` gates a multilevel scheme kicks
 in: gates are coarsened along driver edges (union-find with a size
 cap), the cluster netlist is placed with the same engine, and the flat
 design warm-starts from its cluster's location — keeping the quadratic
@@ -62,18 +63,17 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from repro.netlist.packed import PackedNetlist, csr_gather
+from repro.place.placement import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netlist.cells import CellLibrary
     from repro.netlist.circuit import Netlist
     from repro.orchestrate.telemetry import TelemetrySink
-    from repro.place.placement import Placement
 
 FloatArray = Any   # npt.NDArray[np.float64] (numpy is untyped here)
 IntArray = Any     # npt.NDArray[np.int64]
@@ -82,12 +82,19 @@ IntArray = Any     # npt.NDArray[np.int64]
 #: baseline placer's threshold, so QoR comparisons are apples-to-apples).
 STAR_THRESHOLD = 10
 
+#: Spreading stops once at most this fraction of cell area sits in
+#: overfull bins.
+TARGET_OVERFLOW = 0.12
+
+#: Weight of the order-preserving rank stretch blended into the first
+#: quadratic solution (the baseline placer's default ``spread_blend``).
+SPREAD_BLEND = 0.6
+
+#: Designs with more gates than this are placed multilevel.
+CLUSTER_ABOVE = 50_000
+
 #: Tiny center pull that keeps the quadratic system SPD.
 _ANCHOR = 1e-6
-
-#: Fallback footprint (um^2) for cells the caller gave no area for —
-#: only reachable when placing a bare PackedNetlist with no library.
-_DEFAULT_AREA_UM2 = 1.0
 
 _C2: dict[int, tuple[IntArray, IntArray]] = {}
 
@@ -120,58 +127,6 @@ class _Problem:
     drv: IntArray               # per-net driving member, -1 if none
     pad_x: FloatArray           # NaN when the net has no pad
     pad_y: FloatArray
-
-
-@dataclass
-class PackedPlacement:
-    """Placement of a :class:`PackedNetlist`, still in array form.
-
-    The CSR-native analog of :class:`~repro.place.placement.Placement`:
-    coordinates are parallel to ``packed.gate_names``.  ``row_of`` maps
-    each gate to its legalized row (-1 before legalization).
-    """
-
-    packed: PackedNetlist
-    die_w_um: float
-    die_h_um: float
-    row_height_um: float
-    xs: FloatArray
-    ys: FloatArray
-    row_of: IntArray
-    widths: FloatArray
-    pad_positions: dict[str, tuple[float, float]] = field(
-        default_factory=dict)
-
-    def positions(self) -> dict[str, tuple[float, float]]:
-        """gate name -> (x, y), the object-form interface."""
-        xs = self.xs.tolist()
-        ys = self.ys.tolist()
-        return {name: (xs[i], ys[i])
-                for i, name in enumerate(self.packed.gate_names)}
-
-    def total_hpwl(self) -> float:
-        """Vectorized total half-perimeter wirelength (pads included)."""
-        off, members = _net_members(self.packed)
-        pad_net, pad_x, pad_y = _boundary_pads(
-            self.packed, self.die_w_um, self.die_h_um)
-        return _hpwl_total(self.xs, self.ys, off, members,
-                           pad_net, pad_x, pad_y)
-
-    def validate(self) -> None:
-        """Every gate inside the die (mirrors ``Placement.validate``)."""
-        if np.any(self.xs < -1e-6) or np.any(self.ys < -1e-6) \
-                or np.any(self.xs > self.die_w_um + 1e-6) \
-                or np.any(self.ys > self.die_h_um + 1e-6):
-            raise ValueError("gate outside the die")
-
-    def to_placement(self, netlist: "Netlist") -> "Placement":
-        """Bridge to the object form for downstream consumers."""
-        from repro.place.placement import Placement
-        return Placement(
-            netlist, self.die_w_um, self.die_h_um,
-            positions=self.positions(),
-            pad_positions=dict(self.pad_positions),
-            row_height_um=self.row_height_um)
 
 
 # ----------------------------------------------------------------------
@@ -501,11 +456,13 @@ def _legalize(xs: FloatArray, ys: FloatArray, widths: FloatArray,
     """Vectorized row legalization.
 
     Cells are ordered by y (x as tiebreak) and cut into rows along
-    cumulative-width quantiles, which bounds every row's occupancy by
-    construction; within each row the abacus forward/backward passes
-    run as segmented cumulative max/min over the whole design at once.
-    Returns ``(xs, ys, row_of, rank)`` with ``rank`` the within-row
-    left-to-right order (used by the detailed phase).
+    cumulative-width quantiles; within each row the abacus
+    forward/backward passes run as segmented cumulative max/min over
+    the whole design at once.  Returns ``(xs, ys, row_of, rank)`` with
+    ``rank`` the within-row left-to-right order (used by the detailed
+    phase).  Raises :class:`ValueError` when the widest row is wider
+    than the die: the ``int(die_h / row_h)`` rows can hold up to one
+    row's worth less than the die area the utilization sized.
     """
     n = xs.size
     rows = max(1, int(die_h / row_h))
@@ -513,9 +470,8 @@ def _legalize(xs: FloatArray, ys: FloatArray, widths: FloatArray,
     w = widths[order]
     cum = np.cumsum(w)
     total = float(cum[-1]) if n else 0.0
-    # Keep per-row occupancy at total/rows, which the die sizing keeps
-    # under the row width; degenerate overfull dies still get the best
-    # even split.
+    # Each row gets about total/rows of cell width; the check below
+    # rejects the utilizations at which that exceeds the die width.
     centers = cum - w / 2
     row_sorted = np.clip((centers / max(total, 1e-12) * rows)
                          .astype(np.int64), 0, rows - 1)
@@ -535,6 +491,13 @@ def _legalize(xs: FloatArray, ys: FloatArray, widths: FloatArray,
         [True], row_sorted[1:] != row_sorted[:-1]))
     seg_starts = np.flatnonzero(row_first)
     seg_lens = np.diff(np.append(seg_starts, n))
+    row_width = np.add.reduceat(w, seg_starts)
+    widest = int(np.argmax(row_width))
+    if row_width[widest] > die_w:
+        raise ValueError(
+            f"row {int(row_sorted[seg_starts[widest]])} holds "
+            f"{float(row_width[widest]):.3f} um of cells, wider than "
+            f"the {die_w:.3f} um die: lower the utilization")
     relw = prefw - np.repeat(prefw[seg_starts], seg_lens)
     d = np.maximum(desired - w / 2 - relw, 0.0)   # 0 = die left wall
     left = _segmented_cummax(d, row_sorted) + relw
@@ -543,14 +506,16 @@ def _legalize(xs: FloatArray, ys: FloatArray, widths: FloatArray,
     # In the V_i = left_i + sufw_i + w_i frame (suffix width including
     # self) the chain left_{i-1} <= left_i - w_{i-1} is a running min
     # from the right, again one segmented scan.
-    row_total = np.repeat(np.add.reduceat(w, seg_starts), seg_lens)
+    row_total = np.repeat(row_width, seg_lens)
     sufw = row_total - relw - w       # width packed to my right
     cand = np.minimum(left, die_w - sufw - w) + sufw + w
     seg_rev = (rows - 1 - row_sorted)[::-1]
     v = -_segmented_cummax(-cand[::-1], seg_rev)
     left = np.maximum(v[::-1] - sufw - w, 0.0)
-    # A final forward scan restores the no-overlap invariant in
-    # (pathological) rows wider than the die.
+    # With every row narrower than the die this forward scan is a
+    # no-op in exact arithmetic.  It stays because its lift-and-unlift
+    # arithmetic rounds the positions, and the detailed phase amplifies
+    # that rounding: without it, HPWL and routed wirelength change.
     left = _segmented_cummax(left - relw, row_sorted) + relw
 
     out_x = np.empty(n)
@@ -565,7 +530,7 @@ def _legalize(xs: FloatArray, ys: FloatArray, widths: FloatArray,
 
 
 # ----------------------------------------------------------------------
-# HPWL and per-net extremes.
+# Per-net coordinate extremes.
 
 
 def _net_extremes(vals: FloatArray, off: IntArray, members: IntArray,
@@ -599,20 +564,6 @@ def _net_extremes(vals: FloatArray, off: IntArray, members: IntArray,
         top[sel, k] = x[ends[sel] - 1 - k]
         bot[sel, k] = x[starts[sel] + k]
     return top, bot
-
-
-def _hpwl_total(xs: FloatArray, ys: FloatArray, off: IntArray,
-                members: IntArray, pad_net: IntArray,
-                pad_x: FloatArray, pad_y: FloatArray) -> float:
-    """Total HPWL over all nets with >= 2 pins (pads included)."""
-    sizes = np.diff(off)
-    has_pad = ~np.isnan(pad_x)
-    p = sizes + has_pad
-    topx, botx = _net_extremes(xs, off, members, pad_x, kth=1)
-    topy, boty = _net_extremes(ys, off, members, pad_y, kth=1)
-    sel = p >= 2
-    return float(((topx[sel, 0] - botx[sel, 0])
-                  + (topy[sel, 0] - boty[sel, 0])).sum())
 
 
 # ----------------------------------------------------------------------
@@ -827,24 +778,19 @@ def _coarsen(prob: _Problem, max_cluster: int = 4
 
 
 def _global_positions(prob: _Problem, die_w: float, die_h: float,
-                      rng: Any, *, target_overflow: float,
-                      max_iterations: int, bins: int,
-                      spread_blend: float, cluster_above: int,
+                      rng: Any, *, max_iterations: int,
                       sink: Any, span: Any, depth: int = 0
                       ) -> tuple[FloatArray, FloatArray]:
     """Solve + spread at this level (recursing through coarser levels)."""
     n = prob.n
     warm_x: FloatArray | None = None
     warm_y: FloatArray | None = None
-    if n > cluster_above and depth < 8:
+    if n > CLUSTER_ABOVE and depth < 8:
         cluster_of, coarse = _coarsen(prob)
         if coarse.n < n:      # coarsening made progress
             cxs, cys = _global_positions(
                 coarse, die_w, die_h, rng,
-                target_overflow=target_overflow,
-                max_iterations=max_iterations, bins=bins,
-                spread_blend=spread_blend,
-                cluster_above=cluster_above, sink=sink, span=span,
+                max_iterations=max_iterations, sink=sink, span=span,
                 depth=depth + 1)
             jit = rng.normal(0.0, 0.005 * die_w, size=(2, n))
             warm_x = np.clip(cxs[cluster_of] + jit[0], 0, die_w)
@@ -865,17 +811,17 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
 
     with span(sink, "place_spread"):
         # Order-preserving rank stretch fills the die cheaply ...
-        if n > 1 and spread_blend > 0:
+        if n > 1:
             rank_x = np.empty(n)
             rank_x[np.argsort(xs, kind="stable")] = \
                 np.arange(n) / (n - 1)
             rank_y = np.empty(n)
             rank_y[np.argsort(ys, kind="stable")] = \
                 np.arange(n) / (n - 1)
-            xs = (1 - spread_blend) * xs + spread_blend * rank_x * die_w
-            ys = (1 - spread_blend) * ys + spread_blend * rank_y * die_h
+            xs = (1 - SPREAD_BLEND) * xs + SPREAD_BLEND * rank_x * die_w
+            ys = (1 - SPREAD_BLEND) * ys + SPREAD_BLEND * rank_y * die_h
         # ... then the electrostatic loop irons out local overflow.
-        m = bins if bins else _auto_bins(n)
+        m = _auto_bins(n)
         areas_total = float(prob.areas.sum())
         bin_step = max(die_w, die_h) / m
         alpha = float(np.mean(diag)) * 1e-3
@@ -886,7 +832,7 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
             density = _splat_density(xs, ys, prob.areas, m,
                                      die_w, die_h)
             overflow = _overflow(density, areas_total, die_w, die_h)
-            if overflow <= target_overflow \
+            if overflow <= TARGET_OVERFLOW \
                     or overflow > 0.99 * prev_overflow:
                 break           # converged, or spreading has stalled
             prev_overflow = overflow
@@ -915,30 +861,19 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
 # Entry point.
 
 
-def analytic_place(design: "Netlist | PackedNetlist", *,
-                   library: "CellLibrary | None" = None,
-                   die_w_um: float | None = None,
-                   die_h_um: float | None = None,
-                   utilization: float = 0.7,
+def analytic_place(netlist: "Netlist", *, utilization: float = 0.7,
                    net_weights: Mapping[str, float] | None = None,
-                   seed: int = 0, legalize: bool = True,
-                   detailed_passes: int = 2,
-                   target_overflow: float = 0.12,
+                   seed: int = 0, detailed_passes: int = 2,
                    max_iterations: int = 24,
-                   bins: int = 0,
-                   spread_blend: float = 0.6,
-                   cluster_above: int = 50_000,
                    telemetry: "TelemetrySink | None" = None
-                   ) -> "Placement | PackedPlacement":
-    """Place a design with the vectorized analytic engine.
+                   ) -> Placement:
+    """Place a netlist with the vectorized analytic engine.
 
-    Accepts either the object :class:`Netlist` (returns a legalized
-    :class:`~repro.place.placement.Placement`, like the baseline
-    placer) or the columnar :class:`PackedNetlist` (returns a
-    :class:`PackedPlacement`; no object netlist is ever built).  When
-    placing a bare packed design, ``library`` may supply cell areas
-    and the row height — without it every cell falls back to a unit
-    footprint.
+    Returns a legalized :class:`~repro.place.placement.Placement` of
+    ``netlist`` on a square die sized for ``utilization``.  Cell areas
+    and the row height come from ``netlist.library``: a cell the
+    library lacks raises :class:`KeyError`, and a utilization whose
+    rows would overfill the die raises :class:`ValueError`.
 
     ``telemetry`` collects one ``kernel_span`` per phase
     (``place_assemble`` / ``place_solve`` / ``place_spread`` /
@@ -948,83 +883,52 @@ def analytic_place(design: "Netlist | PackedNetlist", *,
     """
     from repro.orchestrate.telemetry import TelemetrySink, kernel_span
 
-    netlist: "Netlist | None" = None
-    if isinstance(design, PackedNetlist):
-        packed = design
-    else:
-        netlist = design
-        packed = design.to_packed()
-        if library is None:
-            library = design.library
+    packed = netlist.to_packed()
     n = packed.num_gates
     if n == 0:
         raise ValueError("cannot place an empty netlist")
-
-    cell_area = np.empty(len(packed.cell_names))
-    for ci, cname in enumerate(packed.cell_names):
-        cell = None
-        if library is not None:
-            try:
-                cell = library[cname]
-            except KeyError:
-                cell = None
-        cell_area[ci] = (cell.area_um2 if cell is not None
-                         else _DEFAULT_AREA_UM2)
+    if not 0 < utilization <= 1:
+        raise ValueError("utilization in (0, 1]")
+    library = netlist.library
+    cell_area = np.array([library[name].area_um2
+                          for name in packed.cell_names], dtype=np.float64)
     areas = cell_area[packed.gate_cell.astype(np.int64)]
-
-    row_h = 1.0
-    node = getattr(library, "node", None)
-    if node is not None:
-        row_h = node.cell_height_nm * 1e-3
-    if die_w_um is None or die_h_um is None:
-        if not 0 < utilization <= 1:
-            raise ValueError("utilization in (0, 1]")
-        die_area = float(areas.sum()) / utilization
-        die_h_um = die_area ** 0.5
-        die_w_um = die_area / die_h_um
-    die_w = float(die_w_um)
-    die_h = float(die_h_um)
+    row_h = library.node.cell_height_nm * 1e-3
+    die_area = float(areas.sum()) / utilization
+    die_h = die_area ** 0.5
+    die_w = die_area / die_h
 
     sink = telemetry if telemetry is not None else TelemetrySink()
     rng = np.random.default_rng(seed)
     prob = _problem_from_packed(packed, die_w, die_h, areas,
                                 net_weights)
     xs, ys = _global_positions(
-        prob, die_w, die_h, rng,
-        target_overflow=target_overflow,
-        max_iterations=max_iterations, bins=bins,
-        spread_blend=spread_blend, cluster_above=cluster_above,
+        prob, die_w, die_h, rng, max_iterations=max_iterations,
         sink=sink, span=kernel_span)
 
     widths = np.maximum(areas / row_h, 0.05)
-    row_of = np.full(n, -1, dtype=np.int64)
-    if legalize:
-        with kernel_span(sink, "place_legalize"):
-            xs, ys, row_of, rank = _legalize(
-                xs, ys, widths, die_w, die_h, row_h)
-        if detailed_passes > 0:
-            with kernel_span(sink, "place_detailed"):
-                goff, gnets = _gate_nets(prob)
-                for _ in range(detailed_passes):
-                    gained = 0.0
-                    for parity in (0, 1):
-                        gained += _detailed_sweep(
-                            xs, widths, row_of, rank, goff, gnets,
-                            prob.net_off, prob.members, prob.pad_x,
-                            parity)
-                    if gained <= 1e-9:
-                        break
+    with kernel_span(sink, "place_legalize"):
+        xs, ys, row_of, rank = _legalize(
+            xs, ys, widths, die_w, die_h, row_h)
+    if detailed_passes > 0:
+        with kernel_span(sink, "place_detailed"):
+            goff, gnets = _gate_nets(prob)
+            for _ in range(detailed_passes):
+                gained = 0.0
+                for parity in (0, 1):
+                    gained += _detailed_sweep(
+                        xs, widths, row_of, rank, goff, gnets,
+                        prob.net_off, prob.members, prob.pad_x,
+                        parity)
+                if gained <= 1e-9:
+                    break
 
-    pad_positions: dict[str, tuple[float, float]] = {}
     pad_net, pad_x, pad_y = _boundary_pads(packed, die_w, die_h)
-    for i in np.unique(pad_net).tolist():
-        pad_positions[packed.net_names[i]] = (float(pad_x[i]),
-                                              float(pad_y[i]))
-
-    result = PackedPlacement(
-        packed=packed, die_w_um=die_w, die_h_um=die_h,
-        row_height_um=row_h, xs=xs, ys=ys, row_of=row_of,
-        widths=widths, pad_positions=pad_positions)
-    if netlist is not None:
-        return result.to_placement(netlist)
-    return result
+    pad_positions = {packed.net_names[i]: (float(pad_x[i]),
+                                           float(pad_y[i]))
+                     for i in np.unique(pad_net).tolist()}
+    return Placement(
+        netlist, die_w, die_h,
+        positions=dict(zip(packed.gate_names,
+                           zip(xs.tolist(), ys.tolist()))),
+        pad_positions=pad_positions, row_height_um=row_h)

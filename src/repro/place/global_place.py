@@ -16,6 +16,9 @@ from scipy.sparse.linalg import spsolve
 from repro.netlist.circuit import Netlist
 from repro.place.placement import Placement, die_for_netlist
 
+#: Density-map resolution of the diffusion passes.
+_BINS = 16
+
 
 def star_pairs(members: list, driver: int | None) -> list:
     """Spring pairs of a star-modeled net, hubbed on its driver.
@@ -31,33 +34,18 @@ def star_pairs(members: list, driver: int | None) -> list:
     return [(center, b) for b in members if b != center]
 
 
-def global_place(netlist: Netlist, *, die_w_um: float | None = None,
-                 die_h_um: float | None = None, utilization: float = 0.7,
-                 spreading_passes: int = 3, bins: int = 16,
-                 spread_blend: float = 0.6,
-                 net_weights: dict | None = None,
-                 seed: int = 0, legalize: bool = True,
-                 library=None) -> Placement:
+def global_place(netlist: Netlist, *, utilization: float = 0.7,
+                 spreading_passes: int = 3, spread_blend: float = 0.6,
+                 seed: int = 0) -> Placement:
     """Place a netlist analytically.
 
-    Returns a legalized :class:`Placement`.  ``spreading_passes``
-    controls the quality/runtime trade (the knob the self-learning
-    engine of E8 tunes).
-
-    Also accepts the columnar
-    :class:`~repro.netlist.packed.PackedNetlist` interchange form, in
-    which case ``library`` must supply the cells to rehydrate with.
+    Returns a legalized :class:`Placement` on a square die sized for
+    ``utilization``; a utilization at which some cell fits in no row
+    raises :class:`ValueError`.  ``spreading_passes`` and
+    ``spread_blend`` control the quality/runtime trade (the knobs the
+    self-learning engine of E8 tunes).
     """
-    from repro.netlist.packed import PackedNetlist
-
-    if isinstance(netlist, PackedNetlist):
-        if library is None:
-            raise TypeError(
-                "global_place(PackedNetlist) requires library=")
-        netlist = netlist.to_netlist(library)
-    if die_w_um is None or die_h_um is None:
-        die_w_um, die_h_um = die_for_netlist(
-            netlist, utilization=utilization)
+    die_w_um, die_h_um = die_for_netlist(netlist, utilization=utilization)
     gates = list(netlist.gates.values())
     n = len(gates)
     if n == 0:
@@ -101,8 +89,6 @@ def global_place(netlist: Netlist, *, die_w_um: float | None = None,
         if p < 2:
             continue
         w = 1.0 / (p - 1)
-        if net_weights is not None:
-            w *= net_weights.get(net, 1.0)
         if len(members) > 10:
             # Star model around the driver keeps big nets O(p).
             pairs = star_pairs(members, driver_of.get(net))
@@ -156,9 +142,8 @@ def global_place(netlist: Netlist, *, die_w_um: float | None = None,
         row_height_um=netlist.library.node.cell_height_nm * 1e-3,
     )
     for _ in range(spreading_passes):
-        _spread(placement, bins)
-    if legalize:
-        placement.legalize_to_rows()
+        _spread(placement, _BINS)
+    placement.legalize_to_rows()
     return placement
 
 

@@ -141,7 +141,9 @@ class Placement:
         Cells are assigned to the nearest row with free width; within a
         row, a forward pass resolves overlaps left-to-right around the
         desired x coordinates and a backward pass pulls any overflow
-        back inside the die (an abacus-style legalizer).
+        back inside the die (an abacus-style legalizer).  A cell that
+        fits in no row raises :class:`ValueError`: the die is too full
+        for its rows.
         """
         rows = max(1, int(self.die_h_um / self.row_height_um))
         fill = [0.0] * rows
@@ -158,8 +160,11 @@ class Placement:
                 cost = abs(r - target) * self.row_height_um
                 if cost < best_cost:
                     best_row, best_cost = r, cost
-            if best_row is None:  # every row full: least-filled row
-                best_row = int(np.argmin(fill))
+            if best_row is None:
+                raise ValueError(
+                    f"cell {name!r} ({width:.3f} um wide) fits in no "
+                    f"row of the {self.die_w_um:.3f} um die: lower the "
+                    f"utilization")
             fill[best_row] += width
             assigned[best_row].append((name, x, width))
         for r, cells in enumerate(assigned):
@@ -191,11 +196,6 @@ class Placement:
             if not (-1e-6 <= x <= self.die_w_um + 1e-6 and
                     -1e-6 <= y <= self.die_h_um + 1e-6):
                 raise ValueError(f"gate {name!r} outside the die")
-
-
-def half_perimeter_wirelength(placement: Placement) -> float:
-    """Module-level alias of :meth:`Placement.total_hpwl`."""
-    return placement.total_hpwl()
 
 
 def die_for_netlist(netlist: Netlist, *, utilization: float = 0.7,

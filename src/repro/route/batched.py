@@ -190,9 +190,8 @@ def _batched_prim(xs: IntArray, ys: IntArray) -> tuple:
     return ea, eb
 
 
-def _decompose(placement: Placement, grid: RoutingGrid,
-               topology: str) -> tuple:
-    """Vectorized net decomposition.
+def _decompose(placement: Placement, grid: RoutingGrid) -> tuple:
+    """Vectorized MST net decomposition.
 
     Returns ``(net_names, seg_net, sx, sy, dx, dy)`` — segment
     endpoint gcell arrays plus the index of each segment's net in
@@ -247,11 +246,6 @@ def _decompose(placement: Placement, grid: RoutingGrid,
         _emit(net_of_run[two], gx[s], gy[s], gx[s + 1], gy[s + 1])
 
     multi = np.flatnonzero(counts >= 3)
-    steiner_runs: list = []
-    if topology == "steiner":
-        small = multi[counts[multi] <= 8]
-        steiner_runs = list(small)
-        multi = multi[counts[multi] > 8]
     for c in np.unique(counts[multi]) if multi.size else ():
         runs = multi[counts[multi] == c]
         rows = starts[runs][:, None] + np.arange(c)[None, :]
@@ -262,14 +256,6 @@ def _decompose(placement: Placement, grid: RoutingGrid,
         r = np.repeat(np.arange(B), c - 1)
         _emit(nets, bx[r, ea.ravel()], by[r, ea.ravel()],
               bx[r, eb.ravel()], by[r, eb.ravel()])
-    for run in steiner_runs:  # small multi-pin nets, exact topology
-        from repro.route.steiner import steiner_tree
-        s, c = starts[run], counts[run]
-        cells = [(int(gx[s + k]), int(gy[s + k])) for k in range(c)]
-        for (ax, ay), (bx_, by_) in steiner_tree(cells):
-            _emit(np.asarray([net_of_run[run]]),
-                  np.asarray([ax]), np.asarray([ay]),
-                  np.asarray([bx_]), np.asarray([by_]))
 
     if not seg_net:
         return names, empty, empty, empty, empty, empty
@@ -522,12 +508,9 @@ class _BatchedRouter:
     """One batched-routing run; see the module docstring."""
 
     def __init__(self, placement: Placement, *, layers: int,
-                 gcell_um: float, topology: str, max_iterations: int,
+                 gcell_um: float, max_iterations: int,
                  seed: int, telemetry: Any) -> None:
-        if topology not in ("mst", "steiner"):
-            raise ValueError("topology must be 'mst' or 'steiner'")
         self.placement = placement
-        self.topology = topology
         self.max_iterations = max_iterations
         self.telemetry = telemetry
         node = placement.netlist.library.node
@@ -1233,8 +1216,7 @@ class _BatchedRouter:
         g = self.grid
         with _phase(self.telemetry, self.phases, "route_decompose"):
             (self.net_names, self.seg_net, self.seg_sx, self.seg_sy,
-             self.seg_dx, self.seg_dy) = _decompose(
-                self.placement, g, self.topology)
+             self.seg_dx, self.seg_dy) = _decompose(self.placement, g)
             self.windows = _windows(g, self.seg_sx, self.seg_sy,
                                     self.seg_dx, self.seg_dy)
         n_seg = self.seg_net.size
@@ -1287,18 +1269,18 @@ class _BatchedRouter:
 
 
 def batched_route(placement: Placement, *, layers: int = 6,
-                  gcell_um: float = 5.0, topology: str = "mst",
-                  max_iterations: int = 4, seed: int = 0,
-                  telemetry: Any = None) -> RoutingResult:
+                  gcell_um: float = 5.0, max_iterations: int = 4,
+                  seed: int = 0, telemetry: Any = None) -> RoutingResult:
     """Vectorized global routing of a placement (engine ``batched``).
 
-    Same knobs and result contract as the sequential engines; ``seed``
-    only perturbs tie-breaking (candidate-score jitter and acceptance
+    The sequential engines' knobs except ``topology`` (nets always
+    decompose by MST) and the same result contract; ``seed`` only
+    perturbs tie-breaking (candidate-score jitter and acceptance
     shuffles), so a fixed seed gives a bit-identical result and
     different seeds give equivalent QoR.  Paths in the result are
     (L, 2) int64 arrays (see :class:`RoutingResult`).
     """
     return _BatchedRouter(
         placement, layers=layers, gcell_um=gcell_um,
-        topology=topology, max_iterations=max_iterations, seed=seed,
+        max_iterations=max_iterations, seed=seed,
         telemetry=telemetry).route()

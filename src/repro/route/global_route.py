@@ -153,12 +153,12 @@ def sequential_route(placement: Placement, *, layers: int = 6,
     """One sequential routing run (``engine`` ``"maze"`` or
     ``"line_search"``) through :class:`GlobalRouter`.
 
-    It takes the same knobs as
-    :func:`~repro.route.batched.batched_route`; ``seed`` is accepted
-    for signature parity — the sequential engines are deterministic
-    without it.  When a ``telemetry`` sink is given the whole run is
-    recorded as one ``route_<engine>`` kernel span (the batched engine
-    reports per-phase spans instead).
+    It takes the knobs of :func:`~repro.route.batched.batched_route`
+    plus ``topology`` (``"mst"`` or ``"steiner"``); ``seed`` is
+    accepted for signature parity — the sequential engines are
+    deterministic without it.  When a ``telemetry`` sink is given the
+    whole run is recorded as one ``route_<engine>`` kernel span (the
+    batched engine reports per-phase spans instead).
     """
     del seed
     router = GlobalRouter(placement, engine=engine, layers=layers,
@@ -180,15 +180,23 @@ def route_placement(placement: Placement, *, engine: str = "maze",
     ``engine`` picks the router: ``"batched"``
     (:func:`~repro.route.batched.batched_route`, the one the flow
     runs) or a sequential reference, ``"maze"`` or ``"line_search"``
-    (:func:`sequential_route`).  Any other name raises ``ValueError``.
+    (:func:`sequential_route`).  Any other name raises ``ValueError``,
+    and so does a ``topology`` other than ``"mst"`` for the batched
+    engine.
     """
-    knobs = dict(layers=layers, gcell_um=gcell_um, topology=topology,
+    knobs = dict(layers=layers, gcell_um=gcell_um,
                  max_iterations=max_iterations, seed=seed,
                  telemetry=telemetry)
     if engine == "batched":
+        if topology != "mst":
+            raise ValueError(
+                f"the batched router decomposes nets by MST only; "
+                f"topology {topology!r} needs engine 'maze' or "
+                f"'line_search'")
         from repro.route.batched import batched_route
         return batched_route(placement, **knobs)
     if engine not in ("maze", "line_search"):
         raise ValueError(f"unknown routing engine {engine!r}; expected "
                          f"'batched', 'maze' or 'line_search'")
-    return sequential_route(placement, engine=engine, **knobs)
+    return sequential_route(placement, engine=engine, topology=topology,
+                            **knobs)

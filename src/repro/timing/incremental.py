@@ -416,15 +416,15 @@ class IncrementalReport:
 
 
 class IncrementalTimingAnalyzer:
-    """Caching STA engine with an ``update(changed_gates)`` fast path.
+    """Caching STA engine with an ``update()`` fast path.
 
     Drop-in for :class:`~repro.timing.sta.TimingAnalyzer` —
     ``analyze()`` returns a report with the same API and bit-identical
     numbers — plus:
 
     * ``update()`` repropagates only the cones affected by the edits
-      journaled since the last analysis (or by an explicit
-      ``changed_gates`` list), with an unchanged-value cutoff;
+      journaled since the last analysis, with an unchanged-value
+      cutoff;
     * memoized netlist views and per-net wire delays are computed once
       per levelization instead of once per call.
 
@@ -484,22 +484,18 @@ class IncrementalTimingAnalyzer:
         g.backward_full()
         return IncrementalReport(g, self.netlist, self.clock_period_ps)
 
-    def update(self, changed_gates=None) -> IncrementalReport:
-        """Repropagate timing after netlist edits.
+    def update(self) -> IncrementalReport:
+        """Repropagate timing after the netlist edits journaled since
+        the last analysis.
 
-        ``changed_gates`` optionally names gates whose cells changed
-        outside the journal (legacy ``gate.cell = x`` call sites);
-        journaled edits are folded in automatically.  Resize-only edit
-        batches take the cone-limited path; connectivity edits
-        relevelize and rerun the full vectorized passes.
+        Resize-only edit batches take the cone-limited path;
+        connectivity edits relevelize and rerun the full vectorized
+        passes.  A cell changed outside the journal (``gate.cell = x``)
+        is not seen: edit through ``Netlist.resize_gate``.
         """
         if self._graph is None:
             return self.analyze()
         resized, structural, new_pos = self._drain()
-        if changed_gates is not None:
-            resized.update(
-                g if isinstance(g, str) else g.name
-                for g in changed_gates)
         if structural or new_pos:
             # Connectivity (or endpoint-set) change: relevelize and
             # resweep.  Still one vectorized pass, still bit-identical.
@@ -508,29 +504,6 @@ class IncrementalTimingAnalyzer:
             return IncrementalReport(self._graph, self.netlist,
                                      self.clock_period_ps)
         return self._update_resized(resized)
-
-    def repropagate(self) -> IncrementalReport:
-        """Full vectorized passes over the cached levelized graph.
-
-        The rebuild-free full analysis: pending resizes are folded into
-        the packed arrays, then arrivals and requireds are reswept over
-        every level.  Useful after many accumulated edits (when a cone
-        update would touch most of the design) and as the steady-state
-        full-STA kernel in the perf harness.  Falls back to
-        :meth:`analyze` when the graph is missing or a connectivity
-        edit is pending.
-        """
-        if self._graph is None:
-            return self.analyze()
-        resized, structural, new_pos = self._drain()
-        if structural or new_pos:
-            return self.analyze()
-        if resized:
-            self._refresh_cells(resized)
-        g = self._graph
-        g.forward_full()
-        g.backward_full()
-        return IncrementalReport(g, self.netlist, self.clock_period_ps)
 
     # ------------------------------------------------------------------
 

@@ -144,18 +144,6 @@ class TestVerilog:
         assert back.primary_inputs == ["1badname", "bus[3]"]
         assert back.primary_outputs == ["out.net"]
 
-    def test_packed_writer_byte_identical(self, lib):
-        # The packed-form writer must emit exactly the object-form
-        # text, including for designs that need escaping.
-        from repro.netlist import Netlist
-        nl = Netlist("top", lib)
-        a = nl.add_input("wire")
-        b = nl.add_input("b//c")
-        nl.add_gate("NAND2_X1_rvt", [a, b], "mid$1")
-        nl.add_gate("INV_X1_rvt", ["mid$1"], "module")
-        nl.add_output("module")
-        assert write_verilog(nl.to_packed()) == write_verilog(nl)
-
 
 class TestBlif:
     def _xor_network(self):

@@ -5,15 +5,13 @@ Covers the columnar interchange tentpole end to end: lossless
 digests, the versioned ``.pnl`` binary format (including corruption
 hardening), the ``encode_value``/``decode_value`` codec the
 orchestration layers speak (an unframed blob is refused, never
-unpickled), packed-form consumers (``write_verilog``,
-``global_place``), and the flow-level acceptance claim: codec runs are
+unpickled), and the flow-level acceptance claim: codec runs are
 metric-bit-identical to pickle runs.
 """
 
 import pickle
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,6 @@ from repro.netlist import (
     registered_cloud,
     ripple_carry_adder,
 )
-from repro.netlist.io import read_verilog, write_verilog
 from repro.orchestrate import run
 from repro.orchestrate import cache as cache_mod
 from repro.orchestrate import resilience as resilience_mod
@@ -165,13 +162,6 @@ class TestPnlFormat:
             assert again.content_digest() == packed.content_digest()
             same_structure(nl, again.to_netlist(lib))
 
-    def test_save_load(self, lib, tmp_path):
-        nl = lfsr(12, lib)
-        path = tmp_path / "design.pnl"
-        nl.to_packed().save(path)
-        assert PackedNetlist.load(path).content_digest() == \
-            nl.content_digest()
-
     def test_corruption_is_diagnosed(self, lib):
         blob = ripple_carry_adder(4, lib).to_packed().to_bytes()
         hdr = struct.Struct("<4sHBI")
@@ -298,33 +288,6 @@ class TestCodec:
         pickle_size = len(pickle.dumps(
             nl, protocol=pickle.HIGHEST_PROTOCOL))
         assert packed_size * 3 < pickle_size
-
-
-# ----------------------------------------------------------------------
-# Packed-form consumers
-
-
-class TestPackedConsumers:
-    def test_write_verilog_identical_text(self, lib):
-        nl = registered_cloud(6, 12, 120, lib, seed=7)
-        assert write_verilog(nl.to_packed()) == write_verilog(nl)
-
-    def test_verilog_roundtrip_from_packed(self, lib):
-        nl = ripple_carry_adder(5, lib)
-        back = read_verilog(write_verilog(nl.to_packed()), lib)
-        assert back.simulate(np.eye(len(nl.primary_inputs),
-                                    dtype=bool)).tolist() == \
-            nl.simulate(np.eye(len(nl.primary_inputs),
-                               dtype=bool)).tolist()
-
-    def test_global_place_accepts_packed(self, lib):
-        nl = ripple_carry_adder(4, lib)
-        placement = global_place(nl.to_packed(), library=lib, seed=1)
-        assert set(placement.positions) == set(nl.gates)
-
-    def test_global_place_packed_requires_library(self, lib):
-        with pytest.raises(TypeError, match="library"):
-            global_place(ripple_carry_adder(4, lib).to_packed())
 
 
 # ----------------------------------------------------------------------

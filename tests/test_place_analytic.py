@@ -2,12 +2,16 @@
 
 Covers the perf-tentpole acceptance claims: both engines produce legal
 placements (cells on rows, no overlaps, inside the die) over random
-circuits, seeded runs are bit-reproducible, the analytic engine's HPWL
-is no worse than 1.02x the baseline and agrees with it on the sign of
-post-placement WNS, and the packed-input path never rehydrates an
-object ``Netlist``.  Also the star-model regression: big nets hub on
-their driving gate.
+circuits and raise when the die's rows cannot hold the cells, seeded
+runs are bit-reproducible, the analytic engine's HPWL is no worse than
+1.02x the baseline and agrees with it on the sign of post-placement
+WNS, and placement never rehydrates an object ``Netlist`` from the
+packed form it works on.  Also the star-model regression (big nets hub
+on their driving gate) and the kernels' one call shape each.
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -21,9 +25,8 @@ from repro.netlist import (
     logic_cloud,
     registered_cloud,
 )
-from repro.orchestrate import run
+from repro.orchestrate import StageError, run
 from repro.place import (
-    PackedPlacement,
     Placement,
     analytic_place,
     detailed_place,
@@ -31,8 +34,13 @@ from repro.place import (
     star_pairs,
 )
 from repro.place.timing_driven import timing_driven_place
+from repro.route import batched_route
 from repro.tech import get_node
-from repro.timing import TimingAnalyzer, WireModel
+from repro.timing import (
+    IncrementalTimingAnalyzer,
+    TimingAnalyzer,
+    WireModel,
+)
 
 LIB = build_library(get_node("28nm"))
 
@@ -181,7 +189,7 @@ class TestCgSolve:
 
 
 # ----------------------------------------------------------------------
-# Legality of both engines, object and packed forms.
+# Legality of both engines.
 
 
 class TestLegality:
@@ -190,14 +198,6 @@ class TestLegality:
         assert isinstance(pl, Placement)
         assert len(pl.positions) == cloud.num_instances()
         assert_legal(pl)
-
-    def test_analytic_packed_form_is_legal(self, cloud):
-        pp = analytic_place(cloud.to_packed(), library=LIB, seed=0)
-        assert isinstance(pp, PackedPlacement)
-        pp.validate()
-        assert np.all(pp.row_of >= 0)
-        # Same legality predicate through the object bridge.
-        assert_legal(pp.to_placement(cloud))
 
     @given(st.integers(0, 10_000), st.integers(30, 150))
     @settings(max_examples=8, deadline=None)
@@ -209,6 +209,26 @@ class TestLegality:
     def test_sequential_design_legal(self, reg):
         assert_legal(analytic_place(reg, seed=3))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_that_overfill_the_die_raise(self, seed):
+        # The int(die_h / row_h) rows hold up to one row less than the
+        # die area the utilization sized: from 0.95 on, some row of
+        # these clouds is wider than the die.  Both placers used to
+        # return such a placement (cells outside the die, or
+        # overlapping), and the flow reported it as OK.
+        for place in (analytic_place, global_place):
+            nl = registered_cloud(8, 24, 600, LIB, seed=seed)
+            assert_legal(place(nl, utilization=0.9, seed=seed))
+            for utilization in (0.95, 1.0):
+                with pytest.raises(ValueError,
+                                   match="lower the utilization"):
+                    place(nl, utilization=utilization, seed=seed)
+        with pytest.raises(StageError) as info:
+            run(registered_cloud(8, 24, 600, LIB, seed=seed), LIB,
+                FlowOptions(utilization=0.95, cts=True, seed=seed))
+        assert info.value.stage == "placement"
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 # ----------------------------------------------------------------------
 # Determinism: equal seeds give bit-identical placements.
@@ -219,14 +239,6 @@ class TestDeterminism:
         a = analytic_place(cloud, seed=5)
         b = analytic_place(cloud, seed=5)
         assert a.positions == b.positions
-
-    def test_packed_form_bit_reproducible(self, cloud):
-        packed = cloud.to_packed()
-        a = analytic_place(packed, library=LIB, seed=5)
-        b = analytic_place(packed, library=LIB, seed=5)
-        assert np.array_equal(a.xs, b.xs)
-        assert np.array_equal(a.ys, b.ys)
-        assert np.array_equal(a.row_of, b.row_of)
 
     def test_seed_changes_placement(self, cloud):
         a = analytic_place(cloud, seed=0)
@@ -269,35 +281,69 @@ class TestQor:
         assert (signoff_wns(nl, new, period) >= 0) == \
             (signoff_wns(nl, base, period) >= 0)
 
-    def test_packed_hpwl_matches_object_bridge(self, cloud):
-        pp = analytic_place(cloud.to_packed(), library=LIB, seed=0)
-        bridged = pp.to_placement(cloud)
-        assert pp.total_hpwl() == pytest.approx(
-            bridged.total_hpwl(), rel=1e-9)
-
 
 # ----------------------------------------------------------------------
-# The packed path never rehydrates an object netlist (acceptance).
+# Placement works on the packed arrays and never rehydrates an object
+# netlist from them (acceptance).
 
 
 class TestNoRehydration:
-    def test_packed_place_never_calls_to_netlist(self, cloud,
-                                                 monkeypatch):
-        packed = cloud.to_packed()
-
+    def test_place_never_calls_to_netlist(self, cloud, monkeypatch):
         def boom(self, library):
             raise AssertionError("to_netlist() on the hot path")
 
         monkeypatch.setattr(PackedNetlist, "to_netlist", boom)
-        pp = analytic_place(packed, library=LIB, seed=0)
-        pp.validate()
-        assert pp.total_hpwl() > 0
+        pl = analytic_place(cloud, seed=0)
+        assert isinstance(pl, Placement)
+        assert pl.netlist is cloud
+        assert_legal(pl)
 
-    def test_packed_place_without_library(self, cloud):
-        # A bare packed design places with unit cell footprints.
-        pp = analytic_place(cloud.to_packed(), seed=0)
-        pp.validate()
-        assert np.all(pp.row_of >= 0)
+
+# ----------------------------------------------------------------------
+# One call shape per kernel: an object Netlist in, one result type out,
+# and only the keywords some caller outside the tests sets.
+
+
+def keyword_names(fn) -> list:
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY]
+
+
+class TestCallShapes:
+    def test_kept_call_shapes(self):
+        assert keyword_names(analytic_place) == [
+            "utilization", "net_weights", "seed", "detailed_passes",
+            "max_iterations", "telemetry"]
+        assert keyword_names(global_place) == [
+            "utilization", "spreading_passes", "spread_blend", "seed"]
+        assert keyword_names(batched_route) == [
+            "layers", "gcell_um", "max_iterations", "seed", "telemetry"]
+        assert list(inspect.signature(
+            IncrementalTimingAnalyzer.update).parameters) == ["self"]
+        import repro.place as place
+        import repro.place.analytic as analytic
+        import repro.place.placement as placement
+        for owner, name in (
+                (place, "PackedPlacement"),
+                (analytic, "PackedPlacement"),
+                (place, "half_perimeter_wirelength"),
+                (placement, "half_perimeter_wirelength"),
+                (PackedNetlist, "save"),
+                (PackedNetlist, "load"),
+                (PackedNetlist, "iter_gate_pins"),
+                (IncrementalTimingAnalyzer, "repropagate")):
+            assert not hasattr(owner, name), name
+
+    def test_cell_missing_from_library_raises(self):
+        # No silent unit footprint: a cell the library lacks has no
+        # area to place with.
+        nl = registered_cloud(4, 4, 30, LIB, seed=0)
+        stranger = dataclasses.replace(LIB["INV_X1_rvt"],
+                                       name="INV_STRANGER")
+        nl.add_output(nl.add_gate(stranger, [nl.primary_inputs[0]])
+                      .output)
+        with pytest.raises(KeyError, match="INV_STRANGER"):
+            analytic_place(nl, seed=0)
 
 
 # ----------------------------------------------------------------------

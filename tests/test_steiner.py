@@ -99,3 +99,7 @@ class TestRouterTopology:
     def test_bad_topology_rejected(self, placed):
         with pytest.raises(ValueError):
             route_placement(placed, topology="quantum")
+
+    def test_batched_engine_is_mst_only(self, placed):
+        with pytest.raises(ValueError, match="MST only"):
+            route_placement(placed, engine="batched", topology="steiner")

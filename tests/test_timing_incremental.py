@@ -142,24 +142,10 @@ class TestIncrementalMatchesFull:
                     if bigger is not None:
                         nl.resize_gate(g.name, bigger)
                 ref = TimingAnalyzer(nl, WM, T).analyze()
-                got = inc.repropagate()
+                got = inc.update()
                 assert got.arrival_ps == ref.arrival_ps
                 assert got.required_ps == ref.required_ps
                 assert got.wns_ps == ref.wns_ps
-
-    def test_legacy_changed_gates_argument(self):
-        # Cell mutated outside the journal: update(changed_gates=...)
-        # still converges to the full answer.
-        nl = registered_cloud(6, 8, 80, LIB, seed=2)
-        with IncrementalTimingAnalyzer(nl, WM, T) as inc:
-            inc.analyze()
-            gate = nl.combinational_gates()[10]
-            gate.cell = LIB.cells[
-                gate.cell.name.replace("_X1_", "_X2_")]
-            ref = TimingAnalyzer(nl, WM, T).analyze()
-            got = inc.update(changed_gates=[gate.name])
-            assert got.arrival_ps == ref.arrival_ps
-            assert got.wns_ps == ref.wns_ps
 
     def test_flop_resize_updates_setup_and_launch(self):
         nl = registered_cloud(6, 8, 80, LIB, seed=9)
