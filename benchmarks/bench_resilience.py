@@ -55,7 +55,6 @@ OPTS = dict(scan=True, cts=True)
 
 
 def _design(lib):
-    # Fresh per call: the flow mutates its subject (scan insertion).
     return registered_cloud(8, 16, 120, lib, seed=3)
 
 

@@ -11,9 +11,9 @@ reports:
   cycles, fanout overloads, dead cones (``NET-xxx``), plus hierarchy
   port checks for two-level designs (``NET-008``).
 * **Flow static verification** (:mod:`~repro.lint.flow_rules`) —
-  missing producers, cycles, dead stages, knob typos, and undeclared
-  ``ctx`` reads on a :class:`~repro.orchestrate.dag.FlowDAG`
-  (``FLOW-xxx``).
+  deps on no earlier stage, knob typos, undeclared ``ctx`` reads, and
+  option reads outside a stage's cache-key ``knobs``, on a table of
+  :class:`~repro.orchestrate.dag.Stage` rows (``FLOW-xxx``).
 * **Purity checking** (:mod:`~repro.lint.purity`) — AST-level
   cache-soundness hazards in stage functions: wall-clock reads,
   unseeded randomness, environment reads, captured-global mutation

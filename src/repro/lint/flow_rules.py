@@ -1,32 +1,38 @@
-"""Flow static verification: check a DAG before executing anything.
+"""Flow static verification: check a stage table before executing it.
 
-A flow that references a missing producer, hides a dependency cycle,
-misspells a knob, or reads an undeclared ``ctx`` key fails *minutes or
-hours* into a run — or worse, silently widens/narrows its cache key
-and replays wrong results.  Every one of those is statically decidable
-from the :class:`~repro.orchestrate.dag.FlowDAG` alone, so
-:func:`lint_flow` decides them up front.  The shipped implement DAG is
-fixed code, so ``tests/test_lint.py`` lints it once rather than every
-``run()`` re-checking it.
+A flow whose stage depends on a stage that runs later (or never),
+misspells a knob, reads an undeclared ``ctx`` key, or reads an option
+its cache key leaves out fails *minutes or hours* into a run — or
+worse, silently widens/narrows its cache key and replays wrong
+results.  Every one of those is statically decidable from the stage
+table alone, so :func:`lint_flow` decides them up front.  The shipped
+table, :data:`repro.orchestrate.flows.STAGES`, is fixed code, so
+``tests/test_lint.py`` lints it once rather than every ``run()``
+re-checking it.
 
 Rule table
 ----------
 
 =========  ========  ===================================================
-FLOW-001   error     stage depends on a producer that does not exist
-FLOW-002   error     dependency cycle among stages
-FLOW-003   warning   dead stage (transitively behind a missing producer)
+FLOW-001   error     a dep names no earlier stage
 FLOW-004   error     knob name is not an attribute of the options object
 FLOW-005   error     declared param is not provided by the run context
 FLOW-006   error     stage body reads a ctx key it never declared
 FLOW-007   info      declared dep/param never read (cache key wider
                      than necessary)
+FLOW-008   error     stage body reads an option outside its ``knobs``,
+                     or uses the options object (or ctx) whole
 PURE-xxx   (varies)  cache-soundness hazards, via :mod:`.purity`
 =========  ========  ===================================================
 
-FLOW-006/007 parse the stage function's source; stages whose ``ctx``
-is accessed dynamically (a non-literal subscript) are skipped rather
-than guessed at.
+Stages run in table order, so FLOW-001 also covers what a dependency
+graph would need two more rules for: a cycle must name a later stage,
+and a table with a missing producer is refused as a whole.
+FLOW-006/007/008 parse the stage function's source.  A stage whose
+``ctx`` is used dynamically (a non-literal key, or ``ctx`` passed on
+whole) is skipped by FLOW-007 rather than guessed at, and reported by
+FLOW-008 when it has ``knobs``: its cache key cannot then be narrowed
+soundly.
 """
 
 from __future__ import annotations
@@ -36,177 +42,130 @@ import inspect
 import textwrap
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.lint.purity import check_flow_purity
 from repro.lint.registry import REGISTRY, Violation, rule
-from repro.lint.report import LintReport, Severity, Waivers
+from repro.lint.report import LintReport, Severity
 
 #: Parameters every implement-flow execution provides to its stages.
 DEFAULT_RUN_PARAMS = ("subject", "library", "options")
 
 
 @dataclass
+class CtxUses:
+    """What one stage function does with its ``ctx`` argument."""
+
+    keys: set[str] = field(default_factory=set)   # literal keys read
+    exhaustive: bool = True      # every use is a literal-key read
+    option_attrs: set[str] = field(default_factory=set)
+    options_whole: bool = False  # ctx["options"] used other than .attr
+
+
+@dataclass
 class FlowLintContext:
-    """Shared facts the flow rules read: the DAG plus run bindings."""
+    """Shared facts the flow rules read: the stage table, the options,
+    and each stage function's ctx uses (None: source unavailable)."""
 
-    dag: Any
-    options: Any = None
-    params: tuple[str, ...] = DEFAULT_RUN_PARAMS
-    _ctx_reads: dict[str, tuple[set[str], bool] | None] = \
-        field(default_factory=dict)
-
-    def stages(self) -> list[Any]:
-        return list(self.dag.stages.values())
-
-    def known(self, name: str) -> bool:
-        return name in self.dag.stages
-
-    def missing_behind(self) -> dict[str, list[str]]:
-        """stage -> unknown producers in its transitive dep closure."""
-        out: dict[str, list[str]] = {}
-
-        def walk(name: str, seen: set[str]) -> list[str]:
-            if name in out:
-                return out[name]
-            if name in seen:       # cycle: FLOW-002's business
-                return []
-            seen.add(name)
-            stage = self.dag.stages.get(name)
-            if stage is None:
-                return [name]
-            missing: list[str] = []
-            for dep in stage.deps:
-                if not self.known(dep):
-                    missing.append(dep)
-                else:
-                    missing.extend(walk(dep, seen))
-            out[name] = sorted(set(missing))
-            return out[name]
-
-        for stage in self.stages():
-            walk(stage.name, set())
-        return out
-
-    def ctx_reads(self, stage: Any) -> tuple[set[str], bool] | None:
-        """Literal ``ctx[...]`` keys the stage function reads.
-
-        Returns ``(keys, exhaustive)`` — ``exhaustive`` is False when
-        any access used a non-literal subscript — or None when the
-        source is unavailable.  Memoized per stage.
-        """
-        if stage.name not in self._ctx_reads:
-            self._ctx_reads[stage.name] = _literal_ctx_reads(stage.fn)
-        return self._ctx_reads[stage.name]
+    stages: tuple[Any, ...]
+    options: Any
+    uses: tuple[CtxUses | None, ...]
 
 
-def _literal_ctx_reads(fn: Any) -> tuple[set[str], bool] | None:
-    """Parse ``fn`` for subscripts/``get`` calls on its ctx argument."""
+def _ctx_uses(fn: Any) -> CtxUses | None:
+    """Classify every use of ``fn``'s first argument, ``ctx``; None
+    when the source of ``fn`` is unavailable.
+
+    A use is a read ``ctx["key"]`` / ``ctx.get("key")``; anything else
+    (a non-literal key, ``ctx`` passed to a helper) makes the reads
+    non-exhaustive.  The ``"options"`` reads are followed further:
+    ``.attr`` on them — directly or through names they are bound to by
+    plain, annotated or tuple-unpacking assignments — is an option
+    read, and any other use of the object makes it ``options_whole``.
+    """
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     except (OSError, TypeError, SyntaxError):
         return None
-    func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda | None
-    func = None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            func = node
-            break
-    if func is None:
+    funcs = [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    if not funcs or not (funcs[0].args.posonlyargs or funcs[0].args.args):
         return None
-    args = func.args
-    positional = [*args.posonlyargs, *args.args]
-    if not positional:
-        return None
-    ctx_name = positional[0].arg
-    keys: set[str] = set()
-    exhaustive = True
-    consumed: set[int] = set()   # Name nodes inside recognized reads
-    for node in ast.walk(func):
-        if isinstance(node, ast.Subscript) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id == ctx_name:
-            consumed.add(id(node.value))
-            if isinstance(node.slice, ast.Constant) and \
-                    isinstance(node.slice.value, str):
-                keys.add(node.slice.value)
-            else:
-                exhaustive = False
-        elif isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr == "get" and \
-                isinstance(node.func.value, ast.Name) and \
-                node.func.value.id == ctx_name:
-            consumed.add(id(node.func.value))
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                keys.add(node.args[0].value)
-            else:
-                exhaustive = False
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and node.id == ctx_name and \
-                isinstance(node.ctx, ast.Load) and \
-                id(node) not in consumed:
-            # ctx escapes whole (e.g. to a helper): anything could be
-            # read downstream.
-            exhaustive = False
-    return keys, exhaustive
+    func = funcs[0]
+    ctx_name = [*func.args.posonlyargs, *func.args.args][0].arg
+    parent = {id(child): node for node in ast.walk(func)
+              for child in ast.iter_child_nodes(node)}
+
+    def loads(name: str) -> list[ast.Name]:
+        return [node for node in ast.walk(func)
+                if isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)]
+
+    uses = CtxUses()
+    options: list[ast.expr] = []        # nodes evaluating to options
+    read: ast.expr
+    key: ast.expr
+    for node in loads(ctx_name):
+        up = parent.get(id(node))
+        call = parent.get(id(up))
+        if isinstance(up, ast.Subscript) and up.value is node:
+            read, key = up, up.slice
+        elif isinstance(up, ast.Attribute) and up.attr == "get" and \
+                isinstance(call, ast.Call) and call.func is up and \
+                call.args:
+            read, key = call, call.args[0]
+        else:
+            uses.exhaustive = False     # ctx escapes whole
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            uses.keys.add(key.value)
+            if key.value == "options":
+                options.append(read)
+        else:
+            uses.exhaustive = False
+    aliases: set[str] = set()
+    while options:
+        expr = options.pop()
+        up = parent.get(id(expr))
+        assign = parent.get(id(up))
+        target: ast.expr | None = None
+        if isinstance(up, ast.Assign) and len(up.targets) == 1:
+            target = up.targets[0]
+        elif isinstance(up, ast.AnnAssign):
+            target = up.target
+        elif isinstance(up, ast.Tuple) and isinstance(assign, ast.Assign) \
+                and len(assign.targets) == 1 and assign.value is up:
+            names = assign.targets[0]
+            if isinstance(names, ast.Tuple) and \
+                    len(names.elts) == len(up.elts):
+                target = names.elts[up.elts.index(expr)]
+        if isinstance(target, ast.Name):   # bound: follow the name
+            if target.id not in aliases:
+                aliases.add(target.id)
+                options.extend(loads(target.id))
+        elif isinstance(up, ast.Attribute) and up.value is expr:
+            uses.option_attrs.add(up.attr)
+        else:
+            uses.options_whole = True
+    return uses
 
 
 # ----------------------------------------------------------------------
 # Rules
 
 
-@rule("FLOW-001", Severity.ERROR, "missing artifact producer", "flow")
-def missing_producer(ctx: FlowLintContext) -> Iterator[Violation]:
-    """Every declared dependency must name a registered stage."""
-    for stage in ctx.stages():
+@rule("FLOW-001", Severity.ERROR, "dep on no earlier stage", "flow")
+def dep_on_no_earlier_stage(ctx: FlowLintContext) -> Iterator[Violation]:
+    """Every dep must name a stage earlier in the table: stages run in
+    table order, and the executor refuses any other table up front."""
+    earlier: set[str] = set()
+    for stage in ctx.stages:
         for dep in stage.deps:
-            if not ctx.known(dep):
+            if dep not in earlier:
                 yield (stage.name,
-                       f"stage {stage.name!r} depends on "
-                       f"{dep!r}, which no stage produces")
-
-
-@rule("FLOW-002", Severity.ERROR, "stage dependency cycle", "flow")
-def stage_cycle(ctx: FlowLintContext) -> Iterator[Violation]:
-    """Kahn over the known-stage edges; report whatever never frees."""
-    indeg: dict[str, int] = {}
-    dependents: dict[str, list[str]] = {}
-    for stage in ctx.stages():
-        known_deps = [d for d in stage.deps if ctx.known(d)]
-        indeg[stage.name] = len(known_deps)
-        for dep in known_deps:
-            dependents.setdefault(dep, []).append(stage.name)
-    ready = [n for n, d in indeg.items() if d == 0]
-    while ready:
-        name = ready.pop()
-        for dep in dependents.get(name, ()):
-            indeg[dep] -= 1
-            if indeg[dep] == 0:
-                ready.append(dep)
-    stuck = sorted(n for n, d in indeg.items() if d > 0)
-    if stuck:
-        yield (stuck[0],
-               f"dependency cycle among stages: {', '.join(stuck)}")
-
-
-@rule("FLOW-003", Severity.WARNING, "dead stage", "flow")
-def dead_stage(ctx: FlowLintContext) -> Iterator[Violation]:
-    """A stage behind a missing producer can never execute."""
-    for name, missing in sorted(ctx.missing_behind().items()):
-        stage = ctx.dag.stages.get(name)
-        if stage is None or not missing:
-            continue
-        direct = set(stage.deps) & set(missing)
-        if direct:
-            continue               # FLOW-001 already names this stage
-        yield (name,
-               f"stage {name!r} is dead: it sits behind missing "
-               f"producer(s) {', '.join(missing)} and will be "
-               f"skipped every run")
+                       f"stage {stage.name!r} depends on {dep!r}, "
+                       f"which names no earlier stage")
+        earlier.add(stage.name)
 
 
 @rule("FLOW-004", Severity.ERROR, "unknown knob name", "flow")
@@ -225,7 +184,7 @@ def unknown_knob(ctx: FlowLintContext) -> Iterator[Violation]:
         valid = {f.name for f in fields(options)}
     else:
         valid = {a for a in dir(options) if not a.startswith("_")}
-    for stage in ctx.stages():
+    for stage in ctx.stages:
         for knob in stage.knobs:
             if knob not in valid:
                 yield (stage.name,
@@ -236,15 +195,14 @@ def unknown_knob(ctx: FlowLintContext) -> Iterator[Violation]:
 
 @rule("FLOW-005", Severity.ERROR, "unprovided run parameter", "flow")
 def unprovided_param(ctx: FlowLintContext) -> Iterator[Violation]:
-    """Declared params must exist in the run's parameter bindings."""
-    provided = set(ctx.params)
-    for stage in ctx.stages():
+    """Declared params must be among :data:`DEFAULT_RUN_PARAMS`."""
+    for stage in ctx.stages:
         for param in stage.params:
-            if param not in provided:
+            if param not in DEFAULT_RUN_PARAMS:
                 yield (stage.name,
                        f"stage {stage.name!r} declares param "
                        f"{param!r}, but the run only provides "
-                       f"{sorted(provided)}")
+                       f"{sorted(DEFAULT_RUN_PARAMS)}")
 
 
 @rule("FLOW-006", Severity.ERROR, "undeclared ctx read", "flow")
@@ -255,12 +213,11 @@ def undeclared_ctx_read(ctx: FlowLintContext) -> Iterator[Violation]:
     this is a guaranteed KeyError — discovered here instead of
     mid-run.
     """
-    for stage in ctx.stages():
-        reads = ctx.ctx_reads(stage)
-        if reads is None:
+    for stage, uses in zip(ctx.stages, ctx.uses):
+        if uses is None:
             continue
         declared = set(stage.deps) | set(stage.params)
-        for key in sorted(reads[0] - declared):
+        for key in sorted(uses.keys - declared):
             yield (stage.name,
                    f"stage {stage.name!r} reads ctx[{key!r}] but "
                    f"declares only deps={list(stage.deps)} "
@@ -274,44 +231,54 @@ def unread_declared_input(ctx: FlowLintContext) -> Iterator[Violation]:
     Only reported when the stage's ctx accesses were exhaustively
     literal — a helper receiving the whole ctx suppresses the rule.
     """
-    for stage in ctx.stages():
-        reads = ctx.ctx_reads(stage)
-        if reads is None or not reads[1]:
+    for stage, uses in zip(ctx.stages, ctx.uses):
+        if uses is None or not uses.exhaustive:
             continue
         declared = set(stage.deps) | set(stage.params)
-        for key in sorted(declared - reads[0]):
+        for key in sorted(declared - uses.keys):
             yield (stage.name,
                    f"stage {stage.name!r} declares {key!r} but its "
                    f"body never reads ctx[{key!r}]; cached results "
                    f"invalidate more often than needed")
 
 
+@rule("FLOW-008", Severity.ERROR, "option read outside knobs", "flow")
+def option_outside_knobs(ctx: FlowLintContext) -> Iterator[Violation]:
+    """A stage with ``knobs`` reads only those options.
+
+    Its cache key holds the knobs instead of the whole options object,
+    so an option read outside them replays a stale result when only
+    that option changes.  Options (or ``ctx``) used whole, e.g. passed
+    to a call, are reported too: what reads them is then unknown.
+    """
+    for stage, uses in zip(ctx.stages, ctx.uses):
+        if not stage.knobs or uses is None:
+            continue
+        for attr in sorted(uses.option_attrs - set(stage.knobs)):
+            yield (stage.name,
+                   f"stage {stage.name!r} reads options.{attr}, which "
+                   f"is not among its knobs {list(stage.knobs)}, so "
+                   f"its cached result ignores that option")
+        if uses.options_whole or not uses.exhaustive:
+            yield (stage.name,
+                   f"stage {stage.name!r} uses the options (or ctx) "
+                   f"whole, so its cache key cannot be narrowed to "
+                   f"{list(stage.knobs)}")
+
+
 # ----------------------------------------------------------------------
 # Entry point
 
 
-def lint_flow(dag: Any, options: Any = None, *,
-              params: tuple[str, ...] = DEFAULT_RUN_PARAMS,
-              waivers: Waivers | None = None,
-              purity: bool = True,
-              only: list[str] | None = None,
-              subject: str = "flow") -> LintReport:
-    """Statically verify a flow DAG (and its stage functions).
-
-    Flow-scope rules need only the DAG plus the run bindings
-    (``options``, ``params``); with ``purity`` (the default) every
-    stage function is additionally AST-checked for cache-soundness
-    hazards via :func:`repro.lint.purity.check_flow_purity`.
-    """
+def lint_flow(stages: Iterable[Any], options: Any = None) -> LintReport:
+    """Statically verify a stage table (FLOW rules; ``options`` names
+    the valid knobs) and its stage functions' cache soundness (PURE
+    rules, :func:`repro.lint.purity.check_flow_purity`)."""
     t0 = time.perf_counter()
-    ctx = FlowLintContext(dag=dag, options=options,
-                          params=tuple(params))
-    report = REGISTRY.run("flow", ctx, subject, only=only)
-    if purity:
-        purity_report = check_flow_purity(dag)
-        for finding in purity_report.findings:
-            report.findings.append(finding)
-    if waivers is not None:
-        report.findings = waivers.apply(report.findings)
+    table = tuple(stages)
+    uses = tuple(_ctx_uses(stage.fn) for stage in table)
+    report = REGISTRY.run("flow", FlowLintContext(table, options, uses),
+                          "flow")
+    report.extend(check_flow_purity(table).findings)
     report.wall_s = time.perf_counter() - t0
     return report

@@ -361,10 +361,9 @@ def check_stage_purity(fn: Callable[..., object], *,
     return findings
 
 
-def check_flow_purity(dag: Any) -> LintReport:
-    """Purity-check every stage function of a flow DAG."""
+def check_flow_purity(stages: Iterable[Any]) -> LintReport:
+    """Purity-check every stage function of a stage table."""
     report = LintReport(subject="flow-purity")
-    stages: Iterable[Any] = dag.stages.values()
     for stage in stages:
         report.extend(check_stage_purity(stage.fn,
                                          stage_name=stage.name))

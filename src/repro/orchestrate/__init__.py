@@ -1,5 +1,5 @@
-"""Flow orchestration: DAG scheduling, content-hash caching, parallel
-sweeps, crash-safe journaling, and run telemetry.
+"""Flow orchestration: an ordered stage table, content-hash caching,
+parallel sweeps, crash-safe journaling, and run telemetry.
 
 The scaling substrate behind the E7 throughput claim — and, since the
 resilience layer landed, the *one* documented flow API:
@@ -10,10 +10,11 @@ resilience layer landed, the *one* documented flow API:
   stages replay from the journal, only the frontier re-executes, and
   the final metrics are bit-identical to an uninterrupted run.
 
-Underneath: declare flows as DAGs of stages
-(:mod:`~repro.orchestrate.dag`), replay unchanged stages from a
-checksummed content-addressed cache (:mod:`~repro.orchestrate.cache`),
-run each flow's stages in order (:mod:`~repro.orchestrate.executor`)
+Underneath: declare a flow as a table of stages in execution order
+(:mod:`~repro.orchestrate.dag`, :data:`STAGES`), replay unchanged
+stages from a checksummed content-addressed cache
+(:mod:`~repro.orchestrate.cache`), run each flow's stages in order
+(:mod:`~repro.orchestrate.executor`)
 and independent flow jobs on a process pool
 (:mod:`~repro.orchestrate.sweep`),
 checkpoint and fault-inject (:mod:`~repro.orchestrate.resilience`),
@@ -32,15 +33,15 @@ from repro.orchestrate.cache import (
     stage_key,
     unseal_blob,
 )
-from repro.orchestrate.dag import CycleError, FlowDAG, Stage
+from repro.orchestrate.dag import Stage
 from repro.orchestrate.executor import (
     RunResult,
-    SerialExecutor,
     StageError,
     WorkerCrash,
     run_stage,
+    run_stages,
 )
-from repro.orchestrate.flows import build_implement_dag
+from repro.orchestrate.flows import STAGES
 from repro.orchestrate.resilience import (
     ChaosFailure,
     ChaosPolicy,
@@ -64,8 +65,6 @@ __all__ = [
     "ChaosFailure",
     "ChaosPolicy",
     "CorruptEntry",
-    "CycleError",
-    "FlowDAG",
     "FlowOptions",
     "FlowResult",
     "FlowStatus",
@@ -75,20 +74,20 @@ __all__ = [
     "RunJournal",
     "RunReport",
     "RunResult",
-    "SerialExecutor",
+    "STAGES",
     "Span",
     "Stage",
     "StageError",
     "SweepResult",
     "TelemetrySink",
     "WorkerCrash",
-    "build_implement_dag",
     "corrupt_file",
     "peak_rss_kb",
     "resumable_runs",
     "resume_run",
     "run",
     "run_stage",
+    "run_stages",
     "run_sweep",
     "seal_blob",
     "stable_hash",

@@ -1,10 +1,10 @@
 """Content-addressed result cache for flow stages.
 
-Keys are a stable SHA-256 over (stage name, code version tag,
-canonicalized inputs); values are encoded stage results held in an
-in-memory LRU with an optional on-disk store.  Re-running a sweep with
-one knob changed only re-executes the stages whose key inputs actually
-changed — everything upstream and sideways replays from cache.
+Keys are a stable SHA-256 over (stage name, canonicalized inputs);
+values are encoded stage results held in an in-memory LRU with an
+optional on-disk store.  Re-running a sweep with one knob changed only
+re-executes the stages whose key inputs actually changed — everything
+upstream and sideways replays from cache.
 
 Values travel through the *packed-design codec*
 (:func:`encode_value` / :func:`decode_value`): netlists and
@@ -28,10 +28,12 @@ the SHA-256 of the payload and the entry's own key, so a truncated
 write, a flipped bit, or a blob copied under the wrong key is detected
 on read.  A bad entry is moved to a ``quarantine/`` sibling (kept for
 forensics) and reported as a miss, so the caller recomputes instead of
-crashing — the cache can only ever cost a recompute, never a wrong or
-aborted run.  Entries publish through :func:`atomic_write` (tmp,
-fsync, rename), so a killed writer leaves the old entry or the new
-one, never a torn file, and a published entry is durable.
+crashing, and a disk write that fails (a full or read-only disk) keeps
+the entry in memory only — the cache can only ever cost a recompute,
+never a wrong or aborted run.  Entries publish through
+:func:`atomic_write` (tmp, fsync, rename), so a killed writer leaves
+the old entry or the new one, never a torn file, and a published
+entry is durable.
 """
 
 from __future__ import annotations
@@ -246,10 +248,9 @@ def stable_hash(obj) -> str:
     return h.hexdigest()
 
 
-def stage_key(name: str, version: str, inputs: dict) -> str:
+def stage_key(name: str, inputs: dict) -> str:
     """Cache key for one stage execution."""
-    return stable_hash({"stage": name, "version": version,
-                        "inputs": inputs})
+    return stable_hash({"stage": name, "inputs": inputs})
 
 
 @dataclass
@@ -263,6 +264,7 @@ class CacheStats:
     puts: int = 0
     evictions: int = 0
     corrupt: int = 0          # disk entries quarantined on read
+    write_failures: int = 0   # puts whose disk write failed
 
     @property
     def hit_rate(self) -> float:
@@ -319,13 +321,20 @@ class ResultCache:
         self.stats.misses += 1
         return False, None
 
-    def put(self, key: str, value) -> None:
-        """Store a result under its content key (both tiers)."""
+    def put(self, key: str, value) -> bool:
+        """Store a result under its content key in both tiers; returns
+        whether it reached both.  A disk write that raises ``OSError``
+        costs only the disk copy (``stats.write_failures`` counts it)."""
         blob = encode_value(value)
         self._remember(key, blob)
         self.stats.puts += 1
         if self.disk_dir:
-            atomic_write(self.entry_path(key), seal_blob(blob, key))
+            try:
+                atomic_write(self.entry_path(key), seal_blob(blob, key))
+            except OSError:
+                self.stats.write_failures += 1
+                return False
+        return True
 
     def _quarantine(self, path: Path) -> None:
         """Move a bad disk entry aside (kept for forensics) so the next

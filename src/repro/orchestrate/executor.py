@@ -1,14 +1,16 @@
 """The stage executor: one flow run, one stage at a time.
 
-:class:`SerialExecutor` walks the DAG in topological order and hands
+:func:`run_stages` walks a stage table in its declared order and hands
 each stage to :func:`run_stage`, which consults the result cache, runs
 the stage once, in the calling thread, and emits a telemetry span
-either way.  Stages are deterministic, so there is no retry: running a
-failed stage again would fail the same way.  A failed *optional* stage
-(e.g. CTS) marks the run ``degraded`` and its output ``None``; a
-failed required stage marks its transitive dependents skipped and
-raises :class:`StageError`, so the caller sees the original traceback
-and a journaled run stays resumable.
+either way.  The table is checked before anything runs: a duplicate
+name, or a dep that names no earlier stage, raises ``ValueError``.
+Stages are deterministic, so there is no retry: running a failed stage
+again would fail the same way.  A failed *optional* stage (e.g. CTS)
+marks the run ``degraded`` and its output ``None``; a failed required
+stage marks its transitive dependents skipped and raises
+:class:`StageError`, so the caller sees the original traceback and a
+journaled run stays resumable.
 
 Resilience hooks (see :mod:`repro.orchestrate.resilience`): a
 ``journal`` write-ahead-logs every completed stage so a killed process
@@ -105,8 +107,7 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
     t0 = time.perf_counter()
     key = None
     if cache is not None:
-        key = stage_key(stage.name, stage.version,
-                        cache_inputs(stage, ctx))
+        key = stage_key(stage.name, cache_inputs(stage, ctx))
         hit, value = cache.get(key)
         if hit:
             span = Span(stage.name, time.perf_counter() - t0,
@@ -131,7 +132,7 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
 
 @dataclass
 class RunResult:
-    """Outcome of executing a whole DAG once."""
+    """Outcome of running a whole stage table once."""
 
     outputs: dict
     status: str                      # ok | degraded
@@ -140,60 +141,73 @@ class RunResult:
     replayed: list = field(default_factory=list)   # from a run journal
 
 
-class SerialExecutor:
-    """Run stages one at a time in topological order."""
+def run_stages(stages, params, *, cache=None, sink=None, journal=None,
+               chaos=None) -> RunResult:
+    """Run ``stages`` once each, in their declared order, with the run
+    parameters ``params``; ``sink`` receives every span, also when a
+    stage fails."""
+    stages = tuple(stages)
+    earlier: set = set()
+    for stage in stages:
+        if stage.name in earlier:
+            raise ValueError(f"duplicate stage {stage.name!r}")
+        for dep in stage.deps:
+            if dep not in earlier:
+                raise ValueError(f"stage {stage.name!r} depends on "
+                                 f"{dep!r}, which names no earlier stage")
+        earlier.add(stage.name)
 
-    def __init__(self, chaos=None):
-        self.chaos = chaos
-
-    def run(self, dag, params, cache=None, sink=None,
-            journal=None) -> RunResult:
-        t0 = time.perf_counter()
-        outputs: dict = {}
-        spans: list = []
-        replayed: list = []
-        degraded = False
-        try:
-            for stage in dag.topological_order():
+    t0 = time.perf_counter()
+    outputs: dict = {}
+    spans: list = []
+    replayed: list = []
+    degraded = False
+    try:
+        for position, stage in enumerate(stages):
+            if journal is not None:
+                hit, value = journal.replay(stage.name)
+                if hit:
+                    # Zero-cost ``cache="journal"`` spans, so telemetry
+                    # counts exactly what a resume skipped.
+                    outputs[stage.name] = value
+                    replayed.append(stage.name)
+                    spans.append(Span(stage.name, 0.0, cache="journal"))
+                    continue
+            if chaos is not None:
+                chaos.pre_stage(stage.name)   # may crash
+            outcome = run_stage(stage, {**params, **outputs},
+                                cache=cache, chaos=chaos)
+            spans.append(outcome.span)
+            if outcome.error is None:
+                outputs[stage.name] = outcome.value
                 if journal is not None:
-                    hit, value = journal.replay(stage.name)
-                    if hit:
-                        # Zero-cost ``cache="journal"`` spans, so
-                        # telemetry counts exactly what a resume skipped.
-                        outputs[stage.name] = value
-                        replayed.append(stage.name)
-                        spans.append(Span(stage.name, 0.0,
-                                          cache="journal"))
-                        continue
-                if self.chaos is not None:
-                    self.chaos.pre_stage(stage.name)   # may crash
-                outcome = run_stage(stage, {**params, **outputs},
-                                    cache=cache, chaos=self.chaos)
-                spans.append(outcome.span)
-                if outcome.error is None:
-                    outputs[stage.name] = outcome.value
-                    if journal is not None:
-                        # Best effort: an output the journal cannot
-                        # store re-executes on resume.
-                        try:
-                            journal.record(outcome.name, outcome.value,
-                                           key=outcome.key,
-                                           wall_s=outcome.span.wall_s)
-                        except Exception:   # noqa: BLE001
-                            pass
-                    continue
-                if stage.optional:
-                    outputs[stage.name] = None
-                    degraded = True
-                    continue
-                spans.extend(Span(name, 0.0, status="skipped")
-                             for name in sorted(dag.dependents(stage.name)))
-                raise StageError(stage.name,
-                                 outcome.error) from outcome.error
-        finally:
-            if sink is not None:
-                sink.extend(spans)
-        return RunResult(outputs=outputs,
-                         status="degraded" if degraded else "ok",
-                         spans=spans, wall_s=time.perf_counter() - t0,
-                         replayed=replayed)
+                    # Best effort: an output the journal cannot store
+                    # re-executes on resume.
+                    try:
+                        journal.record(outcome.name, outcome.value,
+                                       key=outcome.key,
+                                       wall_s=outcome.span.wall_s)
+                    except Exception:   # noqa: BLE001
+                        pass
+                continue
+            if stage.optional:
+                outputs[stage.name] = None
+                degraded = True
+                continue
+            # Deps point backwards, so one forward scan finds every
+            # transitive dependent.
+            dead = {stage.name}
+            for later in stages[position + 1:]:
+                if dead.intersection(later.deps):
+                    dead.add(later.name)
+            spans.extend(Span(name, 0.0, status="skipped")
+                         for name in sorted(dead - {stage.name}))
+            raise StageError(stage.name,
+                             outcome.error) from outcome.error
+    finally:
+        if sink is not None:
+            sink.extend(spans)
+    return RunResult(outputs=outputs,
+                     status="degraded" if degraded else "ok",
+                     spans=spans, wall_s=time.perf_counter() - t0,
+                     replayed=replayed)

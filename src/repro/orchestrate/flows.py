@@ -1,22 +1,23 @@
-"""The implementation flow as a DAG, and :func:`implement_dag`, the
-private engine behind :func:`repro.orchestrate.run` and
-:func:`repro.orchestrate.resume_run`.
+"""The implementation flow as one ordered table, :data:`STAGES`, and
+:func:`implement_flow`, the private engine behind
+:func:`repro.orchestrate.run` and :func:`repro.orchestrate.resume_run`.
 
-Each stage of the legacy hand-rolled flow becomes a :class:`Stage`
-node with explicit data dependencies and a narrowed cache-key domain
-(``knobs``): changing ``routing_iterations`` re-executes only the
-routing stage, while synthesis, placement, and signoff replay from the
-content-addressed cache.
+Each row is a :class:`Stage` with explicit data dependencies on
+earlier rows and a narrowed cache-key domain (``knobs``): changing
+``routing_iterations`` re-executes only the routing stage, while
+synthesis, placement, and signoff replay from the content-addressed
+cache.  ``tests/test_lint.py`` lints the table (FLOW-008: a stage reads
+no option outside its ``knobs``).
 
-Data-dependency notes mirrored from the legacy serial order:
+Data-dependency notes:
 
-* ``insert_scan`` mutates the netlist, and the legacy flow routed and
-  signed off *after* scan insertion.  The netlist travels inside its
-  :class:`~repro.place.placement.Placement` (``placement.netlist``),
-  and ``dft`` consumes and returns that bundle — so even when a stage
-  replays from the cache or a journal (a decoded copy) the placement
-  and the post-scan netlist downstream stages see are the same
-  consistent pair.
+* Routing and signoff run *after* scan insertion.  The netlist travels
+  inside its :class:`~repro.place.placement.Placement`
+  (``placement.netlist``), and ``dft`` consumes and returns that
+  bundle — so even when a stage replays from the cache or a journal (a
+  decoded copy) the placement and the post-scan netlist downstream
+  stages see are the same consistent pair.  ``dft`` copies on write,
+  so the caller's subject is never edited.
 * ``cts``, ``routing``, and ``signoff`` all depend only on ``dft``
   (signoff parasitics come from placement-derived lengths, not
   routing), so a knob change to one of them re-runs only that stage.
@@ -26,13 +27,12 @@ Data-dependency notes mirrored from the legacy serial order:
 
 from __future__ import annotations
 
-from repro.core.flow import FlowOptions, FlowResult
-from repro.orchestrate.dag import FlowDAG, Stage
-from repro.orchestrate.executor import SerialExecutor
-from repro.orchestrate.telemetry import Span, TelemetrySink
+from dataclasses import replace
 
-STAGE_NAMES = ("synthesis", "placement", "dft", "cts", "routing",
-               "signoff")
+from repro.core.flow import FlowOptions, FlowResult
+from repro.orchestrate.dag import Stage
+from repro.orchestrate.executor import run_stages
+from repro.orchestrate.telemetry import Span, TelemetrySink
 
 
 def stage_synthesis(ctx) -> object:
@@ -66,20 +66,24 @@ def stage_placement(ctx) -> object:
 def stage_dft(ctx) -> object:
     """Scan insertion (layout-aware order uses the placement).
 
-    Operates on ``placement.netlist`` and returns the placement bundle
-    — mutated in place when scan fires, untouched otherwise — so
-    downstream stages consume the post-DFT design explicitly rather
-    than via side effect.
+    Returns the placement bundle: untouched when scan does not fire,
+    otherwise a new placement whose netlist is a copy with scan
+    inserted (the packed round trip is lossless, fresh-name counter
+    included), so the caller's subject survives for another run.
     """
     from repro.dft.scan import insert_scan, reorder_chain
     placement, options = ctx["placement"], ctx["options"]
     netlist = placement.netlist
-    if options.scan and netlist.sequential_gates():
-        flops = [g.name for g in netlist.sequential_gates()]
-        order = reorder_chain(flops, placement) \
-            if options.layout_aware_scan else None
-        insert_scan(netlist, num_chains=options.scan_chains,
-                    order=order)
+    if not (options.scan and netlist.sequential_gates()):
+        return placement
+    netlist = netlist.to_packed().to_netlist(netlist.library)
+    placement = replace(placement, netlist=netlist,
+                        positions=dict(placement.positions),
+                        pad_positions=dict(placement.pad_positions))
+    flops = [g.name for g in netlist.sequential_gates()]
+    order = reorder_chain(flops, placement) \
+        if options.layout_aware_scan else None
+    insert_scan(netlist, num_chains=options.scan_chains, order=order)
     return placement
 
 
@@ -126,36 +130,32 @@ def stage_signoff(ctx) -> dict:
             "power_uw": power.total_uw}
 
 
-def build_implement_dag() -> FlowDAG:
-    """The six-stage implementation DAG.
+#: The implementation flow, in execution order.  Each stage's
+#: ``knobs`` narrow its cache key to the options it reads.
+STAGES = (
+    Stage("synthesis", stage_synthesis,
+          params=("subject", "library", "options"),
+          knobs=("era", "clock_period_ps")),
+    Stage("placement", stage_placement,
+          deps=("synthesis",), params=("options",),
+          knobs=("utilization", "spreading_passes", "detailed_passes",
+                 "seed")),
+    Stage("dft", stage_dft,
+          deps=("placement",), params=("options",),
+          knobs=("scan", "scan_chains", "layout_aware_scan")),
+    Stage("cts", stage_cts,
+          deps=("dft",), params=("options",),
+          knobs=("cts",), optional=True),
+    Stage("routing", stage_routing,
+          deps=("dft",), params=("options",),
+          knobs=("routing_layers", "routing_iterations", "gcell_um",
+                 "seed")),
+    Stage("signoff", stage_signoff,
+          deps=("dft",), params=("library", "options"),
+          knobs=("clock_period_ps", "freq_ghz", "seed")),
+)
 
-    ``knobs`` per stage narrow cache keys to the options each stage
-    actually reads; ``version`` tags let a code change invalidate just
-    its own stage's cached results.
-    """
-    dag = FlowDAG()
-    dag.add(Stage("synthesis", stage_synthesis,
-                  params=("subject", "library", "options"),
-                  knobs=("era", "clock_period_ps")))
-    dag.add(Stage("placement", stage_placement,
-                  deps=("synthesis",), params=("options",),
-                  knobs=("utilization", "spreading_passes",
-                         "detailed_passes", "seed")))
-    dag.add(Stage("dft", stage_dft,
-                  deps=("placement",), params=("options",),
-                  knobs=("scan", "scan_chains", "layout_aware_scan")))
-    dag.add(Stage("cts", stage_cts,
-                  deps=("dft",), params=("options",),
-                  knobs=("cts",), optional=True))
-    dag.add(Stage("routing", stage_routing,
-                  deps=("dft",), params=("options",),
-                  knobs=("routing_layers", "routing_iterations",
-                         "gcell_um", "seed")))
-    dag.add(Stage("signoff", stage_signoff,
-                  deps=("dft",),
-                  params=("library", "options"),
-                  knobs=("clock_period_ps", "freq_ghz", "seed")))
-    return dag
+STAGE_NAMES = tuple(stage.name for stage in STAGES)
 
 
 def _pre_run_lint(subject, sink):
@@ -179,10 +179,10 @@ def _pre_run_lint(subject, sink):
     return report
 
 
-def implement_dag(subject, library, options: FlowOptions | None = None,
-                  *, run_db=None, cache=None, telemetry=None,
-                  journal=None, chaos=None) -> FlowResult:
-    """Run the implementation DAG and assemble a :class:`FlowResult`.
+def implement_flow(subject, library, options: FlowOptions | None = None,
+                   *, run_db=None, cache=None, telemetry=None,
+                   journal=None, chaos=None) -> FlowResult:
+    """Run :data:`STAGES` and assemble a :class:`FlowResult`.
 
     The private engine of :func:`repro.orchestrate.run` and
     :func:`repro.orchestrate.resume_run`: ``cache`` (a
@@ -190,8 +190,9 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     stages, ``telemetry`` (a :class:`TelemetrySink`) collects spans,
     ``journal`` write-ahead-logs each completed stage and replays the
     stages it already verified, and ``chaos`` injects deterministic
-    faults.  Stages run one at a time on :class:`SerialExecutor`; each
-    runs once, and a failed required stage raises
+    faults.  Stages run one at a time through
+    :func:`~repro.orchestrate.executor.run_stages`; each runs once,
+    and a failed required stage raises
     :class:`~repro.orchestrate.executor.StageError`.
 
     ``options`` are validated again here, since options decoded from
@@ -202,14 +203,13 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
     if options is None:
         options = FlowOptions()
     options.validate()
-    dag = build_implement_dag()
     sink = telemetry if telemetry is not None else TelemetrySink()
     n_before = len(sink.spans)
     lint_report = _pre_run_lint(subject, sink)
-    run = SerialExecutor(chaos=chaos).run(
-        dag, {"subject": subject, "library": library,
-              "options": options},
-        cache=cache, sink=sink, journal=journal)
+    run = run_stages(
+        STAGES, {"subject": subject, "library": library,
+                 "options": options},
+        cache=cache, sink=sink, journal=journal, chaos=chaos)
 
     result = FlowResult.from_run(
         run, options,
@@ -219,16 +219,16 @@ def implement_dag(subject, library, options: FlowOptions | None = None,
         run_id=getattr(journal, "run_id", None))
     result.lint = lint_report
     if run_db is not None:
-        _log_run(run_db, result, dag, sink.spans[n_before:])
+        _log_run(run_db, result, sink.spans[n_before:])
     return result
 
 
-def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
+def _log_run(run_db, result: FlowResult, spans) -> None:
     """Self-monitoring: persist QoR and telemetry to the run database
     (Rossi's "information useful to the next runs").
 
-    The record's knobs are every option a stage of ``dag`` reads (the
-    union of :attr:`Stage.knobs`).
+    The record's knobs are every option a stage of :data:`STAGES`
+    reads (the union of :attr:`Stage.knobs`).
     """
     from repro.learn.rundb import RunRecord, design_features
     options = result.options
@@ -236,7 +236,7 @@ def _log_run(run_db, result: FlowResult, dag: FlowDAG, spans) -> None:
         design=result.netlist.name,
         features=design_features(result.netlist),
         knobs={knob: getattr(options, knob)
-               for stage in dag.stages.values() for knob in stage.knobs},
+               for stage in STAGES for knob in stage.knobs},
         qor={
             "hpwl_um": result.hpwl_um,
             "overflow": result.overflow,

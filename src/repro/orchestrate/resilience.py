@@ -191,9 +191,12 @@ class RunJournal:
         through the packed-design codec
         (:func:`~repro.orchestrate.cache.encode_value`): a netlist or
         placement journals as columnar ``.pnl`` bytes, sharing the
-        packing pass with the result cache.
+        packing pass with the result cache.  A blob the store could not
+        publish gets no index line: :class:`JournalError` is raised
+        and the stage re-executes on resume.
         """
-        self.store.put(stage, value)
+        if not self.store.put(stage, value):
+            raise JournalError(f"blob of stage {stage!r} not published")
         line = json.dumps({"stage": stage, "key": key, "wall_s": wall_s,
                            "blob": self.store.entry_path(stage).name})
         with self.index_path.open("a") as fh:
@@ -347,13 +350,13 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
     :class:`~repro.core.flow.FlowStatus` and its ``run_id`` echoes the
     journal id when journaling was on.
     """
-    from repro.orchestrate.flows import implement_dag
+    from repro.orchestrate.flows import implement_flow
     journal = None
     if journal_root is not None:
         run_id = run_id or _new_run_id()
         journal = RunJournal.create(journal_root, run_id, subject,
                                     library, options)
-    result = implement_dag(
+    result = implement_flow(
         subject, library, options, run_db=run_db, cache=cache,
         telemetry=telemetry, journal=journal, chaos=chaos)
     if journal is not None:
@@ -380,7 +383,7 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     A journal written under another :attr:`RunJournal.SCHEMA_VERSION`
     raises :class:`JournalError` naming both versions.
     """
-    from repro.orchestrate.flows import implement_dag
+    from repro.orchestrate.flows import implement_flow
     journal = RunJournal.open(journal_root, run_id)
     version = journal.meta().get("schema_version")
     if version != RunJournal.SCHEMA_VERSION:
@@ -390,7 +393,7 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     subject, library, options = journal.load_inputs()
     sink = telemetry if telemetry is not None else TelemetrySink()
     n_before = len(sink.spans)
-    result = implement_dag(
+    result = implement_flow(
         subject, library, options, run_db=run_db, cache=cache,
         telemetry=sink, journal=journal, chaos=chaos)
     journal.finish(result.status)

@@ -307,9 +307,10 @@ def _spring_system(prob: _Problem, die_w: float, die_h: float
 
 def _cg_solve(lap: Any, diag: FloatArray, b: FloatArray,
               x0: FloatArray, rtol: float = 1e-7,
-              maxiter: int = 500) -> FloatArray:
+              maxiter: int = 500) -> tuple[FloatArray, int]:
     """One warm-started CG solve of the SPD spring system.
 
+    Returns the solution and the number of CG iterations it took.
     Raises :class:`RuntimeError` when CG does not converge within
     ``maxiter`` (or breaks down) instead of returning a best effort.
     """
@@ -317,14 +318,15 @@ def _cg_solve(lap: Any, diag: FloatArray, b: FloatArray,
     from scipy.sparse.linalg import cg
 
     m = sparse.diags(1.0 / diag, format="csr")
+    steps: list[int] = []
     x, info = cg(lap, b, x0=x0, rtol=rtol, atol=0.0,
-                 maxiter=maxiter, M=m)
+                 maxiter=maxiter, M=m, callback=lambda _: steps.append(1))
     if info != 0:
         resid = np.linalg.norm(b - lap @ x) / np.linalg.norm(b)
         raise RuntimeError(
             f"CG did not converge: info={info}, maxiter={maxiter}, "
             f"relative residual {resid:.3e} (rtol {rtol:g})")
-    return np.asarray(x, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64), len(steps)
 
 
 # ----------------------------------------------------------------------
@@ -804,8 +806,9 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
             np.full(n, die_w / 2) + rng.normal(0, 0.01, n)
         y0 = warm_y if warm_y is not None else \
             np.full(n, die_h / 2) + rng.normal(0, 0.01, n)
-        xs = np.clip(_cg_solve(lap, diag, bx, x0), 0, die_w)
-        ys = np.clip(_cg_solve(lap, diag, by, y0), 0, die_h)
+        xs, x_iters = _cg_solve(lap, diag, bx, x0)
+        ys, y_iters = _cg_solve(lap, diag, by, y0)
+        xs, ys = np.clip(xs, 0, die_w), np.clip(ys, 0, die_h)
         xs = np.clip(xs + rng.normal(0, 0.01, n), 0, die_w)
         ys = np.clip(ys + rng.normal(0, 0.01, n), 0, die_h)
 
@@ -828,6 +831,9 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
         from scipy import sparse as _sp
         eye = _sp.identity(n, format="csr")
         prev_overflow = np.inf
+        # A re-solve (alpha*I added, warm start, looser rtol) needs
+        # fewer iterations than the first solve: cap it by that count.
+        resolve_cap = max(100, 2 * max(x_iters, y_iters))
         for _ in range(max_iterations):
             density = _splat_density(xs, ys, prob.areas, m,
                                      die_w, die_h)
@@ -847,11 +853,11 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
             # Warm-started anchored re-solve pulls connectivity back.
             lap_a = lap + alpha * eye
             diag_a = diag + alpha
-            xs = np.clip(_cg_solve(lap_a, diag_a, bx + alpha * xs,
-                                   xs, rtol=1e-5, maxiter=100),
+            xs = np.clip(_cg_solve(lap_a, diag_a, bx + alpha * xs, xs,
+                                   rtol=1e-5, maxiter=resolve_cap)[0],
                          0, die_w)
-            ys = np.clip(_cg_solve(lap_a, diag_a, by + alpha * ys,
-                                   ys, rtol=1e-5, maxiter=100),
+            ys = np.clip(_cg_solve(lap_a, diag_a, by + alpha * ys, ys,
+                                   rtol=1e-5, maxiter=resolve_cap)[0],
                          0, die_h)
             alpha *= 1.8
     return xs, ys

@@ -37,7 +37,6 @@ def lib():
 
 
 def seq_design(lib, seed=3, flops=16, gates=120):
-    # Fresh per call: the flow mutates its subject (scan insertion).
     return registered_cloud(8, flops, gates, lib, seed=seed)
 
 

@@ -4,7 +4,7 @@ Covers the full static-analysis surface: the fixture sweep over every
 generator/benchmark circuit (all must be error-clean), seeded
 violations for each netlist rule, waivers and report export, flow
 static verification, the AST purity checker, the flow's pre-run
-netlist lint, and the invariant that the shipped implement DAG is
+netlist lint, and the invariant that the shipped stage table is
 itself lint-clean.
 """
 
@@ -42,14 +42,13 @@ from repro.netlist.generators import (
 )
 from repro.netlist.io import write_verilog
 from repro.orchestrate import (
-    FlowDAG,
+    STAGES,
     FlowOptions,
     Stage,
     StageError,
     TelemetrySink,
     run,
 )
-from repro.orchestrate.flows import build_implement_dag
 from repro.tech import get_node
 
 
@@ -314,74 +313,141 @@ def _stage_typo(ctx):
     return ctx["sythesis"]          # deliberate ctx-key typo
 
 
+def _reads_bound_option(ctx):
+    options = ctx["options"]
+    return options.seed + options.utilization
+
+
+def _reads_unpacked_option(ctx):
+    subject, options = ctx["subject"], ctx["options"]
+    return subject if options.seed else options.utilization
+
+
+def _reads_option_inline(ctx):
+    return ctx["options"].seed * ctx["options"].utilization
+
+
+def _reads_option_through_two_names(ctx):
+    options: object = ctx["options"]
+    opts = options
+    return opts.seed + opts.utilization
+
+
+def _reads_option_through_a_chained_assignment(ctx):
+    opts = options = ctx["options"]
+    return opts.seed + options.utilization
+
+
+def _passes_options_whole(ctx):
+    return repr(ctx["options"])
+
+
+def _returns_option_alias(ctx):
+    options = ctx.get("options")
+    return options
+
+
+def _passes_ctx_whole(ctx):
+    return _reads_bound_option(ctx)
+
+
+def _reads_knobs_only(ctx):
+    opts = ctx["options"]
+    return opts.seed
+
+
 class TestFlowRules:
     def test_missing_producer(self):
-        dag = FlowDAG()
-        dag.add(Stage("a", _stage_ok, params=("subject",)))
-        dag.add(Stage("b", _stage_ok, deps=("nonexistent",)))
-        report = lint_flow(dag, purity=False)
-        assert any(f.rule_id == "FLOW-001" for f in report.errors)
-
-    def test_dead_stage_behind_missing_producer(self):
-        dag = FlowDAG()
-        dag.add(Stage("a", _stage_ok, deps=("nonexistent",)))
-        dag.add(Stage("b", _stage_ok, deps=("a",)))
-        report = lint_flow(dag, purity=False)
-        dead = [f for f in report.warnings
-                if f.rule_id == "FLOW-003"]
-        assert dead and dead[0].location == "b"
+        table = (Stage("a", _stage_ok, params=("subject",)),
+                 Stage("b", _stage_ok, deps=("nonexistent",)))
+        report = lint_flow(table)
+        finding = next(f for f in report.errors
+                       if f.rule_id == "FLOW-001")
+        assert finding.location == "b"
+        assert "names no earlier stage" in finding.message
 
     def test_stage_cycle(self):
-        dag = FlowDAG()
-        dag.add(Stage("a", _stage_ok, deps=("b",)))
-        dag.add(Stage("b", _stage_ok, deps=("a",)))
-        report = lint_flow(dag, purity=False)
-        assert any(f.rule_id == "FLOW-002" for f in report.errors)
+        # A cycle needs a dep on a later stage: FLOW-001 names it.
+        table = (Stage("a", _stage_ok, deps=("b",)),
+                 Stage("b", _stage_ok, deps=("a",)))
+        report = lint_flow(table)
+        assert [f.location for f in report.errors
+                if f.rule_id == "FLOW-001"] == ["a"]
+
+    def test_retired_graph_rules_are_gone(self):
+        assert {"FLOW-002", "FLOW-003"}.isdisjoint(REGISTRY.ids())
 
     def test_unknown_knob(self):
-        dag = FlowDAG()
-        dag.add(Stage("a", _stage_ok, params=("options",),
-                      knobs=("utilizatoin",)))   # typo
-        report = lint_flow(dag, FlowOptions(), purity=False)
+        table = (Stage("a", _stage_ok, params=("options",),
+                       knobs=("utilizatoin",)),)   # typo
+        report = lint_flow(table, FlowOptions())
         finding = next(f for f in report.errors
                        if f.rule_id == "FLOW-004")
         assert "utilizatoin" in finding.message
 
     def test_unprovided_param(self):
-        dag = FlowDAG()
-        dag.add(Stage("a", _stage_ok, params=("no_such_param",)))
-        report = lint_flow(dag, purity=False)
+        table = (Stage("a", _stage_ok, params=("no_such_param",)),)
+        report = lint_flow(table)
         assert any(f.rule_id == "FLOW-005" for f in report.errors)
 
     def test_undeclared_ctx_read(self):
-        dag = FlowDAG()
-        dag.add(Stage("synthesis", _stage_ok, params=("subject",)))
-        dag.add(Stage("place", _stage_typo, deps=("synthesis",)))
-        report = lint_flow(dag, purity=False)
+        table = (Stage("synthesis", _stage_ok, params=("subject",)),
+                 Stage("place", _stage_typo, deps=("synthesis",)))
+        report = lint_flow(table)
         finding = next(f for f in report.errors
                        if f.rule_id == "FLOW-006")
         assert "sythesis" in finding.message
 
     def test_unread_declared_input_is_info(self):
-        dag = FlowDAG()
-        dag.add(Stage("synthesis", _stage_ok, params=("subject",)))
-        dag.add(Stage("b", _stage_ok,
-                      deps=("synthesis",), params=("subject",)))
-        report = lint_flow(dag, purity=False)
+        table = (Stage("synthesis", _stage_ok, params=("subject",)),
+                 Stage("b", _stage_ok,
+                       deps=("synthesis",), params=("subject",)))
+        report = lint_flow(table)
         infos = [f for f in report.findings
                  if f.rule_id == "FLOW-007"]
         assert infos and infos[0].severity is Severity.INFO
 
+    @pytest.mark.parametrize("fn", [_reads_bound_option,
+                                    _reads_unpacked_option,
+                                    _reads_option_inline,
+                                    _reads_option_through_two_names])
+    def test_option_read_outside_knobs(self, fn):
+        table = (Stage("s", fn, params=("subject", "options"),
+                       knobs=("seed",)),)
+        report = lint_flow(table, FlowOptions())
+        assert [(f.rule_id, f.location) for f in report.errors] == \
+            [("FLOW-008", "s")]
+        assert "options.utilization" in report.errors[0].message
+        # Without knobs the key holds every option: nothing to report.
+        table = (Stage("s", fn, params=("subject", "options")),)
+        assert not lint_flow(table, FlowOptions()).errors
+
+    @pytest.mark.parametrize("fn", [
+        _passes_options_whole, _returns_option_alias, _passes_ctx_whole,
+        _reads_option_through_a_chained_assignment])
+    def test_options_used_whole(self, fn):
+        table = (Stage("s", fn, params=("subject", "options"),
+                       knobs=("seed", "utilization")),)
+        report = lint_flow(table, FlowOptions())
+        assert [f.rule_id for f in report.errors] == ["FLOW-008"]
+        assert "uses the options (or ctx) whole" in \
+            report.errors[0].message
+
+    def test_option_reads_through_an_alias_within_knobs(self):
+        table = (Stage("s", _reads_knobs_only, params=("options",),
+                       knobs=("seed",)),)
+        assert not lint_flow(table, FlowOptions()).findings
+
     def test_implement_dag_is_clean(self):
-        # Satellite: the shipped registry passes its own gate —
-        # flow rules AND the purity checker.
-        report = lint_flow(build_implement_dag(), FlowOptions())
+        # The shipped table passes its own gate: flow rules (each
+        # stage reads only its knobs) AND the purity checker.
+        report = lint_flow(STAGES, FlowOptions())
         assert not report.errors, [str(f) for f in report.errors]
         assert not report.warnings, \
             [str(f) for f in report.warnings]
 
     def test_flow_lint_overhead_under_50ms(self):
-        report = lint_flow(build_implement_dag(), FlowOptions())
+        report = lint_flow(STAGES, FlowOptions())
         assert report.wall_s < 0.050
 
 
@@ -452,7 +518,7 @@ class TestGateIntegration:
         assert result.lint is not None and result.lint.ok
 
     def test_run_does_not_lint_the_flow_graph(self, lib, monkeypatch):
-        # The implement DAG is fixed code, checked once by
+        # The stage table is fixed code, checked once by
         # ``test_implement_dag_is_clean``, not on every run.
         def refuse(*args, **kwargs):
             raise AssertionError("lint_flow called by run")

@@ -1,8 +1,9 @@
-"""Tests for repro.orchestrate: DAG scheduling, content-hash caching,
-the executor (one attempt per stage, degraded runs), sweeps, and
-telemetry."""
+"""Tests for repro.orchestrate: the ordered stage table, content-hash
+caching, the executor (one attempt per stage, degraded runs), sweeps,
+and telemetry."""
 
 import dataclasses
+import errno
 import hashlib
 import pickle
 import time
@@ -13,17 +14,16 @@ import pytest
 from repro.core import FlowOptions
 from repro.learn import RunDatabase
 from repro.netlist import build_library, registered_cloud
+import repro.orchestrate.cache
 from repro.orchestrate import (
-    CycleError,
-    FlowDAG,
+    STAGES,
     ResultCache,
-    SerialExecutor,
     Stage,
     StageError,
     TelemetrySink,
-    build_implement_dag,
     resume_run,
     run,
+    run_stages,
     run_sweep,
     stable_hash,
     stage_key,
@@ -44,43 +44,64 @@ def small_design(lib, seed=3):
 
 
 # ----------------------------------------------------------------------
-# DAG structure
+# The stage table: stages run in declared order, deps point backwards
 
 
 class TestDag:
     def test_topological_order_respects_deps(self):
-        dag = (FlowDAG()
-               .add(Stage("c", lambda ctx: 3, deps=("a", "b")))
-               .add(Stage("a", lambda ctx: 1))
-               .add(Stage("b", lambda ctx: 2, deps=("a",))))
-        order = [s.name for s in dag.topological_order()]
-        assert order.index("a") < order.index("b") < order.index("c")
+        seen = []
+
+        def stage(name, value, deps=()):
+            def fn(ctx):
+                seen.append(name)
+                return value + sum(ctx[d] for d in deps)
+            return Stage(name, fn, deps=deps)
+
+        run = run_stages((stage("a", 1), stage("b", 2, ("a",)),
+                          stage("c", 3, ("a", "b"))), {})
+        assert seen == ["a", "b", "c"]
+        assert run.outputs == {"a": 1, "b": 3, "c": 7}
 
     def test_cycle_detection(self):
-        dag = (FlowDAG()
-               .add(Stage("a", lambda ctx: 1, deps=("b",)))
-               .add(Stage("b", lambda ctx: 2, deps=("a",))))
-        with pytest.raises(CycleError, match="a"):
-            dag.topological_order()
+        # A cycle cannot be declared in order: its first stage names a
+        # later one, and the table is refused before anything runs.
+        ran = []
+        table = (Stage("a", ran.append, deps=("b",)),
+                 Stage("b", ran.append, deps=("a",)))
+        with pytest.raises(ValueError, match="'a' depends on 'b'"):
+            run_stages(table, {})
+        assert ran == []
 
     def test_unknown_dep_rejected(self):
-        dag = FlowDAG().add(Stage("a", lambda ctx: 1, deps=("ghost",)))
+        sink = TelemetrySink()
+        table = (Stage("a", lambda ctx: 1),
+                 Stage("b", lambda ctx: 2, deps=("ghost",)))
         with pytest.raises(ValueError, match="ghost"):
-            dag.validate()
+            run_stages(table, {}, sink=sink)
+        assert sink.spans == []
 
     def test_duplicate_stage_rejected(self):
-        dag = FlowDAG().add(Stage("a", lambda ctx: 1))
+        table = (Stage("a", lambda ctx: 1), Stage("a", lambda ctx: 2))
         with pytest.raises(ValueError, match="duplicate"):
-            dag.add(Stage("a", lambda ctx: 2))
+            run_stages(table, {})
 
     def test_dependents_transitive(self):
-        dag = (FlowDAG()
-               .add(Stage("a", lambda ctx: 1))
-               .add(Stage("b", lambda ctx: 2, deps=("a",)))
-               .add(Stage("c", lambda ctx: 3, deps=("b",)))
-               .add(Stage("d", lambda ctx: 4)))
-        assert dag.dependents("a") == {"b", "c"}
-        assert dag.dependents("d") == set()
+        table = (Stage("a", lambda ctx: 1 / 0),
+                 Stage("b", lambda ctx: 2, deps=("a",)),
+                 Stage("d", lambda ctx: 4),
+                 Stage("c", lambda ctx: 3, deps=("b",)))
+        sink = TelemetrySink()
+        with pytest.raises(StageError, match="'a'"):
+            run_stages(table, {}, sink=sink)
+        assert [(s.stage, s.status) for s in sink.spans] == \
+            [("a", "failed"), ("b", "skipped"), ("c", "skipped")]
+
+    def test_shipped_table_names(self):
+        from repro.orchestrate.flows import STAGE_NAMES
+        assert STAGE_NAMES == tuple(s.name for s in STAGES) == (
+            "synthesis", "placement", "dft", "cts", "routing",
+            "signoff")
+        assert not hasattr(STAGES[0], "version")
 
 
 # ----------------------------------------------------------------------
@@ -99,20 +120,20 @@ class TestCache:
 
     def test_hit_miss_and_invalidation_on_input_change(self):
         cache = ResultCache()
-        k1 = stage_key("route", "1", {"iters": 4})
+        k1 = stage_key("route", {"iters": 4})
         cache.put(k1, "result-4")
         hit, value = cache.get(k1)
         assert hit and value == "result-4"
         # One knob changed -> different key -> miss.
-        hit, _ = cache.get(stage_key("route", "1", {"iters": 5}))
+        hit, _ = cache.get(stage_key("route", {"iters": 5}))
         assert not hit
-        # Version bump invalidates too.
-        hit, _ = cache.get(stage_key("route", "2", {"iters": 4}))
+        # The same inputs under another stage name miss too.
+        hit, _ = cache.get(stage_key("place", {"iters": 4}))
         assert not hit
         assert cache.stats.hits == 1 and cache.stats.misses == 2
 
     def test_disk_store_survives_new_instance(self, tmp_path):
-        key = stage_key("s", "1", {"x": 1})
+        key = stage_key("s", {"x": 1})
         ResultCache(disk_dir=tmp_path).put(key, {"qor": 42})
         fresh = ResultCache(disk_dir=tmp_path)
         hit, value = fresh.get(key)
@@ -143,7 +164,7 @@ def placed_cloud(lib, gates=300, flops=16):
 
 
 def placement_key(placement):
-    return stage_key("dft", "1", {"placement": placement})
+    return stage_key("dft", {"placement": placement})
 
 
 def _bump(points, name, axis=0):
@@ -269,9 +290,8 @@ class TestPlacementKeys:
 
 class TestExecutor:
     def test_required_failure_raises_strict(self):
-        dag = FlowDAG().add(Stage("dead", lambda ctx: 1 / 0))
         with pytest.raises(StageError, match="dead") as info:
-            SerialExecutor().run(dag, {})
+            run_stages((Stage("dead", lambda ctx: 1 / 0),), {})
         assert isinstance(info.value.cause, ZeroDivisionError)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
@@ -286,9 +306,8 @@ class TestExecutor:
         def interrupted(ctx):
             raise KeyboardInterrupt
 
-        dag = FlowDAG().add(Stage("ctrl_c", interrupted))
         with pytest.raises(KeyboardInterrupt):
-            SerialExecutor().run(dag, {})
+            run_stages((Stage("ctrl_c", interrupted),), {})
 
     def test_retired_retry_and_timeout_knobs_raise(self):
         for knob in ("retries", "timeout_s", "backoff_s"):
@@ -296,8 +315,8 @@ class TestExecutor:
                 Stage("s", lambda ctx: 1, **{knob: 1})
         with pytest.raises(TypeError, match="max_retries"):
             run(None, None, FlowOptions(), max_retries=3)
-        with pytest.raises(TypeError, match="retries"):
-            build_implement_dag(retries=2)
+        with pytest.raises(TypeError, match="version"):
+            Stage("s", lambda ctx: 1, version="2")
 
     @pytest.mark.parametrize("knob",
                              ["strict", "dag", "lint", "sanitize"])
@@ -310,26 +329,23 @@ class TestExecutor:
             Stage("s", lambda ctx: 1, cacheable=False)
 
     def test_optional_failure_degrades_and_dependents_run(self):
-        dag = (FlowDAG()
-               .add(Stage("base", lambda ctx: 10))
-               .add(Stage("shaky", lambda ctx: 1 / 0,
-                          deps=("base",), optional=True))
-               .add(Stage("after", lambda ctx: (ctx["base"],
-                                                ctx["shaky"]),
-                          deps=("base", "shaky"))))
-        run = SerialExecutor().run(dag, {})
+        table = (Stage("base", lambda ctx: 10),
+                 Stage("shaky", lambda ctx: 1 / 0,
+                       deps=("base",), optional=True),
+                 Stage("after", lambda ctx: (ctx["base"], ctx["shaky"]),
+                       deps=("base", "shaky")))
+        run = run_stages(table, {})
         assert run.status == "degraded"
         assert run.outputs["shaky"] is None
         assert run.outputs["after"] == (10, None)
 
     def test_required_failure_skips_dependents(self):
-        dag = (FlowDAG()
-               .add(Stage("boom", lambda ctx: 1 / 0))
-               .add(Stage("child", lambda ctx: 1, deps=("boom",)))
-               .add(Stage("island", lambda ctx: 2)))
+        table = (Stage("boom", lambda ctx: 1 / 0),
+                 Stage("child", lambda ctx: 1, deps=("boom",)),
+                 Stage("island", lambda ctx: 2))
         sink = TelemetrySink()
         with pytest.raises(StageError, match="boom"):
-            SerialExecutor().run(dag, {}, sink=sink)
+            run_stages(table, {}, sink=sink)
         assert [(s.stage, s.status) for s in sink.spans] == \
             [("boom", "failed"), ("child", "skipped")]
 
@@ -340,11 +356,11 @@ class TestExecutor:
             calls["n"] += 1
             return ctx["x"] * 2
 
-        dag = FlowDAG().add(Stage("double", expensive, params=("x",)))
+        table = (Stage("double", expensive, params=("x",)),)
         cache = ResultCache()
-        first = SerialExecutor().run(dag, {"x": 21}, cache=cache)
-        again = SerialExecutor().run(dag, {"x": 21}, cache=cache)
-        other = SerialExecutor().run(dag, {"x": 4}, cache=cache)
+        first = run_stages(table, {"x": 21}, cache=cache)
+        again = run_stages(table, {"x": 21}, cache=cache)
+        other = run_stages(table, {"x": 4}, cache=cache)
         assert first.outputs["double"] == again.outputs["double"] == 42
         assert other.outputs["double"] == 8
         assert calls["n"] == 2   # second run replayed from cache
@@ -352,14 +368,24 @@ class TestExecutor:
 
 
 # ----------------------------------------------------------------------
-# The implement flow on the DAG engine
+# The implement flow on the stage table
+
+
+def _qor(result):
+    return (result.delay_ps, result.power_uw, result.hpwl_um,
+            result.routed_wirelength, result.overflow,
+            result.instances, result.area_um2)
 
 
 class TestImplementDag:
     def test_legacy_wrapper_unchanged(self, lib):
         nl = small_design(lib)
         result = run(nl, lib, FlowOptions(scan=True, cts=True))
-        assert result.netlist is nl
+        # Scan goes into a copy: the subject keeps its plain flops.
+        assert result.netlist is not nl
+        assert any(g.cell.is_scan
+                   for g in result.netlist.sequential_gates())
+        assert not any(g.cell.is_scan for g in nl.sequential_gates())
         assert result.status == "ok"
         assert set(result.stage_runtimes) == {
             "synthesis", "placement", "dft", "cts", "routing",
@@ -406,14 +432,47 @@ class TestImplementDag:
         db = RunDatabase()
         run(small_design(lib), lib, FlowOptions(), run_db=db)
         knobs = db.records[0].knobs
-        assert set(knobs) == {knob for stage in
-                              build_implement_dag().stages.values()
+        assert set(knobs) == {knob for stage in STAGES
                               for knob in stage.knobs}
         assert knobs["routing_layers"] == 6
 
     def test_run_has_no_jobs_option(self, lib):
         with pytest.raises(TypeError, match="jobs"):
             run(small_design(lib), lib, FlowOptions(), jobs=2)
+
+    def test_one_subject_runs_twice_with_scan(self, lib):
+        design = small_design(lib)
+        digest = design.content_digest()
+        opts = FlowOptions(scan=True, cts=True)
+        first = run(design, lib, opts)
+        second = run(design, lib, opts)
+        assert _qor(first) == _qor(second)
+        assert design.content_digest() == digest
+        assert first.netlist.content_digest() == \
+            second.netlist.content_digest() != digest
+
+    def test_unwritable_cache_disk_costs_only_the_caching(
+            self, lib, tmp_path, monkeypatch):
+        def disk_full(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device",
+                          str(path))
+
+        design = registered_cloud(8, 24, 300, lib, seed=0)
+        clean = run(design, lib, FlowOptions(cts=True))
+        monkeypatch.setattr(repro.orchestrate.cache, "atomic_write",
+                            disk_full)
+        cache = ResultCache(disk_dir=tmp_path)
+        sink = TelemetrySink()
+        result = run(design, lib, FlowOptions(cts=True), cache=cache,
+                     telemetry=sink)
+        assert [(s.stage, s.status) for s in sink.spans] == \
+            [(name, "ok") for name in
+             ("synthesis", "placement", "dft", "cts", "routing",
+              "signoff")]
+        assert _qor(result) == _qor(clean)
+        assert cache.stats.write_failures == cache.stats.puts == 6
+        assert list(tmp_path.iterdir()) == []
+        assert len(cache) == 6          # the memory tier still serves
 
 
 # ----------------------------------------------------------------------

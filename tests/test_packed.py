@@ -141,11 +141,11 @@ class TestRoundTrip:
     def test_cache_keys_use_digest_not_pickle(self, lib):
         nl = ripple_carry_adder(5, lib)
         clone = nl.to_packed().to_netlist(lib)
-        key = stage_key("syn", "1", {"netlist": nl})
-        assert key == stage_key("syn", "1", {"netlist": clone})
+        key = stage_key("syn", {"netlist": nl})
+        assert key == stage_key("syn", {"netlist": clone})
         gate = next(iter(clone.gates.values()))
         clone.resize_gate(gate.name, _vt_swap(gate.cell.name))
-        assert key != stage_key("syn", "1", {"netlist": clone})
+        assert key != stage_key("syn", {"netlist": clone})
 
 
 # ----------------------------------------------------------------------

@@ -177,8 +177,9 @@ class TestCgSolve:
     def test_converged_solve_returns_the_solution(self):
         from repro.place.analytic import _cg_solve
         lap, diag, b = self._chain()
-        x = _cg_solve(lap, diag, b, np.zeros(self.N))
+        x, iterations = _cg_solve(lap, diag, b, np.zeros(self.N))
         assert np.linalg.norm(b - lap @ x) <= 1e-7 * np.linalg.norm(b)
+        assert 1 < iterations <= self.N
 
     def test_non_convergence_raises(self):
         from repro.place.analytic import _cg_solve
@@ -186,6 +187,15 @@ class TestCgSolve:
         with pytest.raises(RuntimeError,
                            match=r"info=1, maxiter=1, relative residual"):
             _cg_solve(lap, diag, b, np.zeros(self.N), maxiter=1)
+
+
+    def test_local_design_places(self):
+        # Fully local fanins: the anchored re-solves need ~100 CG
+        # iterations here, past a fixed cap of 100, so their cap
+        # follows the first solve's count.
+        design = logic_cloud(64, 64, 5000, LIB, seed=0, locality=1.0)
+        assert_legal(analytic_place(design, utilization=0.4,
+                                    max_iterations=24))
 
 
 # ----------------------------------------------------------------------

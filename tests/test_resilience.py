@@ -8,6 +8,7 @@ of which must resume to signoff metrics bit-identical to an
 uninterrupted run while re-executing only the frontier.
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -17,6 +18,8 @@ import signal
 
 import pytest
 
+import repro.orchestrate.cache
+
 from repro.core import FlowOptions, FlowStatus
 from repro.learn import RecoveryRecord, RunDatabase
 from repro.netlist import build_library, registered_cloud
@@ -24,11 +27,9 @@ from repro.orchestrate import (
     ChaosFailure,
     ChaosPolicy,
     CorruptEntry,
-    FlowDAG,
     JournalError,
     ResultCache,
     RunJournal,
-    SerialExecutor,
     Stage,
     StageError,
     TelemetrySink,
@@ -38,6 +39,7 @@ from repro.orchestrate import (
     resume_run,
     run,
     run_stage,
+    run_stages,
     run_sweep,
     seal_blob,
     stage_key,
@@ -54,7 +56,6 @@ def lib():
 
 
 def small_design(lib, seed=3):
-    # Fresh per call: the flow mutates its subject (scan insertion).
     return registered_cloud(8, 16, 120, lib, seed=seed)
 
 
@@ -168,6 +169,29 @@ class TestRunJournal:
         assert reopened.replay("b") == (False, None)
         assert reopened.replay("c") == (True, "cc")
 
+    def test_unpublished_blob_gets_no_index_line(self, tmp_path, lib,
+                                                 monkeypatch, clean_qor):
+        def disk_full(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        journal = RunJournal.create(tmp_path, "r1", None, None, None)
+        journal.record("a", 1)
+        monkeypatch.setattr(repro.orchestrate.cache, "atomic_write",
+                            disk_full)
+        with pytest.raises(JournalError, match="'b' not published"):
+            journal.record("b", 2)
+        assert [e["stage"] for e in journal.entries()] == ["a"]
+        # A journaled run on that disk completes without checkpoints,
+        # and its resume re-executes every stage.
+        result = run(small_design(lib), lib, FlowOptions(**OPTS),
+                     journal_root=tmp_path, run_id="full")
+        assert qor(result) == clean_qor
+        monkeypatch.undo()
+        assert RunJournal.open(tmp_path, "full").entries() == []
+        resumed = resume_run("full", journal_root=tmp_path)
+        assert qor(resumed) == clean_qor
+        assert resumed.status is FlowStatus.OK
+
     def test_write_ahead_fsync_order(self, tmp_path, monkeypatch):
         synced = []
         fsync = os.fsync
@@ -179,7 +203,7 @@ class TestRunJournal:
         monkeypatch.setattr(os, "fsync", logged_fsync)
         # Every disk-tier put makes its entry durable.
         cache = ResultCache(disk_dir=tmp_path / "cache")
-        keys = [stage_key("s", "1", {"x": i}) for i in range(3)]
+        keys = [stage_key("s", {"x": i}) for i in range(3)]
         for key in keys:
             cache.put(key, {"qor": key})
         assert all(cache.entry_path(key).stat().st_ino in synced
@@ -252,7 +276,7 @@ class _Tripwire:
 class TestCacheCorruption:
     def _cache_with_entry(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
-        key = stage_key("s", "1", {"x": 1})
+        key = stage_key("s", {"x": 1})
         cache.put(key, {"qor": 42})
         return cache, key
 
@@ -276,7 +300,7 @@ class TestCacheCorruption:
 
     def test_entry_under_wrong_key_is_miss(self, tmp_path):
         cache, key = self._cache_with_entry(tmp_path)
-        other = stage_key("s", "1", {"x": 2})
+        other = stage_key("s", {"x": 2})
         os.replace(cache.entry_path(key), cache.entry_path(other))
         fresh = ResultCache(disk_dir=tmp_path)
         assert not fresh.get(other)[0]
@@ -284,14 +308,14 @@ class TestCacheCorruption:
 
     def test_legacy_unsealed_entry_is_miss(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
-        key = stage_key("s", "1", {"x": 1})
+        key = stage_key("s", {"x": 1})
         cache.entry_path(key).write_bytes(pickle.dumps({"qor": 42}))
         assert not cache.get(key)[0]
         assert cache.stats.corrupt == 1
 
     def test_unframed_blob_is_miss_never_unpickled(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
-        key = stage_key("s", "1", {"x": 1})
+        key = stage_key("s", {"x": 1})
         cache.entry_path(key).write_bytes(
             seal_blob(pickle.dumps(_Tripwire()), key))
         _mark_unpickled.calls = 0
@@ -349,20 +373,18 @@ class TestChaosPolicy:
 
     def test_injected_fault_fails_the_stage(self):
         chaos = ChaosPolicy(fail_stages=("flaky",))
-        dag = (FlowDAG().add(Stage("flaky", _ok))
-               .add(Stage("after", _ok, deps=("flaky",))))
+        table = (Stage("flaky", _ok), Stage("after", _ok, deps=("flaky",)))
         sink = TelemetrySink()
         with pytest.raises(StageError, match="chaos fault") as info:
-            SerialExecutor(chaos=chaos).run(dag, {}, sink=sink)
+            run_stages(table, {}, sink=sink, chaos=chaos)
         assert isinstance(info.value.cause, ChaosFailure)
         assert [s.status for s in sink.spans] == ["failed", "skipped"]
 
     def test_chaos_crash_aborts_run(self):
         chaos = ChaosPolicy(seed=0, crash_stages=("boom",))
-        dag = (FlowDAG().add(Stage("first", _ok))
-               .add(Stage("boom", _ok, deps=("first",))))
+        table = (Stage("first", _ok), Stage("boom", _ok, deps=("first",)))
         with pytest.raises(WorkerCrash, match="boom"):
-            SerialExecutor(chaos=chaos).run(dag, {})
+            run_stages(table, {}, chaos=chaos)
 
 
 # ----------------------------------------------------------------------
