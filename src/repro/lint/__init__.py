@@ -1,4 +1,4 @@
-"""Static analysis: netlist lint and flow verification before runtime.
+"""Static analysis: netlist lint and stage purity before runtime.
 
 The panel's economics are blunt: design cost and debug time, not tool
 speed, bound what gets built.  The cheapest debug hour is the one a
@@ -10,14 +10,15 @@ reports:
   multi-driven nets, floating pins, dangling POs, combinational
   cycles, fanout overloads, dead cones (``NET-xxx``), plus hierarchy
   port checks for two-level designs (``NET-008``).
-* **Flow static verification** (:mod:`~repro.lint.flow_rules`) —
-  deps on no earlier stage, knob typos, undeclared ``ctx`` reads, and
-  option reads outside a stage's cache-key ``knobs``, on a table of
-  :class:`~repro.orchestrate.dag.Stage` rows (``FLOW-xxx``).
 * **Purity checking** (:mod:`~repro.lint.purity`) — AST-level
   cache-soundness hazards in stage functions: wall-clock reads,
   unseeded randomness, environment reads, captured-global mutation
   (``PURE-xxx``), with inline ``# lint: waive`` support.
+  :func:`lint_flow` runs it over a stage table.  The rest of a
+  table's soundness is the executor's:
+  :func:`~repro.orchestrate.executor.run_stages` refuses a bad table
+  before any stage runs, and a stage with ``knobs`` cannot read an
+  option outside them.
 
 Everything lands in a :class:`LintReport` (JSON / SARIF export,
 waiver files).  ``orchestrate.run`` lints a ``Netlist`` subject before
@@ -30,11 +31,6 @@ Command line::
     PYTHONPATH=src python -m repro.lint design.v --node 28nm --json
 """
 
-from repro.lint.flow_rules import (
-    DEFAULT_RUN_PARAMS,
-    FlowLintContext,
-    lint_flow,
-)
 from repro.lint.netlist_rules import (
     INVARIANT_RULE_IDS,
     LintConfig,
@@ -42,7 +38,7 @@ from repro.lint.netlist_rules import (
     lint_design,
     lint_netlist,
 )
-from repro.lint.purity import check_flow_purity, check_stage_purity
+from repro.lint.purity import check_stage_purity, lint_flow
 from repro.lint.registry import REGISTRY, Rule, RuleRegistry, rule
 from repro.lint.report import (
     Finding,
@@ -53,9 +49,7 @@ from repro.lint.report import (
 )
 
 __all__ = [
-    "DEFAULT_RUN_PARAMS",
     "Finding",
-    "FlowLintContext",
     "INVARIANT_RULE_IDS",
     "LintConfig",
     "LintReport",
@@ -66,7 +60,6 @@ __all__ = [
     "Severity",
     "Waiver",
     "Waivers",
-    "check_flow_purity",
     "check_stage_purity",
     "lint_design",
     "lint_flow",

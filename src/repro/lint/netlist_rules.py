@@ -427,45 +427,30 @@ def hierarchy_port_mismatch(design: Any) -> Iterator[Violation]:
 
 
 def lint_netlist(netlist: Any, *, config: LintConfig | None = None,
-                 waivers: Waivers | None = None,
-                 only: list[str] | None = None) -> LintReport:
-    """Run every netlist-scope rule over a flat mapped netlist.
-
-    ``only`` restricts to specific rule ids (e.g.
-    :data:`INVARIANT_RULE_IDS`); ``waivers`` marks reviewed findings.
-    """
+                 waivers: Waivers | None = None) -> LintReport:
+    """Run every netlist-scope rule over a flat mapped netlist;
+    ``waivers`` marks reviewed findings."""
     t0 = time.perf_counter()
     ctx = NetlistLintContext(netlist, config)
     cap = ctx.config.max_findings_per_rule
-    report = REGISTRY.run("netlist", ctx, netlist.name, only=only,
-                          waivers=waivers,
+    report = REGISTRY.run("netlist", ctx, netlist.name, waivers=waivers,
                           max_findings_per_rule=cap)
     report.wall_s = time.perf_counter() - t0
     return report
 
 
 def lint_design(design: Any, *, config: LintConfig | None = None,
-                waivers: Waivers | None = None,
-                lint_modules: bool = True) -> LintReport:
-    """Lint a two-level hierarchical design.
-
-    Hierarchy port rules run on the design itself; with
-    ``lint_modules`` each module's implementation netlist is linted
-    too (findings keep the module netlist as their subject prefix).
-    """
+                waivers: Waivers | None = None) -> LintReport:
+    """Lint a two-level hierarchical design: the hierarchy port rules
+    on the design itself, then each module's implementation netlist
+    (findings keep the module netlist as their subject)."""
     t0 = time.perf_counter()
     report = REGISTRY.run(
         "hierarchy", design, design.name,
         max_findings_per_rule=(config or LintConfig())
         .max_findings_per_rule)
-    if lint_modules:
-        for module in design.modules.values():
-            sub = lint_netlist(module.netlist, config=config)
-            for finding in sub.findings:
-                report.findings.append(finding)
-            for rule_id, count in sub.truncated.items():
-                report.truncated[rule_id] = \
-                    report.truncated.get(rule_id, 0) + count
+    for module in design.modules.values():
+        report.merge(lint_netlist(module.netlist, config=config))
     if waivers is not None:
         report.findings = waivers.apply(report.findings)
     report.wall_s = time.perf_counter() - t0

@@ -7,6 +7,9 @@ captured module state silently breaks that assumption — its cache key
 no longer identifies its output, and every replay is a potential wrong
 answer.  These hazards are *statically* detectable: this module parses
 each stage function's source and flags them before a run executes.
+They are the part of cache soundness the executor cannot enforce: it
+already hands each stage only its declared inputs and the options its
+``knobs`` name.  :func:`lint_flow` checks every stage of a table.
 
 The analysis is shallow by design: it inspects the stage function's
 own body (helpers it calls are not followed), which is exactly the
@@ -40,6 +43,7 @@ import ast
 import inspect
 import re
 import textwrap
+import time
 import types
 from typing import Any, Callable, Iterable
 
@@ -361,10 +365,13 @@ def check_stage_purity(fn: Callable[..., object], *,
     return findings
 
 
-def check_flow_purity(stages: Iterable[Any]) -> LintReport:
-    """Purity-check every stage function of a stage table."""
-    report = LintReport(subject="flow-purity")
+def lint_flow(stages: Iterable[Any]) -> LintReport:
+    """Purity-check every stage function of a stage table: the part
+    of its cache soundness the executor cannot enforce on a run."""
+    t0 = time.perf_counter()
+    report = LintReport(subject="flow")
     for stage in stages:
         report.extend(check_stage_purity(stage.fn,
                                          stage_name=stage.name))
+    report.wall_s = time.perf_counter() - t0
     return report

@@ -8,15 +8,14 @@ override) — and the driver stamps them into full
 severities cannot drift between the rule table and its output.
 
 Rules register themselves into the module-global :data:`REGISTRY` via
-the :func:`rule` decorator at import time; callers can also build
-private registries for experiments.
+the :func:`rule` decorator at import time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.lint.report import Finding, LintReport, Severity, Waivers
 
@@ -35,7 +34,7 @@ class Rule:
     id: str
     severity: Severity
     title: str
-    scope: str               # "netlist" | "hierarchy" | "flow" | "purity"
+    scope: str               # "netlist" | "hierarchy"
     check: CheckFn
 
     def findings(self, ctx: object, subject: str,
@@ -63,22 +62,6 @@ class RuleRegistry:
     def __init__(self) -> None:
         self._rules: dict[str, Rule] = {}
 
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules
-
-    def __getitem__(self, rule_id: str) -> Rule:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise KeyError(f"no lint rule {rule_id!r} registered") \
-                from None
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules.values())
-
     def add(self, new_rule: Rule) -> Rule:
         """Register a rule; duplicate ids are an error."""
         if new_rule.id in self._rules:
@@ -86,25 +69,21 @@ class RuleRegistry:
         self._rules[new_rule.id] = new_rule
         return new_rule
 
-    def rules(self, scope: str | None = None,
-              only: Iterable[str] | None = None) -> list[Rule]:
-        """Registered rules, optionally filtered by scope and ids."""
-        wanted = None if only is None else set(only)
+    def rules(self, scope: str | None = None) -> list[Rule]:
+        """Registered rules, optionally filtered by scope."""
         return [r for r in self._rules.values()
-                if (scope is None or r.scope == scope)
-                and (wanted is None or r.id in wanted)]
+                if scope is None or r.scope == scope]
 
     def ids(self, scope: str | None = None) -> list[str]:
         return [r.id for r in self.rules(scope)]
 
     def run(self, scope: str, ctx: object, subject: str, *,
-            only: Iterable[str] | None = None,
             waivers: Waivers | None = None,
             max_findings_per_rule: int | None = 50) -> LintReport:
         """Run every rule of ``scope`` over ``ctx`` into one report."""
         t0 = time.perf_counter()
         report = LintReport(subject=subject)
-        for checked in self.rules(scope, only):
+        for checked in self.rules(scope):
             found, suppressed = checked.findings(
                 ctx, subject, max_findings_per_rule)
             report.extend(found)
@@ -120,11 +99,11 @@ class RuleRegistry:
 REGISTRY = RuleRegistry()
 
 
-def rule(rule_id: str, severity: Severity, title: str, scope: str,
-         registry: RuleRegistry = REGISTRY) -> Callable[[_F], _F]:
+def rule(rule_id: str, severity: Severity, title: str,
+         scope: str) -> Callable[[_F], _F]:
     """Decorator: register ``fn`` as the check of a new rule."""
     def decorate(fn: _F) -> _F:
-        registry.add(Rule(id=rule_id, severity=severity, title=title,
+        REGISTRY.add(Rule(id=rule_id, severity=severity, title=title,
                           scope=scope, check=fn))
         return fn
     return decorate

@@ -1,7 +1,7 @@
 """Lint findings, reports, waivers, and machine-readable export.
 
 The common currency of :mod:`repro.lint`: every rule — netlist,
-hierarchy, flow, or purity — emits :class:`Finding` records that a
+hierarchy, or purity — emits :class:`Finding` records that a
 :class:`LintReport` aggregates.  Reports export to JSON and a
 SARIF-style dict so CI and dashboards consume the same data the
 flow's pre-run lint records, and a :class:`Waivers` set can mark
@@ -49,17 +49,17 @@ class Severity(str, Enum):
 class Finding:
     """One rule violation at one location.
 
-    ``location`` is rule-specific: a net or gate name for netlist
-    rules, a stage name for flow rules, ``module.function:line`` for
-    purity hazards.  ``waived`` findings stay in the report (and its
+    ``location`` is rule-specific: a net, gate or instance name for
+    netlist and hierarchy rules, ``module.function:line`` for purity
+    hazards.  ``waived`` findings stay in the report (and its
     exports) but do not count toward :attr:`LintReport.errors`.
     """
 
     rule_id: str
     severity: Severity
     message: str
-    subject: str = ""        # design / flow the finding belongs to
-    location: str = ""       # net, gate, stage, or source position
+    subject: str = ""        # design / stage the finding belongs to
+    location: str = ""       # net, gate, instance, or source position
     waived: bool = False
     waive_reason: str = ""
 
@@ -208,14 +208,6 @@ class LintReport:
     def ok(self) -> bool:
         """True when nothing error-severity survived waiving."""
         return not self.errors
-
-    def rules_hit(self) -> list[str]:
-        """Distinct rule ids with at least one unwaived finding."""
-        seen: dict[str, None] = {}
-        for finding in self.findings:
-            if not finding.waived:
-                seen.setdefault(finding.rule_id)
-        return list(seen)
 
     # -- composition ---------------------------------------------------
 

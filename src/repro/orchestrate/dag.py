@@ -17,9 +17,11 @@ class Stage:
     ``deps`` name earlier stages whose outputs this stage consumes;
     ``params`` name run parameters (e.g. ``"options"``) it reads.  The
     executor builds ``ctx`` from exactly those keys, which doubles as
-    the content-hash domain for caching.  ``knobs`` optionally narrows
-    the cache key to specific attributes of ``ctx["options"]`` so that
-    changing one knob only invalidates the stages that read it.
+    the content-hash domain for caching.  ``knobs`` optionally names
+    the attributes of the run's options the stage reads: its
+    ``ctx["options"]`` then holds only those, and its cache key hashes
+    only those, so changing one knob only invalidates the stages that
+    read it.
     """
 
     name: str

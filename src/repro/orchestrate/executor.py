@@ -4,7 +4,12 @@
 each stage to :func:`run_stage`, which consults the result cache, runs
 the stage once, in the calling thread, and emits a telemetry span
 either way.  The table is checked before anything runs: a duplicate
-name, or a dep that names no earlier stage, raises ``ValueError``.
+name, a dep that names no earlier stage, a param the run does not
+provide, or a knob that is not an attribute of the run's options
+raises ``ValueError``.  A stage sees exactly what its cache key
+hashes: its deps, its params and, when it declares ``knobs``, an
+options view holding only those attributes, so reading any other
+option fails the stage with ``AttributeError``.
 Stages are deterministic, so there is no retry: running a failed stage
 again would fail the same way.  A failed *optional* stage (e.g. CTS)
 marks the run ``degraded`` and its output ``None``; a failed required
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.orchestrate.cache import stage_key
 from repro.orchestrate.telemetry import Span, peak_rss_kb
@@ -65,22 +71,13 @@ class WorkerCrash(BaseException):
 
 
 def cache_inputs(stage, ctx) -> dict:
-    """The content-hash domain of a stage execution.
-
-    Dependencies and declared params, except that when ``knobs`` is set
-    the whole ``options`` object is replaced by just the named
-    attributes — so flipping an unrelated knob leaves this stage's key
-    (and its cached result) intact.
-    """
-    inputs = {dep: ctx[dep] for dep in stage.deps}
-    for param in stage.params:
-        if stage.knobs and param == "options":
-            continue
-        inputs[param] = ctx[param]
+    """The content-hash domain of a stage execution: the ``ctx`` that
+    :func:`run_stage` hands the stage, with a knob view hashed as the
+    dict of its knobs, so flipping an option outside them leaves this
+    stage's key (and its cached result) intact."""
+    inputs = dict(ctx)
     if stage.knobs:
-        options = ctx["options"]
-        inputs["__knobs__"] = {k: getattr(options, k)
-                               for k in stage.knobs}
+        inputs["__knobs__"] = vars(inputs.pop("options"))
     return inputs
 
 
@@ -98,16 +95,22 @@ class StageOutcome:
 def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
     """Execute one stage in-process, once: cache lookup, call, span.
 
-    A stage that raises is recorded as ``failed`` with its exception
-    on the outcome; it is not run again.  ``chaos`` (a
+    The stage's ``ctx`` holds its deps and params only; with ``knobs``
+    its ``ctx["options"]`` is a ``SimpleNamespace`` of just those
+    attributes.  A stage that raises is recorded as ``failed`` with
+    its exception on the outcome; it is not run again.  ``chaos`` (a
     :class:`~repro.orchestrate.resilience.ChaosPolicy`) may inject a
     fault into the call.
     """
     child_ctx = {k: ctx[k] for k in (*stage.deps, *stage.params)}
+    if stage.knobs:
+        options = ctx["options"]
+        child_ctx["options"] = SimpleNamespace(
+            **{knob: getattr(options, knob) for knob in stage.knobs})
     t0 = time.perf_counter()
     key = None
     if cache is not None:
-        key = stage_key(stage.name, cache_inputs(stage, ctx))
+        key = stage_key(stage.name, cache_inputs(stage, child_ctx))
         hit, value = cache.get(key)
         if hit:
             span = Span(stage.name, time.perf_counter() - t0,
@@ -147,6 +150,7 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
     parameters ``params``; ``sink`` receives every span, also when a
     stage fails."""
     stages = tuple(stages)
+    options = params.get("options")
     earlier: set = set()
     for stage in stages:
         if stage.name in earlier:
@@ -155,6 +159,16 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
             if dep not in earlier:
                 raise ValueError(f"stage {stage.name!r} depends on "
                                  f"{dep!r}, which names no earlier stage")
+        for param in stage.params:
+            if param not in params:
+                raise ValueError(f"stage {stage.name!r} reads param "
+                                 f"{param!r}, which the run does not "
+                                 f"provide")
+        for knob in stage.knobs:
+            if not hasattr(options, knob):
+                raise ValueError(f"stage {stage.name!r} declares knob "
+                                 f"{knob!r}, which is not an attribute "
+                                 f"of {type(options).__name__}")
         earlier.add(stage.name)
 
     t0 = time.perf_counter()

@@ -6,8 +6,8 @@ Each row is a :class:`Stage` with explicit data dependencies on
 earlier rows and a narrowed cache-key domain (``knobs``): changing
 ``routing_iterations`` re-executes only the routing stage, while
 synthesis, placement, and signoff replay from the content-addressed
-cache.  ``tests/test_lint.py`` lints the table (FLOW-008: a stage reads
-no option outside its ``knobs``).
+cache.  A stage sees only its knobs of the options, so one that read
+any other option would fail on every run, not replay a stale result.
 
 Data-dependency notes:
 
@@ -131,7 +131,7 @@ def stage_signoff(ctx) -> dict:
 
 
 #: The implementation flow, in execution order.  Each stage's
-#: ``knobs`` narrow its cache key to the options it reads.
+#: ``knobs`` are the options it reads and its cache key holds.
 STAGES = (
     Stage("synthesis", stage_synthesis,
           params=("subject", "library", "options"),

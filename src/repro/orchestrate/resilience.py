@@ -365,7 +365,7 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
 
 
 def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
-               telemetry=None, chaos=None):
+               telemetry=None):
     """Finish an interrupted journaled run.
 
     Inputs (subject, library, options) are reloaded from the journal,
@@ -395,7 +395,7 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     n_before = len(sink.spans)
     result = implement_flow(
         subject, library, options, run_db=run_db, cache=cache,
-        telemetry=sink, journal=journal, chaos=chaos)
+        telemetry=sink, journal=journal)
     journal.finish(result.status)
     if run_db is not None:
         from repro.learn.rundb import RecoveryRecord

@@ -66,8 +66,8 @@ def _job_run_id(job: int) -> str:
 
 
 def run_sweep(subject, library, options_list, *, jobs: int = 1,
-              cache=None, cache_dir=None, telemetry=None,
-              flow_fn=None, journal_root=None) -> SweepResult:
+              cache=None, telemetry=None, flow_fn=None,
+              journal_root=None) -> SweepResult:
     """Run one flow job per entry of ``options_list``.
 
     With ``journal_root``, each job checkpoints to its own run journal
@@ -79,14 +79,12 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
     ``subject`` is either a single design (swept over option variants,
     the ablation shape) or a sequence matching ``options_list`` (one
     design per job, the throughput shape).  With ``jobs > 1`` the jobs
-    run in a ``multiprocessing`` pool; ``cache_dir`` (or the disk tier
-    of ``cache``, when it has one) then gives the workers a shared
-    on-disk result cache, while serial sweeps can additionally share
-    an in-memory ``cache``
-    (:class:`~repro.orchestrate.cache.ResultCache`).  A memory-only
-    ``cache`` cannot cross process boundaries and is ignored by
-    parallel sweeps.  ``flow_fn``
-    substitutes the flow body (module-level callable
+    run in a ``multiprocessing`` pool; the disk tier of ``cache`` (a
+    :class:`~repro.orchestrate.cache.ResultCache`), when it has one,
+    then gives the workers a shared on-disk result cache, while serial
+    sweeps share the whole ``cache``.  A memory-only ``cache`` cannot
+    cross process boundaries and is ignored by parallel sweeps.
+    ``flow_fn`` substitutes the flow body (module-level callable
     ``fn(subject, library, options)``) for harness tests and custom
     flows.
 
@@ -122,10 +120,9 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
                 span.job = i
             spans.extend(sink.spans)
     else:
-        if cache_dir is None and cache is not None and cache.disk_dir:
-            # Workers cannot share the parent's memory tier, but they
-            # can share its disk store.
-            cache_dir = cache.disk_dir
+        # Workers cannot share the parent's memory tier, but they can
+        # share its disk store.
+        cache_dir = cache.disk_dir if cache is not None else None
         payloads = [(subj, library, options, cache_dir, flow_fn, i,
                      journal_root)
                     for i, (subj, options)

@@ -1,11 +1,11 @@
-"""Tests for repro.lint: netlist rules, flow rules, purity, gating.
+"""Tests for repro.lint: netlist rules, purity, gating.
 
 Covers the full static-analysis surface: the fixture sweep over every
 generator/benchmark circuit (all must be error-clean), seeded
-violations for each netlist rule, waivers and report export, flow
-static verification, the AST purity checker, the flow's pre-run
-netlist lint, and the invariant that the shipped stage table is
-itself lint-clean.
+violations for each netlist rule, waivers and report export, the stage
+table checks the executor makes on every run (which replaced the flow
+lint rules), the AST purity checker, the flow's pre-run netlist lint,
+and the invariant that the shipped stage table is purity-clean.
 """
 
 import json
@@ -44,10 +44,12 @@ from repro.netlist.io import write_verilog
 from repro.orchestrate import (
     STAGES,
     FlowOptions,
+    ResultCache,
     Stage,
     StageError,
     TelemetrySink,
     run,
+    run_stages,
 )
 from repro.tech import get_node
 
@@ -173,7 +175,7 @@ class TestNetlistRules:
         inst = soc.instances[0]
         port = next(iter(inst.input_map))
         inst.input_map["bogus_port"] = inst.input_map.pop(port)
-        report = lint_design(soc, lint_modules=False)
+        report = lint_design(soc)
         finding = next(f for f in report.errors
                        if f.rule_id == "NET-008")
         assert "bogus_port" in finding.message
@@ -260,7 +262,8 @@ class TestReports:
     def test_registry_ids_unique_and_scoped(self):
         ids = REGISTRY.ids()
         assert len(ids) == len(set(ids))
-        assert {"NET-001", "NET-002", "FLOW-001"} <= set(ids)
+        assert {"NET-001", "NET-002"} <= set(REGISTRY.ids("netlist"))
+        assert REGISTRY.ids("hierarchy") == ["NET-008"]
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +301,12 @@ class TestDriverGuards:
 
 
 # ----------------------------------------------------------------------
-# Flow static verification.
+# The stage table: what the retired FLOW rules checked, the executor
+# enforces on every run; ``lint_flow`` is the purity check of a table.
 
 
 def _stage_ok(ctx):
     return ctx["subject"]
-
-
-def _stage_reads_synth(ctx):
-    return ctx["synthesis"]
 
 
 def _stage_typo(ctx):
@@ -338,13 +338,17 @@ def _reads_option_through_a_chained_assignment(ctx):
     return opts.seed + options.utilization
 
 
+def _utilization(options):
+    return options.utilization
+
+
 def _passes_options_whole(ctx):
-    return repr(ctx["options"])
+    return _utilization(ctx["options"])
 
 
-def _returns_option_alias(ctx):
+def _reads_option_by_name(ctx):
     options = ctx.get("options")
-    return options
+    return sum(getattr(options, name) for name in ("seed", "utilization"))
 
 
 def _passes_ctx_whole(ctx):
@@ -356,99 +360,121 @@ def _reads_knobs_only(ctx):
     return opts.seed
 
 
+def _run_specimen(fn, knobs, cache=None):
+    table = (Stage("s", fn, params=("subject", "options"), knobs=knobs),)
+    return run_stages(table, {"subject": 1, "options": FlowOptions()},
+                      cache=cache)
+
+
+def _assert_fails_outside_knobs(fn):
+    """``fn``, as a stage whose only knob is ``seed``, fails on its
+    ``options.utilization`` read, with a cache and without."""
+    for cache in (None, ResultCache()):
+        with pytest.raises(StageError, match="'s'") as info:
+            _run_specimen(fn, ("seed",), cache)
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert "utilization" in str(info.value.__cause__)
+
+
 class TestFlowRules:
     def test_missing_producer(self):
-        table = (Stage("a", _stage_ok, params=("subject",)),
+        ran = []
+        sink = TelemetrySink()
+        table = (Stage("a", ran.append, params=("subject",)),
                  Stage("b", _stage_ok, deps=("nonexistent",)))
-        report = lint_flow(table)
-        finding = next(f for f in report.errors
-                       if f.rule_id == "FLOW-001")
-        assert finding.location == "b"
-        assert "names no earlier stage" in finding.message
+        for cache in (None, ResultCache()):
+            with pytest.raises(ValueError,
+                               match="stage 'b' .*names no earlier stage"):
+                run_stages(table, {"subject": 1}, cache=cache, sink=sink)
+        assert ran == [] and sink.spans == []
 
     def test_stage_cycle(self):
-        # A cycle needs a dep on a later stage: FLOW-001 names it.
-        table = (Stage("a", _stage_ok, deps=("b",)),
-                 Stage("b", _stage_ok, deps=("a",)))
-        report = lint_flow(table)
-        assert [f.location for f in report.errors
-                if f.rule_id == "FLOW-001"] == ["a"]
+        # A cycle needs a dep on a later stage: the table is refused at
+        # the first stage of the cycle, before either stage runs.
+        ran = []
+        table = (Stage("a", ran.append, deps=("b",)),
+                 Stage("b", ran.append, deps=("a",)))
+        with pytest.raises(ValueError,
+                           match="stage 'a' depends on 'b', which names "
+                                 "no earlier stage"):
+            run_stages(table, {})
+        assert ran == []
 
     def test_retired_graph_rules_are_gone(self):
-        assert {"FLOW-002", "FLOW-003"}.isdisjoint(REGISTRY.ids())
+        assert not [i for i in REGISTRY.ids() if i.startswith("FLOW-")]
+        for name in ("DEFAULT_RUN_PARAMS", "FlowLintContext",
+                     "check_flow_purity"):
+            assert not hasattr(repro.lint, name)
+        with pytest.raises(TypeError):
+            lint_flow(STAGES, FlowOptions())
 
     def test_unknown_knob(self):
-        table = (Stage("a", _stage_ok, params=("options",),
-                       knobs=("utilizatoin",)),)   # typo
-        report = lint_flow(table, FlowOptions())
-        finding = next(f for f in report.errors
-                       if f.rule_id == "FLOW-004")
-        assert "utilizatoin" in finding.message
+        ran = []
+        sink = TelemetrySink()
+        table = (Stage("a", ran.append, params=("subject",)),
+                 Stage("b", _reads_knobs_only, params=("options",),
+                       knobs=("seed", "utilizatoin")))   # typo
+        for cache in (None, ResultCache()):
+            with pytest.raises(ValueError, match="'utilizatoin'"):
+                run_stages(table, {"subject": 1, "options": FlowOptions()},
+                           cache=cache, sink=sink)
+        assert ran == [] and sink.spans == []
 
     def test_unprovided_param(self):
-        table = (Stage("a", _stage_ok, params=("no_such_param",)),)
-        report = lint_flow(table)
-        assert any(f.rule_id == "FLOW-005" for f in report.errors)
+        ran = []
+        sink = TelemetrySink()
+        table = (Stage("a", ran.append, params=("subject",)),
+                 Stage("b", _stage_ok, params=("no_such_param",)))
+        with pytest.raises(ValueError, match="'no_such_param'"):
+            run_stages(table, {"subject": 1}, sink=sink)
+        assert ran == [] and sink.spans == []
 
     def test_undeclared_ctx_read(self):
+        # A stage's ctx holds its declared keys only.
         table = (Stage("synthesis", _stage_ok, params=("subject",)),
                  Stage("place", _stage_typo, deps=("synthesis",)))
-        report = lint_flow(table)
-        finding = next(f for f in report.errors
-                       if f.rule_id == "FLOW-006")
-        assert "sythesis" in finding.message
-
-    def test_unread_declared_input_is_info(self):
-        table = (Stage("synthesis", _stage_ok, params=("subject",)),
-                 Stage("b", _stage_ok,
-                       deps=("synthesis",), params=("subject",)))
-        report = lint_flow(table)
-        infos = [f for f in report.findings
-                 if f.rule_id == "FLOW-007"]
-        assert infos and infos[0].severity is Severity.INFO
+        with pytest.raises(StageError, match="'place'") as info:
+            run_stages(table, {"subject": 1})
+        assert isinstance(info.value.__cause__, KeyError)
+        assert "sythesis" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("fn", [_reads_bound_option,
                                     _reads_unpacked_option,
                                     _reads_option_inline,
                                     _reads_option_through_two_names])
     def test_option_read_outside_knobs(self, fn):
-        table = (Stage("s", fn, params=("subject", "options"),
-                       knobs=("seed",)),)
-        report = lint_flow(table, FlowOptions())
-        assert [(f.rule_id, f.location) for f in report.errors] == \
-            [("FLOW-008", "s")]
-        assert "options.utilization" in report.errors[0].message
-        # Without knobs the key holds every option: nothing to report.
-        table = (Stage("s", fn, params=("subject", "options")),)
-        assert not lint_flow(table, FlowOptions()).errors
+        _assert_fails_outside_knobs(fn)
+        # Without knobs the stage sees every option.
+        assert _run_specimen(fn, ()).status == "ok"
 
     @pytest.mark.parametrize("fn", [
-        _passes_options_whole, _returns_option_alias, _passes_ctx_whole,
+        _passes_options_whole, _reads_option_by_name, _passes_ctx_whole,
         _reads_option_through_a_chained_assignment])
     def test_options_used_whole(self, fn):
-        table = (Stage("s", fn, params=("subject", "options"),
-                       knobs=("seed", "utilization")),)
-        report = lint_flow(table, FlowOptions())
-        assert [f.rule_id for f in report.errors] == ["FLOW-008"]
-        assert "uses the options (or ctx) whole" in \
-            report.errors[0].message
+        # Options (or ctx) handed on whole, or read by a computed name,
+        # stay held to the knobs: within them the stage runs, and a
+        # read outside them fails wherever it happens.
+        assert _run_specimen(fn, ("seed", "utilization")).status == "ok"
+        _assert_fails_outside_knobs(fn)
 
     def test_option_reads_through_an_alias_within_knobs(self):
-        table = (Stage("s", _reads_knobs_only, params=("options",),
-                       knobs=("seed",)),)
-        assert not lint_flow(table, FlowOptions()).findings
+        run = _run_specimen(_reads_knobs_only, ("seed",))
+        assert run.outputs["s"] == FlowOptions().seed
+        # The options a stage sees hold its knobs and nothing else.
+        table = (Stage("s", lambda ctx: ctx["options"],
+                       params=("options",), knobs=("seed", "cts")),)
+        seen = run_stages(table, {"options": FlowOptions()}).outputs["s"]
+        assert vars(seen) == {"seed": 0, "cts": False}
 
     def test_implement_dag_is_clean(self):
-        # The shipped table passes its own gate: flow rules (each
-        # stage reads only its knobs) AND the purity checker.
-        report = lint_flow(STAGES, FlowOptions())
+        # The shipped table passes the purity check.
+        report = lint_flow(STAGES)
         assert not report.errors, [str(f) for f in report.errors]
         assert not report.warnings, \
             [str(f) for f in report.warnings]
 
     def test_flow_lint_overhead_under_50ms(self):
-        report = lint_flow(STAGES, FlowOptions())
-        assert report.wall_s < 0.050
+        assert lint_flow(STAGES).wall_s < 0.050
 
 
 # ----------------------------------------------------------------------
@@ -577,14 +603,16 @@ class TestLintPreservation:
         n, a, o, seed = params
         nl = map_aig(random_aig(n, a, o, seed=seed), LIB,
                      mode="area")
-        invariants = list(INVARIANT_RULE_IDS)
-        assert not lint_netlist(nl, only=invariants).findings, \
+        def invariant_findings(netlist):
+            return [f for f in lint_netlist(netlist).findings
+                    if f.rule_id in INVARIANT_RULE_IDS]
+
+        assert not invariant_findings(nl), \
             "mapping produced a lint-dirty netlist"
         size_gates(nl)
         assign_vt(nl)
-        assert not lint_netlist(nl, only=invariants).findings, \
+        assert not invariant_findings(nl), \
             "sizing/Vt assignment broke a netlist invariant"
         placement = global_place(nl, seed=0, utilization=0.5)
-        assert not lint_netlist(placement.netlist,
-                                only=invariants).findings, \
+        assert not invariant_findings(placement.netlist), \
             "placement broke a netlist invariant"

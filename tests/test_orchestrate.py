@@ -327,6 +327,12 @@ class TestExecutor:
             resume_run("r", journal_root=tmp_path, **{knob: None})
         with pytest.raises(TypeError, match="cacheable"):
             Stage("s", lambda ctx: 1, cacheable=False)
+        # Parallel sweeps share ``cache.disk_dir``; a resume is not
+        # fault-injected.
+        with pytest.raises(TypeError, match="cache_dir"):
+            run_sweep(None, None, [], cache_dir=tmp_path)
+        with pytest.raises(TypeError, match="chaos"):
+            resume_run("r", journal_root=tmp_path, chaos=None)
 
     def test_optional_failure_degrades_and_dependents_run(self):
         table = (Stage("base", lambda ctx: 10),
@@ -515,6 +521,17 @@ class TestSweep:
         assert cache.stats.hits == 6 and cache.stats.misses == 6
         hits = [s for s in sink.spans if s.cache == "hit"]
         assert {s.job for s in hits} == {1}
+
+    def test_parallel_jobs_share_the_cache_disk_tier(self, lib, tmp_path):
+        # Workers cannot see the parent's memory tier; the disk tier of
+        # ``cache`` is how parallel jobs reuse stage results.
+        options_list = [FlowOptions(routing_iterations=r) for r in (1, 2)]
+        run_sweep(small_design(lib), lib, options_list, jobs=2,
+                  cache=ResultCache(disk_dir=tmp_path))
+        assert list(tmp_path.glob("*.pkl"))
+        again = run_sweep(small_design(lib), lib, options_list, jobs=2,
+                          cache=ResultCache(disk_dir=tmp_path))
+        assert [s.cache for s in again.spans] == ["hit"] * 12
 
     def test_empty_sweep_returns_no_results(self, lib):
         # ``jobs=2`` used to raise from ``multiprocessing.Pool(0)``.
