@@ -16,6 +16,24 @@ def _mask(nvars: int) -> int:
     return (1 << (1 << nvars)) - 1
 
 
+def var_mask(index: int, nvars: int) -> int:
+    """Truth-table bits of the projection onto input ``index``.
+
+    Bit ``m`` is set iff bit ``index`` of minterm ``m`` is: blocks of
+    ``2**index`` zeros and ``2**index`` ones, repeated over the
+    ``2**nvars`` minterms.  Dividing the all-ones mask by
+    ``2**(2**index) + 1`` leaves one ones-block per period, in the low
+    half of each period, so a shift by ``2**index`` lands it in the
+    high half.
+    """
+    if not 0 <= nvars <= MAX_VARS:
+        raise ValueError(f"nvars must be in [0, {MAX_VARS}]")
+    if not 0 <= index < nvars:
+        raise ValueError(f"var index {index} out of range for {nvars}")
+    width = 1 << index
+    return _mask(nvars) // ((1 << width) + 1) << width
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """An immutable truth table of ``nvars`` inputs.
@@ -49,13 +67,7 @@ class TruthTable:
     @staticmethod
     def var(index: int, nvars: int) -> "TruthTable":
         """The projection function returning input ``index``."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"var index {index} out of range for {nvars}")
-        bits = 0
-        for m in range(1 << nvars):
-            if m >> index & 1:
-                bits |= 1 << m
-        return TruthTable(nvars, bits)
+        return TruthTable(nvars, var_mask(index, nvars))
 
     @staticmethod
     def from_minterms(minterms, nvars: int) -> "TruthTable":

@@ -11,10 +11,37 @@ Espresso/Mini/MIS/SIS as the first wave of EDA logic optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.netlist.boolfunc import TruthTable
+from repro.netlist.boolfunc import MAX_VARS, TruthTable, var_mask
 
 ABSENT = 2
+
+
+@lru_cache(maxsize=MAX_VARS + 1)
+def literal_masks(nvars: int) -> tuple:
+    """Truth-table bits of every literal over ``nvars`` inputs.
+
+    ``masks[var][v]`` is the set of minterms where literal ``v`` of
+    ``var`` holds: its complement for 0, its projection for 1, and all
+    minterms for ``ABSENT``.  A cube's bits are the AND of its
+    literals' masks (:func:`cube_bits`), a cover's the OR of its
+    cubes'.  The tables are immutable and there is one per arity
+    (at most ``MAX_VARS + 1``), so they are built once per process.
+    """
+    full = TruthTable.const(True, nvars).bits
+    return tuple((full ^ pos, pos, full)
+                 for pos in (var_mask(var, nvars) for var in range(nvars)))
+
+
+def cube_bits(literals, masks) -> int:
+    """Truth-table bits of the cube with ``literals`` (see
+    :func:`literal_masks`)."""
+    bits = (1 << (1 << len(literals))) - 1
+    for var, v in enumerate(literals):
+        if v != ABSENT:
+            bits &= masks[var][v]
+    return bits
 
 
 @dataclass(frozen=True)
@@ -122,7 +149,8 @@ class Cube:
 
     def to_truth_table(self) -> TruthTable:
         """The cube as a function of its full variable space."""
-        return TruthTable.from_minterms(self.minterms(), self.nvars)
+        return TruthTable(self.nvars, cube_bits(
+            self.literals, literal_masks(self.nvars)))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return "".join("01-"[v] for v in self.literals)
@@ -165,10 +193,10 @@ class Cover:
 
     def to_truth_table(self) -> TruthTable:
         """Expand the cover back into a truth table."""
+        masks = literal_masks(self.nvars)
         bits = 0
-        for m in range(1 << self.nvars):
-            if self.evaluate(m):
-                bits |= 1 << m
+        for cube in self.cubes:
+            bits |= cube_bits(cube.literals, masks)
         return TruthTable(self.nvars, bits)
 
     def covers_minterm(self, minterm: int) -> bool:
@@ -264,6 +292,9 @@ def cover_covers_cube(cover: Cover, cube: Cube) -> bool:
 
     Implemented as a tautology check of the cover cofactored against the
     cube — polynomial-free but exact, as in Espresso's IRREDUNDANT.
+    :mod:`repro.synthesis.espresso` decides containment on truth-table
+    masks instead; this unate-recursive check is the reference its
+    tests compare against.
     """
     cof: list[Cube] = []
     for c in cover.cubes:

@@ -6,10 +6,11 @@ the stage once, in the calling thread, and emits a telemetry span
 either way.  The table is checked before anything runs: a duplicate
 name, a dep that names no earlier stage, a param the run does not
 provide, or a knob that is not an attribute of the run's options
-raises ``ValueError``.  A stage sees exactly what its cache key
-hashes: its deps, its params and, when it declares ``knobs``, an
-options view holding only those attributes, so reading any other
-option fails the stage with ``AttributeError``.
+raises ``ValueError``; :func:`run_stage` checks its one stage the
+same way, so a direct call is refused too.  A stage sees exactly what
+its cache key hashes: its deps, its params and, when it declares
+``knobs``, an options view holding only those attributes, so reading
+any other option fails the stage with ``AttributeError``.
 Stages are deterministic, so there is no retry: running a failed stage
 again would fail the same way.  A failed *optional* stage (e.g. CTS)
 marks the run ``degraded`` and its output ``None``; a failed required
@@ -70,6 +71,26 @@ class WorkerCrash(BaseException):
         self.stage = stage
 
 
+def _check_stage(stage, outputs, params) -> None:
+    """Refuse ``stage`` with ``ValueError`` unless each of its deps
+    names one of ``outputs``, each of its params is in ``params``, and
+    each of its knobs is an attribute of ``params["options"]``."""
+    for dep in stage.deps:
+        if dep not in outputs:
+            raise ValueError(f"stage {stage.name!r} depends on {dep!r}, "
+                             f"which names no earlier stage")
+    for param in stage.params:
+        if param not in params:
+            raise ValueError(f"stage {stage.name!r} reads param "
+                             f"{param!r}, which the run does not provide")
+    options = params.get("options")
+    for knob in stage.knobs:
+        if not hasattr(options, knob):
+            raise ValueError(f"stage {stage.name!r} declares knob "
+                             f"{knob!r}, which is not an attribute of "
+                             f"{type(options).__name__}")
+
+
 def cache_inputs(stage, ctx) -> dict:
     """The content-hash domain of a stage execution: the ``ctx`` that
     :func:`run_stage` hands the stage, with a knob view hashed as the
@@ -97,11 +118,15 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
 
     The stage's ``ctx`` holds its deps and params only; with ``knobs``
     its ``ctx["options"]`` is a ``SimpleNamespace`` of just those
-    attributes.  A stage that raises is recorded as ``failed`` with
-    its exception on the outcome; it is not run again.  ``chaos`` (a
+    attributes.  A ``ctx`` that lacks one of the stage's deps or
+    params, or whose options lack one of its knobs, raises
+    ``ValueError`` naming the stage, before any cache lookup or span.
+    A stage that raises is recorded as ``failed`` with its exception
+    on the outcome; it is not run again.  ``chaos`` (a
     :class:`~repro.orchestrate.resilience.ChaosPolicy`) may inject a
     fault into the call.
     """
+    _check_stage(stage, ctx, ctx)
     child_ctx = {k: ctx[k] for k in (*stage.deps, *stage.params)}
     if stage.knobs:
         options = ctx["options"]
@@ -150,25 +175,11 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
     parameters ``params``; ``sink`` receives every span, also when a
     stage fails."""
     stages = tuple(stages)
-    options = params.get("options")
     earlier: set = set()
     for stage in stages:
         if stage.name in earlier:
             raise ValueError(f"duplicate stage {stage.name!r}")
-        for dep in stage.deps:
-            if dep not in earlier:
-                raise ValueError(f"stage {stage.name!r} depends on "
-                                 f"{dep!r}, which names no earlier stage")
-        for param in stage.params:
-            if param not in params:
-                raise ValueError(f"stage {stage.name!r} reads param "
-                                 f"{param!r}, which the run does not "
-                                 f"provide")
-        for knob in stage.knobs:
-            if not hasattr(options, knob):
-                raise ValueError(f"stage {stage.name!r} declares knob "
-                                 f"{knob!r}, which is not an attribute "
-                                 f"of {type(options).__name__}")
+        _check_stage(stage, earlier, params)
         earlier.add(stage.name)
 
     t0 = time.perf_counter()

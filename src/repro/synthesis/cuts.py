@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.netlist.aig import Aig, lit_is_neg, lit_var
 from repro.netlist.boolfunc import TruthTable
+from repro.netlist.cubes import literal_masks
 
 
 def enumerate_cuts(aig: Aig, k: int = 4, per_node: int = 8) -> dict:
@@ -44,36 +45,42 @@ def cut_function(aig: Aig, root: int, leaves) -> TruthTable:
     """Truth table of ``root``'s function over the cut ``leaves``.
 
     The table is over ``len(leaves)`` variables in leaf order.  Edge
-    complementations inside the cone are folded into the table.
+    complementations inside the cone are folded into the table.  The
+    cone is evaluated on integer masks with an explicit stack, so a
+    deep cone does not hit the recursion limit.
     """
     leaves = tuple(leaves)
-    index = {leaf: i for i, leaf in enumerate(leaves)}
     nvars = len(leaves)
-    memo: dict[int, TruthTable] = {}
-
-    def node_tt(node: int) -> TruthTable:
-        if node in index:
-            return TruthTable.var(index[node], nvars)
-        if node == 0:
-            return TruthTable.const(False, nvars)
-        got = memo.get(node)
-        if got is not None:
-            return got
+    masks = literal_masks(nvars)   # ValueError past MAX_VARS inputs
+    full = (1 << (1 << nvars)) - 1
+    value = {leaf: masks[i][1] for i, leaf in enumerate(leaves)}
+    value.setdefault(0, 0)   # the constant node, unless it is a leaf
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in value:
+            stack.pop()
+            continue
         if not aig.is_and(node):
             raise ValueError(
                 f"node {node} (an input) is outside the cut {leaves}")
         f0, f1 = aig.fanins(node)
-        t0 = node_tt(lit_var(f0))
+        v0 = value.get(lit_var(f0))
+        v1 = value.get(lit_var(f1))
+        if v0 is None or v1 is None:
+            # Fanin 0's cone first, as a recursive walk would go.
+            if v1 is None:
+                stack.append(lit_var(f1))
+            if v0 is None:
+                stack.append(lit_var(f0))
+            continue
+        stack.pop()
         if lit_is_neg(f0):
-            t0 = ~t0
-        t1 = node_tt(lit_var(f1))
+            v0 ^= full
         if lit_is_neg(f1):
-            t1 = ~t1
-        result = t0 & t1
-        memo[node] = result
-        return result
-
-    return node_tt(root)
+            v1 ^= full
+        value[node] = v0 & v1
+    return TruthTable(nvars, value[root])
 
 
 def cut_volume(aig: Aig, root: int, leaves) -> int:

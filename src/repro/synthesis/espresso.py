@@ -4,15 +4,19 @@ A faithful (single-output) implementation of the Espresso heuristic
 loop.  Correctness is guaranteed by construction: every step preserves
 ``on_set <= cover <= on_set + dc_set``, verified by the property tests.
 
-The containment oracles use the unate-recursive paradigm
-(:func:`repro.netlist.cubes.cover_covers_cube`), exactly as in the
-original — no truth-table shortcuts in the inner loop.
+Covers here have at most ``MAX_VARS`` (16) inputs, so the containment
+and essential-minterm oracles are exact operations on truth-table
+masks: a cube's mask is the AND of its literals' masks and a cover's
+the OR of its cubes' (:func:`repro.netlist.cubes.literal_masks`).  The
+unate-recursive paradigm of the original
+(:func:`repro.netlist.cubes.cover_covers_cube`) is the reference the
+tests compare these oracles against.
 """
 
 from __future__ import annotations
 
-from repro.netlist.boolfunc import TruthTable
-from repro.netlist.cubes import ABSENT, Cover, Cube, cover_covers_cube
+from repro.netlist.boolfunc import MAX_VARS, TruthTable
+from repro.netlist.cubes import ABSENT, Cover, Cube, cube_bits, literal_masks
 
 
 def espresso(on_set: Cover, dc_set: Cover | None = None,
@@ -22,7 +26,8 @@ def espresso(on_set: Cover, dc_set: Cover | None = None,
     Parameters
     ----------
     on_set:
-        Cover of the required minterms.
+        Cover of the required minterms, over at most ``MAX_VARS`` (16)
+        inputs; a wider cover raises ``ValueError``.
     dc_set:
         Optional cover of don't-care minterms (may overlap the on-set).
     max_loops:
@@ -35,6 +40,9 @@ def espresso(on_set: Cover, dc_set: Cover | None = None,
     minimal cube and literal counts.
     """
     nvars = on_set.nvars
+    if nvars > MAX_VARS:
+        raise ValueError(
+            f"espresso takes at most {MAX_VARS} inputs, not {nvars}")
     if dc_set is None:
         dc_set = Cover.empty(nvars)
     if dc_set.nvars != nvars:
@@ -42,19 +50,21 @@ def espresso(on_set: Cover, dc_set: Cover | None = None,
     cover = on_set.deduplicate()
     if not cover.cubes:
         return cover
-    care = Cover(on_set.cubes + dc_set.cubes, nvars)
+    masks = literal_masks(nvars)
+    dc = dc_set.to_truth_table().bits
+    care = on_set.to_truth_table().bits | dc
 
     best = cover
     best_cost = _cost(best)
     for _ in range(max_loops):
-        cover = _expand(cover, care)
-        cover = _irredundant(cover, on_set, dc_set)
+        cover = _expand(cover, care, masks)
+        cover = _irredundant(cover, dc, masks)
         cost = _cost(cover)
         if cost < best_cost:
             best, best_cost = cover, cost
         else:
             break
-        cover = _reduce(cover, dc_set)
+        cover = _reduce(cover, dc, masks)
     return best
 
 
@@ -69,14 +79,16 @@ def _cost(cover: Cover) -> tuple:
     return (cover.cube_count(), cover.literal_count())
 
 
-def _expand(cover: Cover, care: Cover) -> Cover:
+def _expand(cover: Cover, care: int, masks: tuple) -> Cover:
     """Raise each cube maximally while staying inside the care set.
 
     Cubes are processed largest-first; literals are dropped greedily in
     a fixed variable order (Espresso uses a weighting heuristic; the
     fixed order keeps the implementation deterministic and is close in
     quality on the node sizes we see).  Cubes contained in an already
-    expanded prime are dropped on the fly.
+    expanded prime are dropped on the fly.  Dropping the literal of
+    ``var`` adds the cube's minterms with bit ``var`` flipped: a shift
+    of its mask by ``2**var``.
     """
     ordered = sorted(
         cover.cubes,
@@ -86,18 +98,21 @@ def _expand(cover: Cover, care: Cover) -> Cover:
     for cube in ordered:
         if any(p.covers(cube) for p in primes):
             continue
-        expanded = cube
-        for var in range(cover.nvars):
-            if expanded.literals[var] == ABSENT:
+        lits = list(cube.literals)
+        bits = cube_bits(lits, masks)
+        for var, v in enumerate(lits):
+            if v == ABSENT:
                 continue
-            candidate = expanded.expand_var(var)
-            if cover_covers_cube(care, candidate):
-                expanded = candidate
-        primes.append(expanded)
+            shift = 1 << var
+            raised = bits | (bits >> shift if v else bits << shift)
+            if not raised & ~care:
+                bits = raised
+                lits[var] = ABSENT
+        primes.append(Cube(tuple(lits)))
     return Cover(primes, cover.nvars)
 
 
-def _irredundant(cover: Cover, on_set: Cover, dc_set: Cover) -> Cover:
+def _irredundant(cover: Cover, dc: int, masks: tuple) -> Cover:
     """Drop cubes covered by the rest of the cover plus the don't-cares.
 
     Tries to drop the *largest-cost last* (smallest cubes first) so the
@@ -107,46 +122,56 @@ def _irredundant(cover: Cover, on_set: Cover, dc_set: Cover) -> Cover:
         cover.cubes,
         key=lambda c: (sum(1 for v in c.literals if v == ABSENT),
                        c.literals))
+    bits = {c: cube_bits(c.literals, masks) for c in cubes}
     kept = list(cubes)
     for cube in cubes:
         others = [c for c in kept if c != cube]
-        rest = Cover(others + dc_set.cubes, cover.nvars)
-        if cover_covers_cube(rest, cube):
+        rest = dc
+        for c in others:
+            rest |= bits[c]
+        if not bits[cube] & ~rest:
             kept = others
     return Cover(kept, cover.nvars)
 
 
-def _reduce(cover: Cover, dc_set: Cover) -> Cover:
+def _reduce(cover: Cover, dc: int, masks: tuple) -> Cover:
     """Shrink each cube to the supercube of its essential minterms.
 
     A cube's essential minterms are those covered by no other cube of
     the (current) cover and not don't-care.  Reducing pulls cubes off
     their local optimum so the next EXPAND can escape it.
     """
+    own = [cube_bits(c.literals, masks) for c in cover.cubes]
+    # later[i]: the minterms of the cubes from cube i on, unreduced.
+    later = [0] * (len(own) + 1)
+    for i in range(len(own) - 1, -1, -1):
+        later[i] = later[i + 1] | own[i]
     out: list[Cube] = []
-    current = list(cover.cubes)
-    for i, cube in enumerate(current):
+    reduced = 0
+    for i in range(len(own)):
         # Sequential REDUCE: earlier cubes participate in their already
         # reduced form, later ones unreduced — never both, or minterms
         # handed off to a cube that subsequently shrinks get lost.
-        others = Cover(out + current[i + 1:] + dc_set.cubes,
-                       cover.nvars)
-        essential = [m for m in cube.minterms()
-                     if not others.evaluate(m)]
+        others = reduced | later[i + 1] | dc
+        essential = own[i] & ~others
         if not essential:
             continue  # fully redundant; drop
-        out.append(_supercube(essential, cover.nvars))
+        shrunk = _supercube(essential, masks)
+        out.append(shrunk)
+        reduced |= cube_bits(shrunk.literals, masks)
     return Cover(out, cover.nvars) if out else cover
 
 
-def _supercube(minterms: list, nvars: int) -> Cube:
-    """Smallest cube containing all given minterms."""
-    lits = list(Cube.from_minterm(minterms[0], nvars).literals)
-    for m in minterms[1:]:
-        for var in range(nvars):
-            bit = (m >> var) & 1
-            if lits[var] != ABSENT and lits[var] != bit:
-                lits[var] = ABSENT
+def _supercube(bits: int, masks: tuple) -> Cube:
+    """Smallest cube containing the (non-empty) minterm set ``bits``."""
+    lits = []
+    for neg, pos, _ in masks:
+        if not bits & pos:
+            lits.append(0)
+        elif not bits & neg:
+            lits.append(1)
+        else:
+            lits.append(ABSENT)
     return Cube(tuple(lits))
 
 

@@ -35,15 +35,22 @@ def balance(aig: Aig) -> Aig:
         mapping[i + 1] = new.input_lit(i)
     fanout = aig.fanout_counts()
 
-    def collect(lit: int, acc: list, root: bool) -> None:
-        node = lit_var(lit)
-        if (not lit_is_neg(lit) and aig.is_and(node)
-                and (root or fanout[node] == 1)):
-            f0, f1 = aig.fanins(node)
-            collect(f0, acc, False)
-            collect(f1, acc, False)
-        else:
-            acc.append(lit)
+    def collect(root: int) -> list:
+        """The operands of the conjunction tree rooted at AND node
+        ``root``, left to right, walked with an explicit stack."""
+        operands = []
+        stack = [(2 * root, True)]
+        while stack:
+            lit, top = stack.pop()
+            node = lit_var(lit)
+            if (not lit_is_neg(lit) and aig.is_and(node)
+                    and (top or fanout[node] == 1)):
+                f0, f1 = aig.fanins(node)
+                stack.append((f1, False))
+                stack.append((f0, False))
+            else:
+                operands.append(lit)
+        return operands
 
     def translate(lit: int) -> int:
         node = lit_var(lit)
@@ -56,8 +63,7 @@ def balance(aig: Aig) -> Aig:
         return levels_new.get(lit_var(lit), 0)
 
     for n in range(aig.num_inputs + 1, aig.num_nodes):
-        operands: list[int] = []
-        collect(2 * n, operands, True)
+        operands = collect(n)
         # Translate to new-graph literals and pair shallowest-first.
         ops = sorted((translate(o) for o in operands), key=level_of)
         while len(ops) > 1:
@@ -98,18 +104,23 @@ def _build_factored(aig: Aig, tree, leaf_lits: list) -> int:
     raise ValueError(f"bad factor tree node {kind!r}")
 
 
-def _factored(tt: TruthTable):
+def _factored(tt: TruthTable, trees: dict):
     """Minimal-effort resynthesis of a small function: espresso, then
     quick-factor; returns the tree :func:`_build_factored` instantiates.
-    A pure function of ``tt``, so callers may share one (read-only)
-    tree among all uses of the same function."""
-    if tt.is_contradiction():
-        return ("const", False)
-    if tt.is_tautology():
-        return ("const", True)
-    cover = espresso_tt(tt)
-    sop = sop_from_cover(cover, list(range(tt.nvars)))
-    return factor(sop)
+    The tree is a pure function of ``tt``, so it is memoized in
+    ``trees`` and all uses of one function share one (read-only)
+    tree."""
+    tree = trees.get(tt)
+    if tree is None:
+        if tt.is_contradiction():
+            tree = ("const", False)
+        elif tt.is_tautology():
+            tree = ("const", True)
+        else:
+            cover = espresso_tt(tt)
+            tree = factor(sop_from_cover(cover, list(range(tt.nvars))))
+        trees[tt] = tree
+    return tree
 
 
 def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
@@ -126,8 +137,13 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
     logic that other fanouts still need, so a result larger than the
     (cleaned) input is discarded and the input returned instead.
     """
+    return _rewrite(aig, {}, cut_size, per_node)
+
+
+def _rewrite(aig: Aig, trees: dict, cut_size: int = 4,
+             per_node: int = 5) -> Aig:
+    """:func:`rewrite` with the factored trees memoized in ``trees``."""
     cuts = enumerate_cuts(aig, cut_size, per_node)
-    trees: dict[TruthTable, tuple] = {}
     new = Aig(aig.num_inputs, list(aig.input_names))
     mapping: dict[int, int] = {0: AIG_FALSE}
     for i in range(aig.num_inputs):
@@ -143,10 +159,7 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
         for cut in cuts[n]:
             if len(cut) < 2 or cut == (n,):
                 continue
-            tt = cut_function(aig, n, cut)
-            tree = trees.get(tt)
-            if tree is None:
-                tree = trees[tt] = _factored(tt)
+            tree = _factored(cut_function(aig, n, cut), trees)
             leaf_lits = [mapping[leaf] for leaf in cut]
             start = new.num_nodes
             cand = _build_factored(new, tree, leaf_lits)
@@ -168,12 +181,17 @@ def refactor(aig: Aig, max_support: int = 10) -> Aig:
     collapsed to a truth table, minimized, factored, and rebuilt; the
     new cone is kept only if the overall graph shrinks.
     """
+    return _refactor(aig, {}, max_support)
+
+
+def _refactor(aig: Aig, trees: dict, max_support: int = 10) -> Aig:
+    """:func:`refactor` with the factored trees memoized in ``trees``."""
     result = aig
     for out_idx in range(len(aig.outputs)):
         support = _output_support(result, out_idx)
         if not 1 <= len(support) <= max_support:
             continue
-        candidate = _refactor_one(result, out_idx, support)
+        candidate = _refactor_one(result, out_idx, support, trees)
         if candidate.num_ands < result.num_ands:
             result = candidate
     return result
@@ -198,7 +216,8 @@ def _output_support(aig: Aig, out_idx: int) -> list:
     return sorted(support)
 
 
-def _refactor_one(aig: Aig, out_idx: int, support: list) -> Aig:
+def _refactor_one(aig: Aig, out_idx: int, support: list,
+                  trees: dict) -> Aig:
     lit = aig.outputs[out_idx]
     tt = cut_function(aig, lit_var(lit), support)
     if lit_is_neg(lit):
@@ -214,7 +233,7 @@ def _refactor_one(aig: Aig, out_idx: int, support: list) -> Aig:
         b = mapping[lit_var(f1)] ^ (f1 & 1)
         mapping[n] = new.and_(a, b)
     leaf_lits = [mapping[leaf] for leaf in support]
-    new_lit = _build_factored(new, _factored(tt), leaf_lits)
+    new_lit = _build_factored(new, _factored(tt, trees), leaf_lits)
     for k, (olit, name) in enumerate(zip(aig.outputs, aig.output_names)):
         if k == out_idx:
             new.add_output(new_lit, name)
@@ -228,17 +247,20 @@ def optimize_aig(aig: Aig, effort: str = "high") -> Aig:
 
     effort "low": balance only.  "medium": balance, rewrite.  "high":
     two rounds of rewrite/refactor bracketed by balances (compare the
-    ABC ``resyn2`` recipe).
+    ABC ``resyn2`` recipe).  The passes of one call share one memo of
+    factored trees, so each distinct cut function is minimized once
+    per call.
     """
     if effort not in ("low", "medium", "high"):
         raise ValueError("effort must be low/medium/high")
+    trees: dict[TruthTable, tuple] = {}
     g = balance(aig)
     if effort == "low":
         return g
-    g = rewrite(g)
+    g = _rewrite(g, trees)
     if effort == "medium":
         return balance(g)
-    g = refactor(g)
+    g = _refactor(g, trees)
     g = balance(g)
-    g = rewrite(g)
+    g = _rewrite(g, trees)
     return balance(g)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.boolfunc import (
+    MAX_VARS,
     TruthTable,
     tt_and2,
     tt_nand2,
@@ -32,6 +33,67 @@ tts = st.integers(min_value=2, max_value=4).flatmap(
         st.integers(min_value=0, max_value=(1 << (1 << n)) - 1),
     )
 )
+
+
+# Verbatim copies of the minterm loops that ``TruthTable.var``,
+# ``Cube.to_truth_table`` and ``Cover.to_truth_table`` used before they
+# became closed forms over ``var_mask``; the references below compare
+# against them.
+def _var_by_loop(index, nvars):
+    if not 0 <= index < nvars:
+        raise ValueError(f"var index {index} out of range for {nvars}")
+    bits = 0
+    for m in range(1 << nvars):
+        if m >> index & 1:
+            bits |= 1 << m
+    return TruthTable(nvars, bits)
+
+
+def _cube_tt_by_loop(cube):
+    return TruthTable.from_minterms(cube.minterms(), cube.nvars)
+
+
+def _cover_tt_by_loop(cover):
+    bits = 0
+    for m in range(1 << cover.nvars):
+        if cover.evaluate(m):
+            bits |= 1 << m
+    return TruthTable(cover.nvars, bits)
+
+
+cubes = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(*[st.sampled_from((0, 1, ABSENT))] * n).map(Cube))
+covers = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.sampled_from((0, 1, ABSENT))] * n).map(Cube),
+        max_size=6).map(lambda cs, n=n: Cover(cs, n)))
+
+
+class TestClosedFormTables:
+    def test_var_matches_loop_up_to_max_vars(self):
+        for nvars in range(MAX_VARS + 1):
+            for index in range(nvars):
+                assert TruthTable.var(index, nvars) == \
+                    _var_by_loop(index, nvars)
+
+    def test_var_rejects_what_the_loop_rejects(self):
+        for index, nvars in ((0, 0), (2, 2), (-1, 3)):
+            with pytest.raises(ValueError):
+                _var_by_loop(index, nvars)
+            with pytest.raises(ValueError):
+                TruthTable.var(index, nvars)
+        with pytest.raises(ValueError):
+            TruthTable.var(0, MAX_VARS + 1)
+
+    @given(cubes)
+    @settings(max_examples=200)
+    def test_cube_table_matches_loop(self, cube):
+        assert cube.to_truth_table() == _cube_tt_by_loop(cube)
+
+    @given(covers)
+    @settings(max_examples=200)
+    def test_cover_table_matches_loop(self, cover):
+        assert cover.to_truth_table() == _cover_tt_by_loop(cover)
 
 
 class TestTruthTable:

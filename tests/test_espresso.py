@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist.boolfunc import TruthTable
-from repro.netlist.cubes import ABSENT, Cover, Cube
+from repro.netlist.boolfunc import MAX_VARS, TruthTable
+from repro.netlist.cubes import (
+    ABSENT,
+    Cover,
+    Cube,
+    cover_covers_cube,
+    cube_bits,
+    literal_masks,
+)
 from repro.synthesis.espresso import (
     espresso,
     espresso_tt,
@@ -19,6 +26,137 @@ tts = st.integers(min_value=2, max_value=5).flatmap(
         st.integers(min_value=0, max_value=(1 << (1 << n)) - 1),
     )
 )
+
+
+def _covers_over(n, min_size, max_size):
+    cube = st.tuples(*[st.sampled_from((0, 1, ABSENT))] * n).map(Cube)
+    return st.lists(cube, min_size=min_size, max_size=max_size).map(
+        lambda cs: Cover(cs, n))
+
+
+#: (on-set, dc-set) cover pairs over 1-8 inputs; the dc-set may be empty.
+cover_pairs = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(_covers_over(n, 1, 8), _covers_over(n, 0, 4)))
+
+
+# The EXPAND / IRREDUNDANT / REDUCE loop as it was when its oracles
+# were the unate-recursive ``cover_covers_cube`` and minterm
+# enumeration (copied, minus an unused parameter): the reference the
+# mask oracles must reproduce cube for cube.
+def _espresso_urp(on_set, dc_set=None, max_loops=8):
+    nvars = on_set.nvars
+    if dc_set is None:
+        dc_set = Cover.empty(nvars)
+    cover = on_set.deduplicate()
+    if not cover.cubes:
+        return cover
+    care = Cover(on_set.cubes + dc_set.cubes, nvars)
+    best = cover
+    best_cost = (best.cube_count(), best.literal_count())
+    for _ in range(max_loops):
+        cover = _expand_urp(cover, care)
+        cover = _irredundant_urp(cover, dc_set)
+        cost = (cover.cube_count(), cover.literal_count())
+        if cost < best_cost:
+            best, best_cost = cover, cost
+        else:
+            break
+        cover = _reduce_urp(cover, dc_set)
+    return best
+
+
+def _expand_urp(cover, care):
+    ordered = sorted(
+        cover.cubes,
+        key=lambda c: (-sum(1 for v in c.literals if v == ABSENT),
+                       c.literals))
+    primes = []
+    for cube in ordered:
+        if any(p.covers(cube) for p in primes):
+            continue
+        expanded = cube
+        for var in range(cover.nvars):
+            if expanded.literals[var] == ABSENT:
+                continue
+            candidate = expanded.expand_var(var)
+            if cover_covers_cube(care, candidate):
+                expanded = candidate
+        primes.append(expanded)
+    return Cover(primes, cover.nvars)
+
+
+def _irredundant_urp(cover, dc_set):
+    cubes = sorted(
+        cover.cubes,
+        key=lambda c: (sum(1 for v in c.literals if v == ABSENT),
+                       c.literals))
+    kept = list(cubes)
+    for cube in cubes:
+        others = [c for c in kept if c != cube]
+        rest = Cover(others + dc_set.cubes, cover.nvars)
+        if cover_covers_cube(rest, cube):
+            kept = others
+    return Cover(kept, cover.nvars)
+
+
+def _reduce_urp(cover, dc_set):
+    out = []
+    current = list(cover.cubes)
+    for i, cube in enumerate(current):
+        others = Cover(out + current[i + 1:] + dc_set.cubes,
+                       cover.nvars)
+        essential = [m for m in cube.minterms()
+                     if not others.evaluate(m)]
+        if not essential:
+            continue
+        out.append(_supercube_urp(essential, cover.nvars))
+    return Cover(out, cover.nvars) if out else cover
+
+
+def _supercube_urp(minterms, nvars):
+    lits = list(Cube.from_minterm(minterms[0], nvars).literals)
+    for m in minterms[1:]:
+        for var in range(nvars):
+            bit = (m >> var) & 1
+            if lits[var] != ABSENT and lits[var] != bit:
+                lits[var] = ABSENT
+    return Cube(tuple(lits))
+
+
+class TestMaskOracles:
+    @given(cover_pairs, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_containment_matches_urp(self, pair, data):
+        on, dc = pair
+        n = on.nvars
+        masks = literal_masks(n)
+        for dcs in (Cover.empty(n), dc):
+            care = Cover(on.cubes + dcs.cubes, n)
+            bits = care.to_truth_table().bits
+            # EXPAND's candidates (each cube with one literal dropped),
+            # the cubes themselves, and one arbitrary cube.
+            probes = [c.expand_var(v) for c in on.cubes
+                      for v in range(n) if c.literals[v] != ABSENT]
+            probes += on.cubes
+            probes.append(data.draw(st.tuples(
+                *[st.sampled_from((0, 1, ABSENT))] * n).map(Cube)))
+            for cube in probes:
+                inside = not cube_bits(cube.literals, masks) & ~bits
+                assert inside == cover_covers_cube(care, cube), cube
+
+    @given(cover_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_minimized_cover_matches_urp(self, pair):
+        on, dc = pair
+        for dcs in (None, dc):
+            got = espresso(on, dcs)
+            want = _espresso_urp(on, dcs)
+            assert got.cubes == want.cubes
+
+    def test_wider_than_max_vars_raises(self):
+        wide = Cover([Cube((1,) * (MAX_VARS + 1))], MAX_VARS + 1)
+        with pytest.raises(ValueError, match="at most 16 inputs"):
+            espresso(wide)
 
 
 class TestEspressoCorrectness:

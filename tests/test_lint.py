@@ -49,6 +49,7 @@ from repro.orchestrate import (
     StageError,
     TelemetrySink,
     run,
+    run_stage,
     run_stages,
 )
 from repro.tech import get_node
@@ -418,6 +419,11 @@ class TestFlowRules:
             with pytest.raises(ValueError, match="'utilizatoin'"):
                 run_stages(table, {"subject": 1, "options": FlowOptions()},
                            cache=cache, sink=sink)
+            # A direct call checks its one stage the same way.
+            with pytest.raises(ValueError,
+                               match="stage 'b' .*'utilizatoin'"):
+                run_stage(table[1], {"options": FlowOptions()},
+                          cache=cache)
         assert ran == [] and sink.spans == []
 
     def test_unprovided_param(self):
@@ -427,6 +433,8 @@ class TestFlowRules:
                  Stage("b", _stage_ok, params=("no_such_param",)))
         with pytest.raises(ValueError, match="'no_such_param'"):
             run_stages(table, {"subject": 1}, sink=sink)
+        with pytest.raises(ValueError, match="stage 'b' .*'no_such_param'"):
+            run_stage(table[1], {"subject": 1})
         assert ran == [] and sink.spans == []
 
     def test_undeclared_ctx_read(self):

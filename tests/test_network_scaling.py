@@ -1,24 +1,31 @@
 """Near-linear multi-level synthesis: oracles, goldens and op counts.
 
 ``LogicNetwork.sweep``/``eliminate`` visit only the readers of the
-node they remove (a reader index), ``topological_order`` walks an
-explicit stack, and ``rewrite`` factors each distinct cut function
-once per call.  None of that may move an output bit, so this module
-checks the indexed passes against verbatim copies of the quadratic
-originals on random networks, pins mapped-netlist digests recorded
-with the quadratic passes, and counts operations instead of timing
-them.
+node they remove (a reader index); ``topological_order``, ``balance``
+and ``cut_function`` walk explicit stacks; and ``optimize_aig``
+factors each distinct cut function once per call.  None of that may
+move an output bit, so this module checks the indexed passes against
+verbatim copies of the quadratic (or recursive) originals on random
+inputs, pins mapped-netlist digests recorded with the quadratic
+passes, and counts operations instead of timing them.
 """
 
 import importlib
+import inspect
+import re
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist import build_library, random_aig
+from repro.netlist import Aig, build_library, random_aig
+from repro.netlist.aig import lit_is_neg, lit_not, lit_var
+from repro.netlist.boolfunc import TruthTable
 from repro.synthesis import LogicNetwork, SynthesisFlow
-from repro.synthesis.rewrite import balance
+from repro.synthesis.cuts import cut_function, enumerate_cuts
+from repro.synthesis.rewrite import balance, optimize_aig
 from repro.tech import get_node
 
 network_mod = importlib.import_module("repro.synthesis.network")
@@ -318,6 +325,98 @@ class TestTopologicalOrder:
             net.topological_order()
 
 
+def _cut_function_recursive(aig, root, leaves):
+    """``cut_function`` as it was, verbatim: a recursive walk over
+    ``TruthTable`` objects."""
+    leaves = tuple(leaves)
+    index = {leaf: i for i, leaf in enumerate(leaves)}
+    nvars = len(leaves)
+    memo: dict[int, TruthTable] = {}
+
+    def node_tt(node: int) -> TruthTable:
+        if node in index:
+            return TruthTable.var(index[node], nvars)
+        if node == 0:
+            return TruthTable.const(False, nvars)
+        got = memo.get(node)
+        if got is not None:
+            return got
+        if not aig.is_and(node):
+            raise ValueError(
+                f"node {node} (an input) is outside the cut {leaves}")
+        f0, f1 = aig.fanins(node)
+        t0 = node_tt(lit_var(f0))
+        if lit_is_neg(f0):
+            t0 = ~t0
+        t1 = node_tt(lit_var(f1))
+        if lit_is_neg(f1):
+            t1 = ~t1
+        result = t0 & t1
+        memo[node] = result
+        return result
+
+    return node_tt(root)
+
+
+@st.composite
+def aig_cuts(draw):
+    """A random AIG (complemented edges included), a root (the constant
+    node and the inputs included) and one of its cuts, in any leaf
+    order; sometimes with the constant node as an extra leaf, and
+    sometimes with a leaf dropped, which may leave the cone uncut."""
+    aig = random_aig(draw(st.integers(2, 8)), draw(st.integers(1, 60)), 3,
+                     seed=draw(st.integers(0, 2**16)))
+    cuts = enumerate_cuts(aig, draw(st.integers(2, 6)), per_node=8)
+    root = draw(st.sampled_from(sorted(cuts, reverse=True)))
+    leaves = list(draw(st.sampled_from(cuts[root])))
+    if draw(st.booleans()):
+        leaves.append(0)
+    if draw(st.booleans()):
+        leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+    return aig, root, draw(st.permutations(leaves))
+
+
+class TestCutFunction:
+    @given(aig_cuts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive(self, case):
+        aig, root, leaves = case
+        try:
+            want = _cut_function_recursive(aig, root, leaves)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                cut_function(aig, root, leaves)
+        else:
+            assert cut_function(aig, root, leaves) == want
+
+
+class TestDeepChains:
+    def test_optimize_aig_keeps_deep_chains(self):
+        # Positive single-fanout links make one conjunction tree, which
+        # ``balance`` collects; complemented links make one deep cone,
+        # which ``cut_function`` evaluates for ``rewrite`` (the three
+        # inputs cut every link) and ``refactor``.  The recursion
+        # limit is set 100 frames above the current depth, so a
+        # 250-link chain stands in for one past the default limit:
+        # ``balance`` rebuilds the tree under every link and pairs its
+        # operands with a linear scan, so a 1,500-link positive chain
+        # would take minutes.
+        for complemented in (False, True):
+            aig = Aig(3)
+            x = aig.input_lit(0)
+            for k in range(250):
+                x = aig.and_(lit_not(x) if complemented else x,
+                             aig.input_lit(1 + k % 2))
+            aig.add_output(x)
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+            try:
+                out = optimize_aig(aig)
+            finally:
+                sys.setrecursionlimit(limit)
+            assert np.array_equal(out.simulate_all(), aig.simulate_all())
+
+
 # ----------------------------------------------------------------------
 # Goldens and operation counts on the benchmark-sized AIG
 # ----------------------------------------------------------------------
@@ -376,7 +475,12 @@ class TestOperationCounts:
 
         monkeypatch.setattr(rewrite_mod, "cut_function", spy_cut)
         monkeypatch.setattr(rewrite_mod, "espresso_tt", spy_espresso)
-        rewrite_mod.rewrite(aig)
-        assert len(functions) > len(set(functions))
-        assert sorted(minimized, key=repr) == \
-            sorted(set(functions), key=repr)
+        # One rewrite pass, then the whole script: its rewrite, refactor
+        # and rewrite passes share one memo.
+        for optimize in (rewrite_mod.rewrite, rewrite_mod.optimize_aig):
+            functions.clear()
+            minimized.clear()
+            optimize(aig)
+            assert len(functions) > len(set(functions))
+            assert sorted(minimized, key=repr) == \
+                sorted(set(functions), key=repr)
