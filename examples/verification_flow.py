@@ -34,7 +34,7 @@ def main() -> None:
     # 1. Formal equivalence after aggressive optimization.
     # ------------------------------------------------------------------
     reference = trivial_map(aig, library)
-    optimized = map_aig(optimize_aig(aig.copy(), "high"), library)
+    optimized = map_aig(optimize_aig(aig.copy()), library)
     bdd = check_equivalence(optimized, reference)
     sat = sat_check_equivalence(optimized, reference)
     print("Formal equivalence (optimized vs reference):")

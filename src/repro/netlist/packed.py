@@ -199,7 +199,7 @@ class PackedNetlist:
         self.primary_inputs = primary_inputs
         self.primary_outputs = primary_outputs
         self._digest: str | None = None
-        self._bytes: dict[bool, bytes] = {}
+        self._bytes: bytes | None = None
         self._levels: tuple[Int64Array, Int64Array] | None = None
         self._seq_mask: npt.NDArray[np.bool_] | None = None
 
@@ -521,21 +521,19 @@ class PackedNetlist:
                 self.pin_net, self.pin_name,
                 self.primary_inputs, self.primary_outputs]
 
-    def to_bytes(self, *, compress: bool = True) -> bytes:
+    def to_bytes(self) -> bytes:
         """Serialize to the versioned ``.pnl`` binary format.
 
         Layout: fixed header (magic, format version, flags, header
         length), a JSON header (scalars, small interned tables, section
         lengths, payload checksum), then the little-endian array
-        sections, always byte-shuffled and zlib-compressed as one block
-        when ``compress``.
+        sections, byte-shuffled and zlib-compressed as one block.
 
-        Memoized per ``compress``: pack once, and the cache blob and
-        journal blob reuse the same bytes.
+        Memoized: pack once, and the cache blob and journal blob reuse
+        the same bytes.
         """
-        cached = self._bytes.get(compress)
-        if cached is not None:
-            return cached
+        if self._bytes is not None:
+            return self._bytes
         parts = [s.astype("<i4").tobytes()
                  if isinstance(s, np.ndarray) else s
                  for s in self._sections()]
@@ -551,21 +549,21 @@ class PackedNetlist:
             "sections": [len(p) for p in parts],
             "crc32": zlib.crc32(payload),
         }
-        if compress:
-            payload = zlib.compress(payload, 1)
+        payload = zlib.compress(payload, 1)
         hjson = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        flags = _FLAG_SHUFFLE | (_FLAG_ZLIB if compress else 0)
-        blob = _HEADER_STRUCT.pack(_MAGIC, _FORMAT_VERSION, flags,
+        blob = _HEADER_STRUCT.pack(_MAGIC, _FORMAT_VERSION,
+                                   _FLAG_SHUFFLE | _FLAG_ZLIB,
                                    len(hjson)) + hjson + payload
-        self._bytes[compress] = blob
+        self._bytes = blob
         return blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PackedNetlist":
         """Parse a ``.pnl`` blob; :class:`PackError` on any damage.
 
-        The int sections must carry the byte-shuffle flag (every
-        :meth:`to_bytes` blob does); an unshuffled payload is refused.
+        The blob must carry the byte-shuffle and zlib flags (every
+        :meth:`to_bytes` blob does); an unshuffled or uncompressed
+        payload is refused.
         """
         if len(data) < _HEADER_STRUCT.size:
             raise PackError("truncated .pnl header")
@@ -577,6 +575,9 @@ class PackedNetlist:
         if not flags & _FLAG_SHUFFLE:
             raise PackError("unsupported .pnl layout (int sections "
                             "not byte-shuffled)")
+        if not flags & _FLAG_ZLIB:
+            raise PackError("unsupported .pnl layout (payload not "
+                            "zlib-compressed)")
         if len(data) < _HEADER_STRUCT.size + hlen:
             raise PackError("truncated .pnl header")
         try:
@@ -585,13 +586,11 @@ class PackedNetlist:
                      + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise PackError("corrupt .pnl header") from err
-        payload = data[_HEADER_STRUCT.size + hlen:]
-        if flags & _FLAG_ZLIB:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as err:
-                raise PackError("corrupt .pnl payload "
-                                "(decompression failed)") from err
+        try:
+            payload = zlib.decompress(data[_HEADER_STRUCT.size + hlen:])
+        except zlib.error as err:
+            raise PackError("corrupt .pnl payload "
+                            "(decompression failed)") from err
         try:
             sections: list[int] = [int(n) for n in header["sections"]]
             name = str(header["name"])

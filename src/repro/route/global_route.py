@@ -147,20 +147,18 @@ class GlobalRouter:
 
 def sequential_route(placement: Placement, *, layers: int = 6,
                      gcell_um: float = 5.0, topology: str = "mst",
-                     max_iterations: int = 4, seed: int = 0,
-                     telemetry=None,
+                     max_iterations: int = 4, telemetry=None,
                      engine: str = "maze") -> RoutingResult:
     """One sequential routing run (``engine`` ``"maze"`` or
     ``"line_search"``) through :class:`GlobalRouter`.
 
     It takes the knobs of :func:`~repro.route.batched.batched_route`
-    plus ``topology`` (``"mst"`` or ``"steiner"``); ``seed`` is
-    accepted for signature parity — the sequential engines are
-    deterministic without it.  When a ``telemetry`` sink is given the
-    whole run is recorded as one ``route_<engine>`` kernel span (the
-    batched engine reports per-phase spans instead).
+    except ``seed`` (the sequential engines are deterministic without
+    it), plus ``topology`` (``"mst"`` or ``"steiner"``).  When a
+    ``telemetry`` sink is given the whole run is recorded as one
+    ``route_<engine>`` kernel span (the batched engine reports
+    per-phase spans instead).
     """
-    del seed
     router = GlobalRouter(placement, engine=engine, layers=layers,
                           gcell_um=gcell_um, topology=topology,
                           max_iterations=max_iterations)
@@ -182,11 +180,11 @@ def route_placement(placement: Placement, *, engine: str = "maze",
     runs) or a sequential reference, ``"maze"`` or ``"line_search"``
     (:func:`sequential_route`).  Any other name raises ``ValueError``,
     and so does a ``topology`` other than ``"mst"`` for the batched
-    engine.
+    engine.  ``seed`` reaches the batched router only; the sequential
+    engines are deterministic without it.
     """
     knobs = dict(layers=layers, gcell_um=gcell_um,
-                 max_iterations=max_iterations, seed=seed,
-                 telemetry=telemetry)
+                 max_iterations=max_iterations, telemetry=telemetry)
     if engine == "batched":
         if topology != "mst":
             raise ValueError(
@@ -194,7 +192,7 @@ def route_placement(placement: Placement, *, engine: str = "maze",
                 f"topology {topology!r} needs engine 'maze' or "
                 f"'line_search'")
         from repro.route.batched import batched_route
-        return batched_route(placement, **knobs)
+        return batched_route(placement, seed=seed, **knobs)
     if engine not in ("maze", "line_search"):
         raise ValueError(f"unknown routing engine {engine!r}; expected "
                          f"'batched', 'maze' or 'line_search'")

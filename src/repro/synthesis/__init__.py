@@ -13,7 +13,7 @@ package implements that lineage:
 * :mod:`repro.synthesis.rewrite` — AIG balancing, refactoring, and
   cut-based rewriting (the 2010s generation of optimizers).
 * :mod:`repro.synthesis.mapping` — cut-based technology mapping onto a
-  :class:`~repro.netlist.CellLibrary` in area or delay mode.
+  :class:`~repro.netlist.CellLibrary` for minimum area.
 * :mod:`repro.synthesis.sizing` — post-mapping gate sizing and multi-Vt
   assignment.
 * :mod:`repro.synthesis.flow` — era-calibrated synthesis flows ("2006"

@@ -106,7 +106,7 @@ def algebraic_divide(f: Sop, divisor: Sop):
     return sorted(q, key=sorted), remainder
 
 
-def kernels(f: Sop, min_level: int = 0) -> list:
+def kernels(f: Sop) -> list:
     """All kernels of ``f`` with their co-kernels.
 
     A kernel is a cube-free quotient of ``f`` by a cube; returned as a

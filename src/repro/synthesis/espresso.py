@@ -18,10 +18,16 @@ from __future__ import annotations
 from repro.netlist.boolfunc import MAX_VARS, TruthTable
 from repro.netlist.cubes import ABSENT, Cover, Cube, cube_bits, literal_masks
 
+#: Safety bound on EXPAND/IRREDUNDANT/REDUCE passes.
+_MAX_LOOPS = 8
 
-def espresso(on_set: Cover, dc_set: Cover | None = None,
-             max_loops: int = 8) -> Cover:
+
+def espresso(on_set: Cover, dc_set: Cover | None = None) -> Cover:
     """Minimize a cover heuristically.
+
+    The EXPAND/IRREDUNDANT/REDUCE loop exits as soon as a full pass
+    stops improving the (cube, literal) count, and after
+    ``_MAX_LOOPS`` (8) passes at the latest.
 
     Parameters
     ----------
@@ -30,9 +36,6 @@ def espresso(on_set: Cover, dc_set: Cover | None = None,
         inputs; a wider cover raises ``ValueError``.
     dc_set:
         Optional cover of don't-care minterms (may overlap the on-set).
-    max_loops:
-        Safety bound on EXPAND/IRREDUNDANT/REDUCE iterations; the loop
-        exits as soon as a full pass stops improving the literal count.
 
     Returns
     -------
@@ -56,7 +59,7 @@ def espresso(on_set: Cover, dc_set: Cover | None = None,
 
     best = cover
     best_cost = _cost(best)
-    for _ in range(max_loops):
+    for _ in range(_MAX_LOOPS):
         cover = _expand(cover, care, masks)
         cover = _irredundant(cover, dc, masks)
         cost = _cost(cover)

@@ -59,8 +59,8 @@ class SynthesisFlow:
         "1996" (2-cut mapping of swept logic, single drive), "2006"
         (two-level + algebraic multi-level, 3-cut mapping, single
         drive), or "2016" (full AIG optimization, 4-cut mapping over
-        the whole library, sizing, multi-Vt).  Every era maps in
-        :func:`~repro.synthesis.mapping.map_aig`'s area mode.
+        the whole library, sizing, multi-Vt).  Every era maps for
+        minimum area with :func:`~repro.synthesis.mapping.map_aig`.
     clock_period_ps:
         Timing target used by sizing and Vt recovery.
     """
@@ -104,10 +104,10 @@ class SynthesisFlow:
                 cell_filter=_only("X1", ("rvt",)))
         else:  # 2016
             network.optimize(effort="high")
-            aig = optimize_aig(network.to_aig(), effort="high")
-            # Area-mode mapping by default: the decade's gains land on
-            # area, delay, and power *simultaneously* (Domic), with
-            # sizing recovering speed where the clock demands it.
+            aig = optimize_aig(network.to_aig())
+            # Area-optimal mapping: the decade's gains land on area,
+            # delay, and power *simultaneously* (Domic), with sizing
+            # recovering speed where the clock demands it.
             netlist = map_aig(aig, self.library, cut_size=4)
             size_gates(netlist, wire_model=self.wire_model,
                        clock_period_ps=self.clock_period_ps)

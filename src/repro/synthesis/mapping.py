@@ -2,9 +2,9 @@
 
 Classic DP formulation: enumerate k-feasible cuts, match each cut's
 function against library cells (inputs permuted, both output phases),
-and choose per node the minimum-cost cover in ``area`` or ``delay``
-mode.  Negations ride on inverters; structural sharing is preserved by
-memoized instantiation.
+and choose per node the cover of minimum total cell area.  Negations
+ride on inverters; structural sharing is preserved by memoized
+instantiation.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from repro.netlist.circuit import Netlist
 from repro.synthesis.cuts import cut_function, enumerate_cuts
 
 _MAX_MATCH_INPUTS = 4
+#: Non-trivial cuts kept per node for matching.
+_CUTS_PER_NODE = 8
 
 
 @dataclass
@@ -56,10 +58,9 @@ class _Matcher:
         return self.table.get((nvars, bits), [])
 
 
-def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
-            cut_size: int = 4, per_node: int = 8,
+def map_aig(aig: Aig, library: CellLibrary, cut_size: int = 4,
             cell_filter=None) -> Netlist:
-    """Map an AIG to a gate-level netlist.
+    """Map an AIG to a gate-level netlist of minimum total cell area.
 
     Parameters
     ----------
@@ -67,10 +68,8 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
         Subject graph.
     library:
         Target :class:`~repro.netlist.CellLibrary`.
-    mode:
-        ``"area"`` minimizes total cell area; ``"delay"`` minimizes the
-        worst arrival time (with an estimated per-stage load), breaking
-        ties on area.
+    cut_size:
+        Largest cut (in leaves) matched against a cell.
     cell_filter:
         Optional predicate restricting usable cells (e.g. only X1 RVT
         for a "2006 era" flow).
@@ -79,22 +78,20 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
     -------
     A :class:`~repro.netlist.Netlist` computing the same functions.
     """
-    if mode not in ("area", "delay"):
-        raise ValueError("mode must be 'area' or 'delay'")
     matcher = _Matcher(library, cell_filter)
     inv_cell = _pick_inverter(library, cell_filter)
-    est_load_ff = 2.0 * inv_cell.input_cap_ff
-    cuts = enumerate_cuts(aig, cut_size, per_node)
+    inv_area = inv_cell.area_um2
+    cuts = enumerate_cuts(aig, cut_size, _CUTS_PER_NODE)
 
-    # DP over both polarities.  cost[phase][node] = (metric, area).
-    INF = (float("inf"), float("inf"))
-    pos_cost: dict[int, tuple] = {0: INF}
-    neg_cost: dict[int, tuple] = {0: INF}
+    # DP over both polarities: cost[node] is the area of its cover.
+    INF = float("inf")
+    pos_cost: dict[int, float] = {0: INF}
+    neg_cost: dict[int, float] = {0: INF}
     pos_choice: dict[int, object] = {}
     neg_choice: dict[int, object] = {}
     for i in range(1, aig.num_inputs + 1):
-        pos_cost[i] = (0.0, 0.0)
-        neg_cost[i] = _add_inverter((0.0, 0.0), inv_cell, est_load_ff, mode)
+        pos_cost[i] = 0.0
+        neg_cost[i] = inv_area
         neg_choice[i] = "inv"
 
     # Fallback two-input gates guarantee every AND node is coverable
@@ -115,12 +112,9 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
             # AND/NAND read the fanins in their natural phase; OR/NOR
             # read them complemented (De Morgan).
             flip = kind in ("or", "nor")
-            costs = []
-            for f in (f0, f1):
-                v, neg = lit_var(f), lit_is_neg(f) ^ flip
-                costs.append(neg_cost[v] if neg else pos_cost[v])
-            total = _add_cell(_combine(costs, mode), cell, est_load_ff,
-                              mode)
+            total = sum(
+                neg_cost[lit_var(f)] if lit_is_neg(f) ^ flip
+                else pos_cost[lit_var(f)] for f in (f0, f1)) + cell.area_um2
             choice = _BaseGate(cell, flip)
             if kind in ("and", "nor"):
                 if total < best_pos:
@@ -134,11 +128,10 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
             if any(leaf != 0 and leaf not in pos_cost for leaf in cut):
                 continue
             tt = cut_function(aig, n, cut)
-            leaves_cost = _combine(
-                [pos_cost[leaf] for leaf in cut if leaf != 0], mode)
+            leaves_cost = sum(pos_cost[leaf] for leaf in cut if leaf != 0)
             for bits, inverted in ((tt.bits, False), ((~tt).bits, True)):
                 for cell, perm in matcher.matches(bits, len(cut)):
-                    cost = _add_cell(leaves_cost, cell, est_load_ff, mode)
+                    cost = leaves_cost + cell.area_um2
                     match = _Match(cut, cell, perm, inverted)
                     if inverted:
                         if cost < best_neg:
@@ -147,8 +140,8 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
                         if cost < best_pos:
                             best_pos, best_pos_choice = cost, match
         # Close the polarity pair with inverters.
-        via_inv_pos = _add_inverter(best_neg, inv_cell, est_load_ff, mode)
-        via_inv_neg = _add_inverter(best_pos, inv_cell, est_load_ff, mode)
+        via_inv_pos = best_neg + inv_area
+        via_inv_neg = best_pos + inv_area
         if via_inv_pos < best_pos:
             best_pos, best_pos_choice = via_inv_pos, "inv"
         if via_inv_neg < best_neg:
@@ -162,7 +155,7 @@ def map_aig(aig: Aig, library: CellLibrary, mode: str = "area",
     # ------------------------------------------------------------------
     # Instantiate the chosen cover.
     # ------------------------------------------------------------------
-    nl = Netlist(f"mapped_{mode}", library)
+    nl = Netlist("mapped_area", library)
     net_of: dict[tuple, str] = {}
     for i, name in enumerate(aig.input_names):
         net_of[(i + 1, False)] = nl.add_input(name)
@@ -235,27 +228,6 @@ def _pick_inverter(library: CellLibrary, cell_filter) -> Cell:
     if not candidates:
         raise ValueError("library has no usable inverter")
     return min(candidates, key=lambda c: c.area_um2)
-
-
-def _combine(costs: list, mode: str) -> tuple:
-    if not costs:
-        return (0.0, 0.0)
-    if mode == "area":
-        return (sum(c[0] for c in costs), sum(c[1] for c in costs))
-    return (max(c[0] for c in costs), sum(c[1] for c in costs))
-
-
-def _add_cell(base: tuple, cell: Cell, load_ff: float, mode: str) -> tuple:
-    if mode == "area":
-        return (base[0] + cell.area_um2, base[1] + cell.area_um2)
-    return (base[0] + cell.delay_ps(load_ff), base[1] + cell.area_um2)
-
-
-def _add_inverter(base: tuple, inv: Cell, load_ff: float,
-                  mode: str) -> tuple:
-    if base[0] == float("inf"):
-        return base
-    return _add_cell(base, inv, load_ff, mode)
 
 
 def trivial_map(aig: Aig, library: CellLibrary) -> Netlist:

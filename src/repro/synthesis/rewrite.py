@@ -7,6 +7,8 @@ improvement ladder of experiment E1.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.netlist.aig import (
     AIG_FALSE,
     AIG_TRUE,
@@ -20,6 +22,12 @@ from repro.synthesis.cuts import cut_function, enumerate_cuts
 from repro.synthesis.division import factor, sop_from_cover
 from repro.synthesis.espresso import espresso_tt
 
+#: Cut size, and non-trivial cuts kept per node, for :func:`rewrite`.
+_REWRITE_CUT_SIZE = 4
+_REWRITE_CUTS_PER_NODE = 5
+#: Widest output cone (in inputs) that :func:`refactor` collapses.
+_MAX_SUPPORT = 10
+
 
 def balance(aig: Aig) -> Aig:
     """Depth-optimal restructuring of AND trees.
@@ -27,7 +35,9 @@ def balance(aig: Aig) -> Aig:
     Maximal conjunction trees (chains of ANDs linked by positive,
     single-fanout edges) are collected and rebuilt as balanced trees,
     pairing the shallowest operands first — the standard ``balance``
-    pass.  Node count never increases; depth typically drops.
+    pass.  A tree's repeated operands count once, and a tree that
+    holds a literal and its complement is constant 0.  Node count
+    never increases; depth typically drops.
     """
     new = Aig(aig.num_inputs, list(aig.input_names))
     mapping: dict[int, int] = {0: AIG_FALSE}
@@ -63,20 +73,27 @@ def balance(aig: Aig) -> Aig:
         return levels_new.get(lit_var(lit), 0)
 
     for n in range(aig.num_inputs + 1, aig.num_nodes):
-        operands = collect(n)
-        # Translate to new-graph literals and pair shallowest-first.
-        ops = sorted((translate(o) for o in operands), key=level_of)
-        while len(ops) > 1:
-            a = ops.pop(0)
-            b = ops.pop(0)
+        # Translate to new-graph literals, each once, in first-seen
+        # order; a literal beside its complement makes the tree 0.
+        ops = dict.fromkeys(translate(o) for o in collect(n))
+        if any(lit_not(o) in ops for o in ops):
+            mapping[n] = AIG_FALSE
+            continue
+        # Pair shallowest-first, ties by arrival.  Only a node that
+        # ``and_`` creates gets a level, so no level changes mid-tree.
+        heap = [(level_of(o), k, o) for k, o in enumerate(ops)]
+        heapq.heapify(heap)
+        arrival = len(heap)
+        while len(heap) > 1:
+            _, _, a = heapq.heappop(heap)
+            _, _, b = heapq.heappop(heap)
+            before = new.num_nodes
             lit = new.and_(a, b)
-            levels_new[lit_var(lit)] = 1 + max(level_of(a), level_of(b))
-            # Insert keeping the shallowest-first order.
-            pos = 0
-            while pos < len(ops) and level_of(ops[pos]) <= level_of(lit):
-                pos += 1
-            ops.insert(pos, lit)
-        mapping[n] = ops[0]
+            if new.num_nodes > before:
+                levels_new[lit_var(lit)] = 1 + max(level_of(a), level_of(b))
+            heapq.heappush(heap, (level_of(lit), arrival, lit))
+            arrival += 1
+        mapping[n] = heap[0][2]
     for lit, name in zip(aig.outputs, aig.output_names):
         new.add_output(translate(lit), name)
     return new.cleanup()
@@ -123,7 +140,7 @@ def _factored(tt: TruthTable, trees: dict):
     return tree
 
 
-def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
+def rewrite(aig: Aig) -> Aig:
     """Cut-based rewriting.
 
     Rebuilds the graph bottom-up.  For every AND node the rewriter
@@ -137,13 +154,12 @@ def rewrite(aig: Aig, cut_size: int = 4, per_node: int = 5) -> Aig:
     logic that other fanouts still need, so a result larger than the
     (cleaned) input is discarded and the input returned instead.
     """
-    return _rewrite(aig, {}, cut_size, per_node)
+    return _rewrite(aig, {})
 
 
-def _rewrite(aig: Aig, trees: dict, cut_size: int = 4,
-             per_node: int = 5) -> Aig:
+def _rewrite(aig: Aig, trees: dict) -> Aig:
     """:func:`rewrite` with the factored trees memoized in ``trees``."""
-    cuts = enumerate_cuts(aig, cut_size, per_node)
+    cuts = enumerate_cuts(aig, _REWRITE_CUT_SIZE, _REWRITE_CUTS_PER_NODE)
     new = Aig(aig.num_inputs, list(aig.input_names))
     mapping: dict[int, int] = {0: AIG_FALSE}
     for i in range(aig.num_inputs):
@@ -174,22 +190,22 @@ def _rewrite(aig: Aig, trees: dict, cut_size: int = 4,
     return result if result.num_ands <= base.num_ands else base
 
 
-def refactor(aig: Aig, max_support: int = 10) -> Aig:
+def refactor(aig: Aig) -> Aig:
     """Collapse-and-resynthesize outputs with small structural support.
 
-    Each output cone whose support fits in ``max_support`` inputs is
-    collapsed to a truth table, minimized, factored, and rebuilt; the
-    new cone is kept only if the overall graph shrinks.
+    Each output cone whose support fits in ``_MAX_SUPPORT`` (10)
+    inputs is collapsed to a truth table, minimized, factored, and
+    rebuilt; the new cone is kept only if the overall graph shrinks.
     """
-    return _refactor(aig, {}, max_support)
+    return _refactor(aig, {})
 
 
-def _refactor(aig: Aig, trees: dict, max_support: int = 10) -> Aig:
+def _refactor(aig: Aig, trees: dict) -> Aig:
     """:func:`refactor` with the factored trees memoized in ``trees``."""
     result = aig
     for out_idx in range(len(aig.outputs)):
         support = _output_support(result, out_idx)
-        if not 1 <= len(support) <= max_support:
+        if not 1 <= len(support) <= _MAX_SUPPORT:
             continue
         candidate = _refactor_one(result, out_idx, support, trees)
         if candidate.num_ands < result.num_ands:
@@ -242,24 +258,16 @@ def _refactor_one(aig: Aig, out_idx: int, support: list,
     return new.cleanup()
 
 
-def optimize_aig(aig: Aig, effort: str = "high") -> Aig:
-    """A standard optimization script over the AIG passes.
+def optimize_aig(aig: Aig) -> Aig:
+    """The AIG optimization script: balance, rewrite, refactor,
+    balance, rewrite, balance (compare the ABC ``resyn2`` recipe).
 
-    effort "low": balance only.  "medium": balance, rewrite.  "high":
-    two rounds of rewrite/refactor bracketed by balances (compare the
-    ABC ``resyn2`` recipe).  The passes of one call share one memo of
-    factored trees, so each distinct cut function is minimized once
-    per call.
+    The passes of one call share one memo of factored trees, so each
+    distinct cut function is minimized once per call.
     """
-    if effort not in ("low", "medium", "high"):
-        raise ValueError("effort must be low/medium/high")
     trees: dict[TruthTable, tuple] = {}
     g = balance(aig)
-    if effort == "low":
-        return g
     g = _rewrite(g, trees)
-    if effort == "medium":
-        return balance(g)
     g = _refactor(g, trees)
     g = balance(g)
     g = _rewrite(g, trees)

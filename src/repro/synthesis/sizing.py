@@ -5,13 +5,13 @@ apply automatically: upsizing drive strength along critical paths and
 swapping slack-rich gates to high-Vt variants to cut leakage.
 
 Both loops evaluate one trial resize per inner step, so they are the
-hottest consumers of STA in the flow.  By default they drive the
+hottest consumers of STA in the flow.  They drive the
 :class:`~repro.timing.IncrementalTimingAnalyzer`: every trial is a
 journaled :meth:`~repro.netlist.Netlist.resize_gate` followed by a
-cone-limited ``update()`` instead of a whole-design re-analysis.  Pass
-``incremental=False`` to fall back to a full scalar STA per trial (the
-pre-incremental behavior, kept as the reference; the results are
-bit-identical either way, which
+cone-limited ``update()`` instead of a whole-design re-analysis.
+``size_gates(incremental=False)`` falls back to a full scalar STA per
+trial (the pre-incremental behavior, kept as the reference; the
+results are bit-identical either way, which
 ``test_scalar_sizing_bit_identical`` in ``tests/test_synthesis.py``
 asserts).  The flow always runs the incremental default.
 """
@@ -26,6 +26,8 @@ from repro.netlist.circuit import Netlist
 from repro.timing import IncrementalTimingAnalyzer, TimingAnalyzer, WireModel
 
 _DRIVE_LADDER = ["X1", "X2", "X4"]
+#: Upsizing passes along the critical path in :func:`size_gates`.
+_MAX_PASSES = 4
 _NAME_RE = re.compile(r"^(?P<base>[A-Z0-9]+)_(?P<drive>X\d)_(?P<vt>[a-z]+)$")
 
 
@@ -58,7 +60,6 @@ def _make_analyzer(
 
 def size_gates(netlist: Netlist, *, wire_model: WireModel | None = None,
                clock_period_ps: float = 1000.0,
-               max_passes: int = 4,
                incremental: bool = True) -> dict[str, float]:
     """Upsize cells along critical paths until timing stops improving.
 
@@ -73,7 +74,7 @@ def size_gates(netlist: Netlist, *, wire_model: WireModel | None = None,
         before_ps = initial.critical_delay_ps
         resized = 0
         best_ps = before_ps
-        for _ in range(max_passes):
+        for _ in range(_MAX_PASSES):
             report = evaluate()
             if report.wns_ps >= 0:
                 break  # timing met: don't spend area on unneeded speed
@@ -115,13 +116,11 @@ def size_gates(netlist: Netlist, *, wire_model: WireModel | None = None,
 
 
 def assign_vt(netlist: Netlist, *, wire_model: WireModel | None = None,
-              clock_period_ps: float = 1000.0,
-              slack_margin_ps: float = 0.0,
-              incremental: bool = True) -> dict[str, float]:
+              clock_period_ps: float = 1000.0) -> dict[str, float]:
     """Swap slack-rich gates to HVT (leakage recovery).
 
-    A gate is swapped when its output slack stays positive by
-    ``slack_margin_ps`` after accounting for the HVT slowdown estimate.
+    A gate is swapped when its output slack stays positive after
+    accounting for the HVT slowdown estimate.
     Gates that end up on negative slack after a swap are reverted in a
     final repair pass.  Returns leakage before/after and swap count.
     """
@@ -129,8 +128,7 @@ def assign_vt(netlist: Netlist, *, wire_model: WireModel | None = None,
     if not any(c.vt_flavor == "hvt" for c in library):
         raise ValueError("library has no HVT flavor; build with "
                          "vt_flavors=('rvt', 'hvt')")
-    analyzer, evaluate, close = _make_analyzer(
-        netlist, wire_model, clock_period_ps, incremental)
+    analyzer = IncrementalTimingAnalyzer(netlist, wire_model, clock_period_ps)
     try:
         report = analyzer.analyze()
         leak_before = netlist.leakage_nw()
@@ -142,14 +140,14 @@ def assign_vt(netlist: Netlist, *, wire_model: WireModel | None = None,
             if hvt is None or hvt is gate.cell:
                 continue
             slowdown = hvt.intrinsic_ps - gate.cell.intrinsic_ps
-            if slack - slowdown * 2.0 <= slack_margin_ps:
+            if slack - slowdown * 2.0 <= 0.0:
                 continue
             netlist.resize_gate(gate.name, hvt)
             swapped.append(gate)
         # Repair: revert swaps if the design went negative.
         repair_passes = 0
         while swapped and repair_passes < 10:
-            report = evaluate()
+            report = analyzer.update()
             if report.wns_ps >= 0:
                 break
             worst = min(swapped,
@@ -160,7 +158,7 @@ def assign_vt(netlist: Netlist, *, wire_model: WireModel | None = None,
             swapped.remove(worst)
             repair_passes += 1
     finally:
-        close()
+        analyzer.close()
     return {
         "leak_before_nw": leak_before,
         "leak_after_nw": netlist.leakage_nw(),

@@ -96,7 +96,7 @@ class TestEquivalenceChecking:
 
     def test_optimized_pipeline_formally_equivalent(self, lib):
         aig = random_aig(8, 120, 5, seed=9)
-        opt = optimize_aig(aig.copy(), "high")
+        opt = optimize_aig(aig.copy())
         rep = check_equivalence(map_aig(aig, lib), map_aig(opt, lib))
         assert rep["equivalent"]
 

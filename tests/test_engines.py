@@ -109,8 +109,8 @@ class TestDefaultParity:
         wm = WireModel.for_node(lib.node)
         network = LogicNetwork.from_aig(subject())
         network.optimize(effort="high")
-        aig = optimize_aig(network.to_aig(), effort="high")
-        legacy = map_aig(aig, lib, mode="area", cut_size=4)
+        aig = optimize_aig(network.to_aig())
+        legacy = map_aig(aig, lib, cut_size=4)
         size_gates(legacy, wire_model=wm, clock_period_ps=2000.0)
         assign_vt(legacy, wire_model=wm, clock_period_ps=2000.0)
 

@@ -609,8 +609,7 @@ class TestLintPreservation:
         from repro.synthesis import map_aig
         from repro.synthesis.sizing import assign_vt, size_gates
         n, a, o, seed = params
-        nl = map_aig(random_aig(n, a, o, seed=seed), LIB,
-                     mode="area")
+        nl = map_aig(random_aig(n, a, o, seed=seed), LIB)
         def invariant_findings(netlist):
             return [f for f in lint_netlist(netlist).findings
                     if f.rule_id in INVARIANT_RULE_IDS]

@@ -398,23 +398,31 @@ class TestDeepChains:
         # inputs cut every link) and ``refactor``.  The recursion
         # limit is set 100 frames above the current depth, so a
         # 250-link chain stands in for one past the default limit:
-        # ``balance`` rebuilds the tree under every link and pairs its
-        # operands with a linear scan, so a 1,500-link positive chain
-        # would take minutes.
-        for complemented in (False, True):
+        # ``balance`` still collects the tree under every link, so it
+        # is quadratic in a positive chain's depth (1,500 links take
+        # about 2 s).  The positive chain is x0 & x1 & x2, which
+        # balances to two ANDs, and one more link !x0 makes it 0.
+        for complemented, contradiction in (
+                (False, False), (False, True), (True, False)):
             aig = Aig(3)
             x = aig.input_lit(0)
             for k in range(250):
                 x = aig.and_(lit_not(x) if complemented else x,
                              aig.input_lit(1 + k % 2))
+            if contradiction:
+                x = aig.and_(x, lit_not(aig.input_lit(0)))
             aig.add_output(x)
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(len(inspect.stack(0)) + 100)
             try:
                 out = optimize_aig(aig)
+                bal = balance(aig)
             finally:
                 sys.setrecursionlimit(limit)
             assert np.array_equal(out.simulate_all(), aig.simulate_all())
+            if not complemented:
+                want = (0, 0) if contradiction else (2, 2)
+                assert (bal.num_ands, bal.depth()) == want
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +436,19 @@ GOLDEN_DIGESTS = {
     4: "4bedf88576844751e433d6e27afac7cf5b9b08cc1df2a5d65ce9f45a997c45c0",
 }
 
+#: The same for the 1996 and 2006 recipes, keyed by (era, seed).  They
+#: run the mapper's area cost too, and 2006 runs ``balance``.
+ERA_GOLDEN_DIGESTS = {
+    ("1996", 3):
+        "a7546a24b67352d9c025f59c9364cb1278ecdf8b707f3c14625f2ad8f293292e",
+    ("1996", 4):
+        "9109118f65df304336c38072040a1689730f9e66ce81d74ab23bb95f5faa32af",
+    ("2006", 3):
+        "b31f8436661a93bcdffdc1584f16089b609f89c0feb91c8f00fee943e210e0a7",
+    ("2006", 4):
+        "01256d2fc9ad548a8e3af5b946e49ad5fbc2e84b3fa49a02f39537631888b392",
+}
+
 
 class TestGoldens:
     def test_mapped_netlist_digests_unchanged(self):
@@ -436,6 +457,13 @@ class TestGoldens:
             result = SynthesisFlow(lib, "2016", 2000.0).run(
                 random_aig(24, 2000, 24, seed=seed))
             assert result.netlist.content_digest() == digest, seed
+
+    def test_older_era_digests_unchanged(self):
+        lib = build_library(get_node("28nm"))
+        for (era, seed), digest in ERA_GOLDEN_DIGESTS.items():
+            result = SynthesisFlow(lib, era, 2000.0).run(
+                random_aig(24, 2000, 24, seed=seed))
+            assert result.netlist.content_digest() == digest, (era, seed)
 
 
 class TestOperationCounts:

@@ -11,6 +11,7 @@ metric-bit-identical to pickle runs.
 
 import pickle
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -154,13 +155,23 @@ class TestRoundTrip:
 
 class TestPnlFormat:
     def test_bytes_roundtrip_both_codepaths(self, lib):
+        # The zlib flag's two paths: a blob carrying it (every blob
+        # ``to_bytes`` writes) round-trips; one without it is refused.
         nl = registered_cloud(8, 16, 150, lib, seed=2)
         packed = nl.to_packed()
-        for compress in (True, False):
-            blob = packed.to_bytes(compress=compress)
-            again = PackedNetlist.from_bytes(blob)
-            assert again.content_digest() == packed.content_digest()
-            same_structure(nl, again.to_netlist(lib))
+        blob = packed.to_bytes()
+        assert packed.to_bytes() is blob
+        again = PackedNetlist.from_bytes(blob)
+        assert again.content_digest() == packed.content_digest()
+        same_structure(nl, again.to_netlist(lib))
+        hdr = struct.Struct("<4sHBI")
+        magic, version, flags, hlen = hdr.unpack_from(blob)
+        assert flags & 0x01
+        raw = hdr.pack(magic, version, flags & ~0x01, hlen) \
+            + blob[hdr.size:hdr.size + hlen] \
+            + zlib.decompress(blob[hdr.size + hlen:])
+        with pytest.raises(PackError, match="not zlib-compressed"):
+            PackedNetlist.from_bytes(raw)
 
     def test_corruption_is_diagnosed(self, lib):
         blob = ripple_carry_adder(4, lib).to_packed().to_bytes()
@@ -190,11 +201,16 @@ class TestPnlFormat:
             PackedNetlist.from_bytes(unshuffled)
 
     def test_payload_bitflip_fails_checksum(self, lib):
-        packed = ripple_carry_adder(4, lib).to_packed()
-        raw = bytearray(packed.to_bytes(compress=False))
-        raw[-3] ^= 0x40
+        # Flip a bit of the decompressed payload and recompress it
+        # under the same header, so only the CRC-32 can catch it.
+        blob = ripple_carry_adder(4, lib).to_packed().to_bytes()
+        hdr = struct.Struct("<4sHBI")
+        hlen = hdr.unpack_from(blob)[3]
+        payload = bytearray(zlib.decompress(blob[hdr.size + hlen:]))
+        payload[-3] ^= 0x40
+        bad = blob[:hdr.size + hlen] + zlib.compress(bytes(payload), 1)
         with pytest.raises(PackError, match="checksum mismatch"):
-            PackedNetlist.from_bytes(bytes(raw))
+            PackedNetlist.from_bytes(bad)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestSynthesisPipelineEquivalence:
     def test_mapping_preserves_function(self, params):
         n, a, o, seed = params
         aig = random_aig(n, a, o, seed=seed)
-        nl = map_aig(aig, LIB, mode="area")
+        nl = map_aig(aig, LIB)
         nl.validate()
         pats = np.random.default_rng(seed).random((32, n)) < 0.5
         assert np.array_equal(nl.simulate(pats), aig.simulate(pats))

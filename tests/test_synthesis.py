@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.netlist import Aig, build_library, random_aig
+from repro.netlist.aig import lit_not
+from repro.netlist.boolfunc import TruthTable
+from repro.netlist.cubes import Cover
 from repro.netlist.generators import logic_cloud
 from repro.synthesis import (
     LogicNetwork,
@@ -17,6 +20,8 @@ from repro.synthesis import (
     trivial_map,
 )
 from repro.synthesis.cuts import cut_function, cut_volume, enumerate_cuts
+from repro.synthesis.division import kernels
+from repro.synthesis.espresso import espresso
 from repro.synthesis.flow import decade_comparison
 from repro.synthesis.rewrite import optimize_aig
 from repro.tech import get_node
@@ -84,12 +89,39 @@ class TestAigOptimization:
         assert np.array_equal(out.simulate_all(), ref)
 
     def test_balance_reduces_chain_depth(self):
-        aig = Aig(8)
-        acc = aig.input_lit(0)
-        for i in range(1, 8):
-            acc = aig.and_(acc, aig.input_lit(i))
-        aig.add_output(acc)
-        assert aig.depth() == 7
+        # Each case is a chain x0 & l1 & l2 & ... over its links (``!``
+        # complements one), with the AND count and depth it balances to.
+        cases = [
+            ("x1 x2 x3 x4 x5 x6 x7", 7, 3),  # eight distinct operands
+            ("x1 x2 " * 10, 2, 2),           # a repeat counts once
+            ("x1 x2 !x0", 0, 0),             # x0 & !x0 is constant 0
+        ]
+        for links, ands, depth in cases:
+            aig = Aig(8)
+            acc = aig.input_lit(0)
+            for name in links.split():
+                lit = aig.input_lit(int(name.lstrip("!x")))
+                acc = aig.and_(acc, lit_not(lit) if name[0] == "!" else lit)
+            aig.add_output(acc)
+            assert aig.depth() == len(links.split())
+            bal = balance(aig)
+            assert (bal.num_ands, bal.depth()) == (ands, depth), links
+            assert np.array_equal(bal.simulate_all(), aig.simulate_all())
+
+    def test_balance_fold_keeps_levels(self):
+        # r's tree is a & b & c with c = a & b: pairing a with b hits c,
+        # and c & c folds to c, which must keep c at level 1.  s's tree
+        # is g & h & c with g at level 2, so it balances to depth 3 by
+        # pairing h with c first; with c recorded at level 2, the tie
+        # with g pairs h with g and s ends at depth 4.
+        aig = Aig(6)
+        a, b, d, e, f, h = (aig.input_lit(i) for i in range(6))
+        c = aig.and_(a, b)
+        r = aig.and_(a, aig.and_(b, c))
+        g = aig.and_(aig.and_(d, e), f)
+        s = aig.and_(g, aig.and_(c, h))
+        for out in (r, g, s):
+            aig.add_output(out)
         bal = balance(aig)
         assert bal.depth() == 3
         assert np.array_equal(bal.simulate_all(), aig.simulate_all())
@@ -100,18 +132,12 @@ class TestAigOptimization:
         assert out.num_ands <= aig.num_ands
 
     def test_optimize_script_levels(self):
+        # The script starts with ``balance`` and only keeps rewrites
+        # that shrink the graph, so it ends no larger than balancing.
         aig = make_test_aig(seed=9, n=150)
-        ref = aig.simulate_all()
-        low = optimize_aig(aig.copy(), "low")
-        med = optimize_aig(aig.copy(), "medium")
-        high = optimize_aig(aig.copy(), "high")
-        for g in (low, med, high):
-            assert np.array_equal(g.simulate_all(), ref)
-        assert high.num_ands <= med.num_ands <= low.num_ands
-
-    def test_optimize_bad_effort(self):
-        with pytest.raises(ValueError):
-            optimize_aig(make_test_aig(), "extreme")
+        out = optimize_aig(aig.copy())
+        assert np.array_equal(out.simulate_all(), aig.simulate_all())
+        assert out.num_ands <= balance(aig).num_ands
 
 
 class TestLogicNetwork:
@@ -206,26 +232,10 @@ class TestLogicNetwork:
 class TestMapping:
     def test_area_map_equivalence(self, lib):
         aig = make_test_aig(seed=17)
-        nl = map_aig(aig, lib, mode="area")
+        nl = map_aig(aig, lib)
         nl.validate()
         pats = np.random.default_rng(0).random((32, 8)) < 0.5
         assert np.array_equal(nl.simulate(pats), aig.simulate(pats))
-
-    def test_delay_map_equivalence(self, lib):
-        aig = make_test_aig(seed=19)
-        nl = map_aig(aig, lib, mode="delay")
-        nl.validate()
-        pats = np.random.default_rng(1).random((32, 8)) < 0.5
-        assert np.array_equal(nl.simulate(pats), aig.simulate(pats))
-
-    def test_delay_map_faster_area_map_smaller(self, lib):
-        aig = make_test_aig(seed=23, n=300)
-        na = map_aig(aig, lib, mode="area")
-        nd = map_aig(aig, lib, mode="delay")
-        ra = TimingAnalyzer(na).analyze()
-        rd = TimingAnalyzer(nd).analyze()
-        assert na.area_um2() <= nd.area_um2() * 1.05
-        assert rd.critical_delay_ps <= ra.critical_delay_ps * 1.05
 
     def test_trivial_map_equivalence(self, lib):
         aig = make_test_aig(seed=29)
@@ -247,15 +257,11 @@ class TestMapping:
         out = nl.simulate(pats)
         assert out[0, 0] == False and out[0, 1] == True  # noqa: E712
 
-    def test_bad_mode(self, lib):
-        with pytest.raises(ValueError):
-            map_aig(make_test_aig(), lib, mode="power")
-
 
 class TestSizingAndVt:
     def test_size_gates_improves_or_holds_delay(self, lib):
         aig = make_test_aig(seed=37, n=250)
-        nl = map_aig(aig, lib, mode="area",
+        nl = map_aig(aig, lib,
                      cell_filter=lambda c: "_X1_" in c.name or
                      c.num_inputs == 0)
         report = size_gates(nl)
@@ -267,7 +273,7 @@ class TestSizingAndVt:
         wm = WireModel.for_node(lib.node)
         outcomes = []
         for incremental in (True, False):
-            nl = map_aig(random_aig(8, 80, 4, seed=9), lib, mode="area")
+            nl = map_aig(random_aig(8, 80, 4, seed=9), lib)
             report = size_gates(nl, wire_model=wm, clock_period_ps=100.0,
                                 incremental=incremental)
             outcomes.append((nl.to_packed().content_digest(), report))
@@ -276,7 +282,7 @@ class TestSizingAndVt:
 
     def test_sizing_preserves_function(self, lib):
         aig = make_test_aig(seed=41)
-        nl = map_aig(aig, lib, mode="area")
+        nl = map_aig(aig, lib)
         pats = np.random.default_rng(3).random((16, 8)) < 0.5
         before = nl.simulate(pats)
         size_gates(nl)
@@ -284,7 +290,7 @@ class TestSizingAndVt:
 
     def test_assign_vt_cuts_leakage_keeps_timing(self, lib):
         aig = make_test_aig(seed=43, n=250)
-        nl = map_aig(aig, lib, mode="delay")
+        nl = map_aig(aig, lib)
         slack_target = TimingAnalyzer(nl).analyze().critical_delay_ps * 2
         report = assign_vt(nl, clock_period_ps=slack_target)
         assert report["leak_after_nw"] < report["leak_before_nw"]
@@ -297,6 +303,47 @@ class TestSizingAndVt:
         nl = map_aig(aig, rvt_only)
         with pytest.raises(ValueError):
             assign_vt(nl)
+
+
+#: Keywords the synthesis entry points no longer take, with the value
+#: each one defaulted to: every entry point runs the one recipe its
+#: callers use.
+RETIRED_KEYWORDS = [
+    ("map_aig", "mode", "area"),
+    ("map_aig", "per_node", 8),
+    ("optimize_aig", "effort", "high"),
+    ("rewrite", "cut_size", 4),
+    ("rewrite", "per_node", 5),
+    ("refactor", "max_support", 10),
+    ("espresso", "max_loops", 8),
+    ("kernels", "min_level", 0),
+    ("size_gates", "max_passes", 4),
+    ("assign_vt", "slack_margin_ps", 0.0),
+    ("assign_vt", "incremental", True),
+]
+
+
+class TestRetiredKeywords:
+    @pytest.mark.parametrize(
+        "entry, keyword, value", RETIRED_KEYWORDS,
+        ids=[f"{entry}-{keyword}" for entry, keyword, _ in RETIRED_KEYWORDS])
+    def test_retired_keyword_raises(self, lib, entry, keyword, value):
+        aig = make_test_aig()
+        calls = {
+            "map_aig": lambda **kw: map_aig(aig, lib, **kw),
+            "optimize_aig": lambda **kw: optimize_aig(aig, **kw),
+            "rewrite": lambda **kw: rewrite(aig, **kw),
+            "refactor": lambda **kw: refactor(aig, **kw),
+            "espresso": lambda **kw: espresso(Cover.from_truth_table(
+                TruthTable.from_minterms([1, 2, 3], 2)), **kw),
+            "kernels": lambda **kw: kernels(
+                [frozenset({("a", True)}), frozenset({("b", True)})], **kw),
+            "size_gates": lambda **kw: size_gates(map_aig(aig, lib), **kw),
+            "assign_vt": lambda **kw: assign_vt(map_aig(aig, lib), **kw),
+        }
+        calls[entry]()  # the entry point runs without the keyword
+        with pytest.raises(TypeError, match=keyword):
+            calls[entry](**{keyword: value})
 
 
 class TestEraFlows:
