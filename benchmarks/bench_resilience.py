@@ -84,7 +84,7 @@ def run_scenario(lib, clean, scenario, root: Path) -> dict:
     try:
         run(_design(lib), lib, FlowOptions(**OPTS), journal_root=root,
             run_id=run_id, cache=cache,
-            chaos=ChaosPolicy(seed=seed, crash_stages=(kill,)))
+            chaos=ChaosPolicy(crash_stages=(kill,)))
         raise AssertionError(f"chaos never fired at {kill}")
     except WorkerCrash:
         pass

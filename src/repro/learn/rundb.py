@@ -1,8 +1,9 @@
 """The run database: self-monitoring of implementation runs.
 
-:class:`RunDatabase` is an in-memory store of QoR, telemetry, and
-recovery records with JSON ``save``/``load``, single-writer by
-construction.
+:class:`RunDatabase` is an in-memory store of one :class:`RunRecord`
+per run, holding its design features, knobs, QoR and the flow's own
+telemetry spans (:class:`~repro.orchestrate.telemetry.Span`), with
+JSON ``save``/``load``, single-writer by construction.
 """
 
 from __future__ import annotations
@@ -12,52 +13,26 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.netlist.circuit import Netlist
+from repro.orchestrate.telemetry import Span
 
 
 @dataclass
 class RunRecord:
-    """One logged implementation run."""
+    """One logged implementation run.
+
+    ``spans`` are the run's telemetry spans as the flow recorded them,
+    lint notes included; in a resumed run the stages replayed from its
+    journal are the spans with ``cache="journal"``.  ``run_id`` names
+    the run journal when the run was journaled.
+    """
 
     design: str
     features: dict           # design fingerprint (see design_features)
     knobs: dict              # tool settings used
     qor: dict                # measured results (hpwl, overflow, ...)
     tags: list = field(default_factory=list)
-
-
-@dataclass
-class TelemetryRecord:
-    """One per-stage telemetry span of an implementation run.
-
-    Mirrors :class:`repro.orchestrate.telemetry.Span` plus the design
-    it belongs to, so stage-level cost and cache behaviour persist
-    alongside the QoR records they explain.
-    """
-
-    design: str
-    stage: str
-    wall_s: float
-    status: str = "ok"
-    cache: str | None = None
-    peak_rss_kb: int | None = None
-
-
-@dataclass
-class RecoveryRecord:
-    """One journal-resumed run (see
-    :func:`repro.orchestrate.resilience.resume_run`).
-
-    ``replayed`` counts stages restored from the write-ahead journal,
-    ``executed`` the frontier stages that actually re-ran — the ratio
-    is the work a crash did *not* cost, the metric behind the
-    checkpoint/resume design.
-    """
-
-    run_id: str
-    design: str
-    replayed: int
-    executed: int
-    status: str = "resumed"
+    spans: list[Span] = field(default_factory=list)
+    run_id: str | None = None
 
 
 def design_features(netlist: Netlist) -> dict:
@@ -86,42 +61,10 @@ class RunDatabase:
 
     def __init__(self):
         self.records: list[RunRecord] = []
-        self.telemetry: list[TelemetryRecord] = []
-        self.recovery: list[RecoveryRecord] = []
 
     def log(self, record: RunRecord) -> None:
         """Add a run."""
         self.records.append(record)
-
-    def log_recovery(self, record: RecoveryRecord) -> None:
-        """Add a checkpoint/resume event."""
-        self.recovery.append(record)
-
-    def log_telemetry(self, design: str, spans) -> None:
-        """Persist per-stage spans (see ``repro.orchestrate``) for a
-        design's run alongside its QoR record."""
-        for span in spans:
-            payload = span.to_dict() if hasattr(span, "to_dict") \
-                else dict(span)
-            payload.pop("job", None)
-            payload.pop("notes", None)
-            self.telemetry.append(TelemetryRecord(design=design,
-                                                  **payload))
-
-    def stage_profile(self, design: str | None = None) -> dict:
-        """Aggregate stage cost: ``{stage: {"calls", "wall_s",
-        "cache_hits"}}``, optionally filtered to one design."""
-        profile: dict = {}
-        for rec in self.telemetry:
-            if design is not None and rec.design != design:
-                continue
-            agg = profile.setdefault(
-                rec.stage, {"calls": 0, "wall_s": 0.0,
-                            "cache_hits": 0})
-            agg["calls"] += 1
-            agg["wall_s"] += rec.wall_s
-            agg["cache_hits"] += rec.cache == "hit"
-        return profile
 
     def __len__(self) -> int:
         return len(self.records)
@@ -158,18 +101,18 @@ class RunDatabase:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Persist runs, telemetry, and recovery events to JSON."""
-        payload = {"runs": [asdict(r) for r in self.records],
-                   "telemetry": [asdict(t) for t in self.telemetry],
-                   "recovery": [asdict(r) for r in self.recovery]}
+        """Persist the runs, spans included, to JSON."""
+        payload = {"runs": [
+            {**asdict(r), "spans": [s.to_dict() for s in r.spans]}
+            for r in self.records]}
         Path(path).write_text(json.dumps(payload, indent=1))
 
     @staticmethod
     def load(path) -> "RunDatabase":
         """Load from JSON written by :meth:`save`.
 
-        Any other top-level shape (such as a bare list of runs) raises
-        ``ValueError`` naming the file.
+        Any other shape (such as a bare list of runs, or a top-level
+        key beside ``runs``) raises ``ValueError`` naming the file.
         """
         db = RunDatabase()
         payload = json.loads(Path(path).read_text())
@@ -178,10 +121,12 @@ class RunDatabase:
                 f"{path}: not a run database (expected a JSON object "
                 f"written by RunDatabase.save, got "
                 f"{type(payload).__name__})")
+        unknown = sorted(set(payload) - {"runs"})
+        if unknown:
+            raise ValueError(
+                f"{path}: not a run database written by "
+                f"RunDatabase.save (unexpected keys {unknown})")
         for item in payload.get("runs", []):
-            db.log(RunRecord(**item))
-        for item in payload.get("telemetry", []):
-            db.telemetry.append(TelemetryRecord(**item))
-        for item in payload.get("recovery", []):
-            db.recovery.append(RecoveryRecord(**item))
+            spans = [Span.from_dict(s) for s in item.pop("spans", [])]
+            db.log(RunRecord(**item, spans=spans))
         return db

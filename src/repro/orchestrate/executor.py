@@ -164,7 +164,6 @@ class RunResult:
 
     outputs: dict
     status: str                      # ok | degraded
-    spans: list
     wall_s: float
     replayed: list = field(default_factory=list)   # from a run journal
 
@@ -234,5 +233,4 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
             sink.extend(spans)
     return RunResult(outputs=outputs,
                      status="degraded" if degraded else "ok",
-                     spans=spans, wall_s=time.perf_counter() - t0,
-                     replayed=replayed)
+                     wall_s=time.perf_counter() - t0, replayed=replayed)

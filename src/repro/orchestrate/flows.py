@@ -211,24 +211,26 @@ def implement_flow(subject, library, options: FlowOptions | None = None,
                  "options": options},
         cache=cache, sink=sink, journal=journal, chaos=chaos)
 
+    spans = sink.spans[n_before:]
     result = FlowResult.from_run(
         run, options,
-        stage_runtimes={s.stage: s.wall_s
-                        for s in sink.spans[n_before:]
+        stage_runtimes={s.stage: s.wall_s for s in spans
                         if s.stage != "lint"},
         run_id=getattr(journal, "run_id", None))
     result.lint = lint_report
     if run_db is not None:
-        _log_run(run_db, result, sink.spans[n_before:])
+        _log_run(run_db, result, spans)
     return result
 
 
 def _log_run(run_db, result: FlowResult, spans) -> None:
-    """Self-monitoring: persist QoR and telemetry to the run database
-    (Rossi's "information useful to the next runs").
+    """Self-monitoring: persist the run's QoR and its telemetry spans,
+    lint notes included, as one record in the run database (Rossi's
+    "information useful to the next runs").
 
     The record's knobs are every option a stage of :data:`STAGES`
-    reads (the union of :attr:`Stage.knobs`).
+    reads (the union of :attr:`Stage.knobs`); its ``run_id`` links a
+    journaled run, resumed or not, to its journal.
     """
     from repro.learn.rundb import RunRecord, design_features
     options = result.options
@@ -245,5 +247,6 @@ def _log_run(run_db, result: FlowResult, spans) -> None:
             "runtime_s": result.runtime_s,
         },
         tags=["flow"],
+        spans=spans,
+        run_id=result.run_id,
     ))
-    run_db.log_telemetry(result.netlist.name, spans)

@@ -20,9 +20,9 @@ unfinished) is finished by :func:`resume_run`.  Three pieces deliver that:
   journal, and re-executes only the frontier.  A resumed run's signoff
   metrics are bit-identical to an uninterrupted run's (the chaos soak
   in ``tests/test_resilience.py`` enforces this).
-* :class:`ChaosPolicy` — seeded, stateless fault injection: stage
-  exceptions and worker crashes (:class:`WorkerCrash`), each decided
-  by a hash of ``(seed, event, stage)`` so a scenario replays exactly.
+* :class:`ChaosPolicy` — fault injection at named stages: stage
+  exceptions and worker crashes (:class:`WorkerCrash`), so a scenario
+  replays exactly.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.orchestrate.cache import (
     unseal_blob,
 )
 from repro.orchestrate.executor import WorkerCrash
-from repro.orchestrate.telemetry import TelemetrySink
 
 _PICKLE_PROTOCOL = 4
 
@@ -268,38 +267,29 @@ def resumable_runs(journal_root) -> list:
 
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """Seeded fault injection for the stage executor.
+    """Fault injection at named stages for the stage executor.
 
-    Stateless and frozen: every decision hashes
-    ``(seed, event, stage)``, making each scenario exactly
-    reproducible.  Rates are probabilities in [0, 1];
-    ``crash_stages``/``fail_stages`` name deterministic injection
-    points on top of the rates (the soak test's kill switches).
+    Stateless and frozen: ``crash_stages`` names the stages before
+    which the run is killed, ``fail_stages`` those whose one execution
+    raises, so every scenario replays exactly (the soak test's kill
+    switches).
     """
 
-    seed: int = 0
-    crash_rate: float = 0.0      # kill the whole run (WorkerCrash)
-    fail_rate: float = 0.0       # raise ChaosFailure in the stage
     crash_stages: tuple = ()
     fail_stages: tuple = ()
-
-    def _roll(self, event: str, stage) -> float:
-        return random.Random(f"{self.seed}|{event}|{stage}").random()
 
     # -- executor hooks ------------------------------------------------
 
     def pre_stage(self, stage: str) -> None:
         """Called by the executor before scheduling ``stage``; raising
         :class:`WorkerCrash` aborts the run like a killed process."""
-        if stage in self.crash_stages or \
-                self._roll("crash", stage) < self.crash_rate:
+        if stage in self.crash_stages:
             raise WorkerCrash(stage)
 
     def in_stage(self, stage: str) -> None:
         """Called inside the stage's one execution; raising
         :class:`ChaosFailure` fails the stage like any stage error."""
-        if stage in self.fail_stages or \
-                self._roll("fail", stage) < self.fail_rate:
+        if stage in self.fail_stages:
             raise ChaosFailure(f"chaos fault in {stage!r}")
 
 
@@ -327,7 +317,7 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
     """Run the implementation flow — the single documented entry point.
 
     * ``run_db`` — a :class:`~repro.learn.rundb.RunDatabase` that
-      receives the run's QoR record and telemetry spans.
+      receives one record of the run's QoR and telemetry spans.
     * ``cache`` — a :class:`~repro.orchestrate.cache.ResultCache`;
       stages whose inputs are unchanged replay from it.
     * ``telemetry`` — a :class:`~repro.orchestrate.telemetry.TelemetrySink`
@@ -336,8 +326,8 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
       ``journal_root/run_id`` (``run_id`` is generated when omitted;
       read it back from ``result.run_id``).  If the process dies
       mid-run, :func:`resume_run` finishes the job.
-    * ``chaos`` — a :class:`ChaosPolicy` injecting deterministic
-      faults, for resilience testing.
+    * ``chaos`` — a :class:`ChaosPolicy` injecting faults at named
+      stages, for resilience testing.
 
     Each stage runs once.  A failed required stage raises
     :class:`~repro.orchestrate.executor.StageError` after recording a
@@ -376,9 +366,10 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
     are bit-identical to an uninterrupted run; ``result.status`` is
     ``FlowStatus.RESUMED`` when any stage was replayed.
 
-    With ``run_db``, a recovery record (replayed/executed counts) is
-    logged via ``RunDatabase.log_recovery`` alongside the usual QoR
-    and telemetry.
+    With ``run_db``, the resumed run logs one record like any other
+    run: its replayed stages are the spans with ``cache="journal"``,
+    its executed stages the rest, and its ``run_id`` names the
+    journal.
 
     A journal written under another :attr:`RunJournal.SCHEMA_VERSION`
     raises :class:`JournalError` naming both versions.
@@ -391,21 +382,10 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
             f"run {run_id!r}: journal schema_version {version!r}, this "
             f"build reads {RunJournal.SCHEMA_VERSION}; cannot resume")
     subject, library, options = journal.load_inputs()
-    sink = telemetry if telemetry is not None else TelemetrySink()
-    n_before = len(sink.spans)
     result = implement_flow(
         subject, library, options, run_db=run_db, cache=cache,
-        telemetry=sink, journal=journal)
+        telemetry=telemetry, journal=journal)
     journal.finish(result.status)
-    if run_db is not None:
-        from repro.learn.rundb import RecoveryRecord
-        replayed = sum(s.cache == "journal"
-                       for s in sink.spans[n_before:])
-        run_db.log_recovery(RecoveryRecord(
-            run_id=run_id, design=result.netlist.name,
-            replayed=replayed,
-            executed=len(result.stage_runtimes) - replayed,
-            status=str(result.status)))
     return result
 
 

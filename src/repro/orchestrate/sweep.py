@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.orchestrate.cache import ResultCache
-from repro.orchestrate.telemetry import Span, TelemetrySink
+from repro.orchestrate.telemetry import TelemetrySink
 
 
 @dataclass
@@ -25,7 +25,6 @@ class SweepResult:
     results: list
     wall_s: float
     jobs: int
-    spans: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -44,14 +43,12 @@ class SweepResult:
                 f", {len(self.degraded)} degraded)")
 
 
-def _run_one(payload):
-    """Worker body (module-level for pickling): run one flow job."""
-    subject, library, options, cache_dir, flow_fn, job, \
-        journal_root = payload
+def _run_job(subject, library, options, cache, flow_fn, job,
+             journal_root):
+    """One flow job: its result and its spans, tagged with ``job``."""
     if flow_fn is not None:
         return flow_fn(subject, library, options), []
     from repro.orchestrate.resilience import run
-    cache = ResultCache(disk_dir=cache_dir) if cache_dir else None
     sink = TelemetrySink()
     result = run(subject, library, options, cache=cache,
                  telemetry=sink, journal_root=journal_root,
@@ -59,6 +56,16 @@ def _run_one(payload):
     for span in sink.spans:
         span.job = job
     return result, sink.spans
+
+
+def _run_one(payload):
+    """Pool worker (module-level for pickling): one job over a cache
+    on the parent's disk tier."""
+    subject, library, options, cache_dir, flow_fn, job, \
+        journal_root = payload
+    cache = ResultCache(disk_dir=cache_dir) if cache_dir else None
+    return _run_job(subject, library, options, cache, flow_fn, job,
+                    journal_root)
 
 
 def _job_run_id(job: int) -> str:
@@ -88,8 +95,8 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
     ``fn(subject, library, options)``) for harness tests and custom
     flows.
 
-    Per-job telemetry spans land in ``telemetry`` (and on the returned
-    :class:`SweepResult`) tagged with their job index.
+    Per-job telemetry spans land in ``telemetry`` tagged with their
+    job index.
     """
     options_list = list(options_list)
     if isinstance(subject, (list, tuple)):
@@ -102,23 +109,11 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
         subjects = [subject] * len(options_list)
 
     t0 = time.perf_counter()
-    spans: list[Span] = []
     if jobs <= 1 or not options_list:
-        results = []
-        for i, (subj, options) in enumerate(zip(subjects,
-                                                options_list)):
-            if flow_fn is not None:
-                results.append(flow_fn(subj, library, options))
-                continue
-            from repro.orchestrate.resilience import run
-            sink = TelemetrySink()
-            results.append(run(
-                subj, library, options, cache=cache, telemetry=sink,
-                journal_root=journal_root,
-                run_id=_job_run_id(i) if journal_root else None))
-            for span in sink.spans:
-                span.job = i
-            spans.extend(sink.spans)
+        outcomes = [_run_job(subj, library, options, cache, flow_fn, i,
+                             journal_root)
+                    for i, (subj, options)
+                    in enumerate(zip(subjects, options_list))]
     else:
         # Workers cannot share the parent's memory tier, but they can
         # share its disk store.
@@ -129,12 +124,9 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
                     in enumerate(zip(subjects, options_list))]
         with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
             outcomes = pool.map(_run_one, payloads)
-        results = [res for res, _ in outcomes]
-        for _, job_spans in outcomes:
-            spans.extend(job_spans)
 
     if telemetry is not None:
-        telemetry.extend(spans)
-    return SweepResult(
-        results=results, wall_s=time.perf_counter() - t0, jobs=jobs,
-        spans=spans)
+        for _, spans in outcomes:
+            telemetry.extend(spans)
+    return SweepResult(results=[result for result, _ in outcomes],
+                       wall_s=time.perf_counter() - t0, jobs=jobs)

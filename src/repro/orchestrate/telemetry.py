@@ -2,19 +2,18 @@
 
 Every stage execution — cached or not — produces a :class:`Span`
 recording wall time, status, cache disposition, and peak RSS when the
-platform exposes it.  Spans stream to JSON-lines for offline
-analysis and aggregate into a :class:`RunReport`, the observability
-substrate behind the E7 throughput claim ("1M instances/day on
-multicore farms" needs metering before it needs more cores).
+platform exposes it.  Spans aggregate into a :class:`RunReport`, the
+observability substrate behind the E7 throughput claim ("1M
+instances/day on multicore farms" needs metering before it needs more
+cores), and persist with their run's record in the run database
+(:class:`repro.learn.rundb.RunDatabase`).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 try:
     import resource
@@ -27,12 +26,10 @@ def kernel_span(sink: "TelemetrySink", stage: str):
     """Record one kernel execution (STA, place, route, ...) as a
     :class:`Span` in ``sink``.
 
-    The analytic placer records one per phase, the batched router one
-    per routing phase, and the maze and line-search routers
-    (``route_placement`` through ``sequential_route``) one per call,
-    so kernel wall times reach the same :class:`TelemetrySink` the
-    flow stages use.  Exceptions mark the span ``failed`` and
-    re-raise.
+    The analytic placer records one per phase and the batched router
+    one per routing phase, so kernel wall times reach the same
+    :class:`TelemetrySink` the flow stages use.  Exceptions mark the
+    span ``failed`` and re-raise.
     """
     t0 = time.perf_counter()
     status = "ok"
@@ -120,28 +117,10 @@ class TelemetrySink:
 
     def extend(self, spans) -> None:
         for span in spans:
-            self.record(span if isinstance(span, Span)
-                        else Span.from_dict(span))
+            self.record(span)
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    # ------------------------------------------------------------------
-
-    def emit_jsonl(self, path) -> None:
-        """Append every span as one JSON object per line."""
-        with Path(path).open("a") as fh:
-            for span in self.spans:
-                fh.write(json.dumps(span.to_dict()) + "\n")
-
-    @staticmethod
-    def load_jsonl(path) -> "TelemetrySink":
-        """Rebuild a sink from a JSON-lines file."""
-        sink = TelemetrySink()
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                sink.record(Span.from_dict(json.loads(line)))
-        return sink
 
     # ------------------------------------------------------------------
 

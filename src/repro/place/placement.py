@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.netlist.circuit import Netlist
+from repro.netlist.circuit import Netlist, left_sum
 
 
 @dataclass
@@ -86,9 +86,10 @@ class Placement:
         return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
     def total_hpwl(self) -> float:
-        """Total half-perimeter wirelength over all nets."""
+        """Total half-perimeter wirelength over all nets, added left
+        to right."""
         pins = self.net_pins()
-        return sum(self.net_hpwl(net, pins) for net in pins)
+        return left_sum(self.net_hpwl(net, pins) for net in pins)
 
     def net_lengths(self) -> dict:
         """net -> HPWL, the input to placement-aware timing/power."""

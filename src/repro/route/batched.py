@@ -671,14 +671,14 @@ class _BatchedRouter:
 
     def _route_straight(self, ids: IntArray,
                         congestion_weight: float) -> IntArray:
-        """Commit provably-optimal straight segments without expansion.
+        """Commit penalty-free straight segments without expansion.
 
-        An axis-aligned segment's line cost is an O(1) prefix-sum
-        difference, and any alternative path is at least two edges
-        longer at a floor cost of 1.0 per edge — so a line costing no
-        more than ``manhattan + 2`` *is* a shortest path and can skip
-        the wavefront entirely.  Returns the ids (congested lines)
-        that must go through the regular windowed expansion.
+        An axis-aligned segment's overflow penalty along its line (its
+        cost at ``congestion_weight`` minus its cost at weight zero) is
+        an O(1) prefix-sum difference.  A line whose penalty is at most
+        ``_STRAIGHT_SLACK`` (zero: one more wire overflows none of its
+        edges) commits as is.  Returns the ids (congested lines) that
+        must go through the regular windowed expansion.
         """
         if ids.size == 0:
             return ids

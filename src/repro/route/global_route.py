@@ -147,32 +147,27 @@ class GlobalRouter:
 
 def sequential_route(placement: Placement, *, layers: int = 6,
                      gcell_um: float = 5.0, topology: str = "mst",
-                     max_iterations: int = 4, telemetry=None,
+                     max_iterations: int = 4,
                      engine: str = "maze") -> RoutingResult:
     """One sequential routing run (``engine`` ``"maze"`` or
     ``"line_search"``) through :class:`GlobalRouter`.
 
-    It takes the knobs of :func:`~repro.route.batched.batched_route`
-    except ``seed`` (the sequential engines are deterministic without
-    it), plus ``topology`` (``"mst"`` or ``"steiner"``).  When a
-    ``telemetry`` sink is given the whole run is recorded as one
-    ``route_<engine>`` kernel span (the batched engine reports
-    per-phase spans instead).
+    It takes the routing knobs of
+    :func:`~repro.route.batched.batched_route` (not ``seed``: the
+    sequential engines are deterministic without it), plus
+    ``topology`` (``"mst"`` or ``"steiner"``).  It records no
+    telemetry; the batched router is the one that reports per-phase
+    spans.
     """
-    router = GlobalRouter(placement, engine=engine, layers=layers,
-                          gcell_um=gcell_um, topology=topology,
-                          max_iterations=max_iterations)
-    if telemetry is None:
-        return router.route()
-    from repro.orchestrate.telemetry import kernel_span
-    with kernel_span(telemetry, f"route_{engine}"):
-        return router.route()
+    return GlobalRouter(placement, engine=engine, layers=layers,
+                        gcell_um=gcell_um, topology=topology,
+                        max_iterations=max_iterations).route()
 
 
 def route_placement(placement: Placement, *, engine: str = "maze",
                     layers: int = 6, gcell_um: float = 5.0,
                     topology: str = "mst", max_iterations: int = 4,
-                    seed: int = 0, telemetry=None) -> RoutingResult:
+                    seed: int = 0) -> RoutingResult:
     """One-call global routing of a placement.
 
     ``engine`` picks the router: ``"batched"``
@@ -181,10 +176,12 @@ def route_placement(placement: Placement, *, engine: str = "maze",
     (:func:`sequential_route`).  Any other name raises ``ValueError``,
     and so does a ``topology`` other than ``"mst"`` for the batched
     engine.  ``seed`` reaches the batched router only; the sequential
-    engines are deterministic without it.
+    engines are deterministic without it.  For per-phase telemetry
+    spans, call :func:`~repro.route.batched.batched_route` with a
+    ``telemetry=`` sink.
     """
     knobs = dict(layers=layers, gcell_um=gcell_um,
-                 max_iterations=max_iterations, telemetry=telemetry)
+                 max_iterations=max_iterations)
     if engine == "batched":
         if topology != "mst":
             raise ValueError(

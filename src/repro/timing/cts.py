@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.netlist.circuit import left_sum
+
 # A placed clock sink: (flop name, (x, y)).
 Sink = tuple[str, tuple[float, float]]
 
@@ -94,7 +96,7 @@ def synthesize_clock_tree(placement: Any, *, max_leaf: int = 4,
     def center(group: list[Sink]) -> tuple[float, float]:
         xs = [p[0] for _, p in group]
         ys = [p[1] for _, p in group]
-        return (sum(xs) / len(xs), sum(ys) / len(ys))
+        return (left_sum(xs) / len(xs), left_sum(ys) / len(ys))
 
     def build(group: list[Sink], entry: tuple[float, float],
               delay_ps: float) -> None:

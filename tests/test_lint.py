@@ -571,24 +571,32 @@ class TestGateIntegration:
         assert all(f.rule_id.startswith("NET-")
                    for f in result.lint.findings)
 
-    def test_span_notes_roundtrip_jsonl(self, tmp_path):
-        from repro.orchestrate import Span, TelemetrySink
-        sink = TelemetrySink()
-        sink.record(Span("lint", 0.01, status="failed",
-                         notes=("ERROR NET-002 [q2]: boom",)))
-        path = tmp_path / "spans.jsonl"
-        sink.emit_jsonl(path)
-        loaded = TelemetrySink.load_jsonl(path)
-        assert loaded.spans[0].notes == \
-            ("ERROR NET-002 [q2]: boom",)
-
-    def test_rundb_accepts_noted_spans(self, lib):
+    def test_lint_notes_persist_in_run_database(self, lib, tmp_path):
+        # A phantom pin (NET-003) is a lint error the flow runs through.
         from repro.learn.rundb import RunDatabase
+        nl = lfsr(8, lib)
+        next(iter(nl.gates.values())).pins["EXTRA"] = \
+            nl.primary_inputs[0]
+        db = RunDatabase()
+        run(nl, lib, FlowOptions(), run_db=db)
+        path = tmp_path / "runs.json"
+        db.save(path)
+        lint = RunDatabase.load(path).records[0].spans[0]
+        assert lint.stage == "lint" and lint.status == "failed"
+        assert lint.notes == db.records[0].spans[0].notes
+        assert any("NET-003" in note for note in lint.notes)
+
+    def test_rundb_accepts_noted_spans(self, tmp_path):
+        from repro.learn.rundb import RunDatabase, RunRecord
         from repro.orchestrate import Span
         db = RunDatabase()
-        db.log_telemetry("d", [Span("lint", 0.01,
-                                    notes=("finding",))])
-        assert db.telemetry[0].stage == "lint"
+        db.log(RunRecord("d", {}, {}, {}, spans=[
+            Span("lint", 0.01, status="failed",
+                 notes=("ERROR NET-002 [q2]: boom",))]))
+        path = tmp_path / "runs.json"
+        db.save(path)
+        assert RunDatabase.load(path).records[0].spans[0].notes == \
+            ("ERROR NET-002 [q2]: boom",)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,25 @@
 """Tests for repro.orchestrate: the ordered stage table, content-hash
 caching, the executor (one attempt per stage, degraded runs), sweeps,
-and telemetry."""
+telemetry, and the names retired from them."""
 
 import dataclasses
 import errno
 import hashlib
 import pickle
+import re
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import FlowOptions
+import repro.learn.rundb
 from repro.learn import RunDatabase
 from repro.netlist import build_library, registered_cloud
 import repro.orchestrate.cache
 from repro.orchestrate import (
     STAGES,
+    ChaosPolicy,
     ResultCache,
     Stage,
     StageError,
@@ -30,6 +33,7 @@ from repro.orchestrate import (
 )
 from repro.orchestrate.cache import decode_value, encode_value
 from repro.place import Placement, analytic_place
+from repro.route import route_placement, sequential_route
 from repro.tech import get_node
 
 
@@ -364,13 +368,14 @@ class TestExecutor:
 
         table = (Stage("double", expensive, params=("x",)),)
         cache = ResultCache()
+        sink = TelemetrySink()
         first = run_stages(table, {"x": 21}, cache=cache)
-        again = run_stages(table, {"x": 21}, cache=cache)
+        again = run_stages(table, {"x": 21}, cache=cache, sink=sink)
         other = run_stages(table, {"x": 4}, cache=cache)
         assert first.outputs["double"] == again.outputs["double"] == 42
         assert other.outputs["double"] == 8
         assert calls["n"] == 2   # second run replayed from cache
-        assert again.spans[0].cache == "hit"
+        assert [s.cache for s in sink.spans] == ["hit"]
 
 
 # ----------------------------------------------------------------------
@@ -425,13 +430,18 @@ class TestImplementDag:
             assert dispositions[stage] == "hit", stage
 
     def test_run_db_gets_telemetry(self, lib):
+        # The record holds the very spans the caller's sink received.
         db = RunDatabase()
-        run(small_design(lib), lib, FlowOptions.basic(), run_db=db)
+        sink = TelemetrySink()
+        run(small_design(lib), lib, FlowOptions.basic(), run_db=db,
+            telemetry=sink)
         assert len(db) == 1
-        assert len(db.telemetry) == 6
-        profile = db.stage_profile()
-        assert set(profile) == {"synthesis", "placement", "dft",
-                                "cts", "routing", "signoff"}
+        record = db.records[0]
+        assert record.spans == sink.spans
+        assert [s.stage for s in record.spans] == \
+            [stage.name for stage in STAGES]
+        assert record.run_id is None      # not journaled
+        profile = sink.report().by_stage
         assert all(p["calls"] == 1 for p in profile.values())
 
     def test_run_db_knobs_are_the_dag_knobs(self, lib):
@@ -529,9 +539,11 @@ class TestSweep:
         run_sweep(small_design(lib), lib, options_list, jobs=2,
                   cache=ResultCache(disk_dir=tmp_path))
         assert list(tmp_path.glob("*.pkl"))
-        again = run_sweep(small_design(lib), lib, options_list, jobs=2,
-                          cache=ResultCache(disk_dir=tmp_path))
-        assert [s.cache for s in again.spans] == ["hit"] * 12
+        sink = TelemetrySink()
+        run_sweep(small_design(lib), lib, options_list, jobs=2,
+                  cache=ResultCache(disk_dir=tmp_path), telemetry=sink)
+        assert [s.cache for s in sink.spans] == ["hit"] * 12
+        assert [s.job for s in sink.spans] == [0] * 6 + [1] * 6
 
     def test_empty_sweep_returns_no_results(self, lib):
         # ``jobs=2`` used to raise from ``multiprocessing.Pool(0)``.
@@ -572,15 +584,6 @@ class TestSweep:
 
 
 class TestTelemetry:
-    def test_jsonl_roundtrip(self, tmp_path, lib):
-        sink = TelemetrySink()
-        run(small_design(lib), lib, FlowOptions(), telemetry=sink)
-        path = tmp_path / "spans.jsonl"
-        sink.emit_jsonl(path)
-        loaded = TelemetrySink.load_jsonl(path)
-        assert [s.to_dict() for s in loaded.spans] == \
-            [s.to_dict() for s in sink.spans]
-
     def test_report_aggregates(self, lib):
         cache = ResultCache()
         sink = TelemetrySink()
@@ -602,8 +605,13 @@ class TestTelemetry:
         db.save(path)
         loaded = RunDatabase.load(path)
         assert len(loaded) == 1
-        assert len(loaded.telemetry) == len(db.telemetry) == 6
-        assert loaded.stage_profile() == db.stage_profile()
+        spans = loaded.records[0].spans
+        assert spans == db.records[0].spans
+        assert len(spans) == 6
+        before, after = TelemetrySink(), TelemetrySink()
+        before.extend(db.records[0].spans)
+        after.extend(spans)
+        assert after.report() == before.report()
 
     def test_rundb_loads_legacy_list_format(self, tmp_path):
         path = tmp_path / "legacy.json"
@@ -611,3 +619,52 @@ class TestTelemetry:
                         '"knobs": {}, "qor": {}, "tags": []}]')
         with pytest.raises(ValueError, match="legacy.json"):
             RunDatabase.load(path)
+
+    @pytest.mark.parametrize("key", ["telemetry", "recovery"])
+    def test_rundb_refuses_separate_span_lists(self, tmp_path, key):
+        # Spans live in their run's record; a file with a list beside
+        # ``runs`` is refused instead of losing that list on load.
+        path = tmp_path / "split.json"
+        path.write_text('{"runs": [], "%s": []}' % key)
+        with pytest.raises(ValueError, match=f"split.json.*{key}"):
+            RunDatabase.load(path)
+
+
+# ----------------------------------------------------------------------
+# Retired names: one telemetry record, named chaos injection points
+
+
+#: Each retired name, as ``Owner.attribute`` or ``callable-keyword``,
+#: and an expression that uses it.  A retired keyword fails when the
+#: call binds, before the body runs.
+RETIRED = {
+    "rundb.TelemetryRecord": lambda: repro.learn.rundb.TelemetryRecord,
+    "rundb.RecoveryRecord": lambda: repro.learn.rundb.RecoveryRecord,
+    "RunDatabase.telemetry": lambda: RunDatabase().telemetry,
+    "RunDatabase.recovery": lambda: RunDatabase().recovery,
+    "RunDatabase.log_telemetry": lambda: RunDatabase.log_telemetry,
+    "RunDatabase.log_recovery": lambda: RunDatabase.log_recovery,
+    "RunDatabase.stage_profile": lambda: RunDatabase.stage_profile,
+    "TelemetrySink.emit_jsonl": lambda: TelemetrySink.emit_jsonl,
+    "TelemetrySink.load_jsonl": lambda: TelemetrySink.load_jsonl,
+    "RunResult.spans": lambda: run_stages((), {}).spans,
+    "SweepResult.spans": lambda: run_sweep(None, None, []).spans,
+    "route_placement-telemetry":
+        lambda: route_placement(None, telemetry=None),
+    "sequential_route-telemetry":
+        lambda: sequential_route(None, telemetry=None),
+    "ChaosPolicy-seed": lambda: ChaosPolicy(seed=0),
+    "ChaosPolicy-crash_rate": lambda: ChaosPolicy(crash_rate=0.0),
+    "ChaosPolicy-fail_rate": lambda: ChaosPolicy(fail_rate=0.0),
+}
+
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("case", list(RETIRED))
+    def test_retired_name_is_gone(self, case):
+        # An attribute raises AttributeError and a keyword TypeError,
+        # each naming it.
+        error = TypeError if "-" in case else AttributeError
+        name = re.split(r"[.-]", case)[-1]
+        with pytest.raises(error, match=f"'{name}'"):
+            RETIRED[case]()

@@ -95,6 +95,28 @@ class TestMetrics:
                        pad_positions={"a": (0.0, 0.0), "y": (9.0, 3.0)})
         assert pl.net_hpwl("a") == pytest.approx(5.0)
 
+    def test_total_hpwl_adds_left_to_right(self, lib):
+        # Net lengths 2**53, 1, 1, 1: adding left to right keeps 2**53
+        # at every step, while the builtin ``sum`` compensates rounding
+        # from Python 3.12 on and would return 2**53 + 4.
+        from repro.netlist import Netlist
+        big = 2.0 ** 53
+        nl = Netlist("t", lib)
+        a = nl.add_input("a")
+        n1 = nl.add_gate("INV_X1_rvt", [a], "n1", "g1").output
+        n2 = nl.add_gate("INV_X1_rvt", [n1], "n2", "g2").output
+        nl.add_output(nl.add_gate("INV_X1_rvt", [n2], "y", "g3").output)
+        pl = Placement(nl, big, 1.0,
+                       positions={"g1": (0.0, 0.0), "g2": (big, 0.0),
+                                  "g3": (big, 1.0)},
+                       pad_positions={"a": (0.0, 1.0), "y": (big, 0.0)})
+        lengths = list(pl.net_lengths().values())
+        assert lengths == [big, 1.0, 1.0, 1.0]
+        total = 0.0
+        for length in lengths:
+            total += length
+        assert pl.total_hpwl() == total == big
+
     def test_congestion_map_shape(self, cloud):
         pl = global_place(cloud, seed=0)
         cmap = pl.congestion_map(8)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import FlowOptions, FlowStatus
 from repro.netlist import (
+    Netlist,
     PackedNetlist,
     build_library,
     logic_cloud,
@@ -43,6 +44,41 @@ from repro.timing import (
 )
 
 LIB = build_library(get_node("28nm"))
+
+
+def window_cloud(num_gates: int, library, window: int = 16,
+                 p: float = 1.0, seed: int = 0) -> Netlist:
+    """``registered_cloud``'s shape (48 PIs, 80 flops, its six-cell
+    mix, flop D pins drawn from the cloud nets, the last 20 cloud nets
+    as POs), but each fanin comes from the ``window`` most recently
+    created nets with probability ``p``, and from all nets otherwise.
+    At ``p=1`` this is a band graph whose Jacobi-CG solves need
+    iterations far beyond the bench designs' 37-49."""
+    rng = np.random.default_rng(seed)
+    nl = Netlist("window", library)
+    pis = [nl.add_input(f"i{k}") for k in range(48)]
+    dff = library.flop(scan=False)
+    flops = [nl.add_gate(dff, {"D": pis[k % 48]}, f"q{k}", f"ff{k}")
+             for k in range(80)]
+    nets = pis + [g.output for g in flops]
+    mix = ["NAND2_X1_rvt", "NOR2_X1_rvt", "INV_X1_rvt", "XOR2_X1_rvt",
+           "AND2_X1_rvt", "OR2_X1_rvt"]
+    for _ in range(num_gates):
+        cell = library[mix[int(rng.integers(0, len(mix)))]]
+        picks = []
+        for _ in range(cell.num_inputs):
+            if rng.random() < p:
+                idx = len(nets) - 1 - int(rng.integers(0, window))
+            else:
+                idx = int(rng.integers(0, len(nets)))
+            picks.append(nets[idx])
+        nets.append(nl.add_gate(cell, picks).output)
+    cloud = nets[len(pis) + len(flops):]
+    for g in flops:
+        nl.rewire_pin(g.name, "D", cloud[int(rng.integers(0, len(cloud)))])
+    for net in cloud[-20:]:
+        nl.add_output(net)
+    return nl
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +226,14 @@ class TestCgSolve:
 
 
     def test_local_design_places(self):
-        # Fully local fanins: the anchored re-solves need ~100 CG
-        # iterations here, past a fixed cap of 100, so their cap
-        # follows the first solve's count.
-        design = logic_cloud(64, 64, 5000, LIB, seed=0, locality=1.0)
-        assert_legal(analytic_place(design, utilization=0.4,
-                                    max_iterations=24))
+        # Every solve is capped at its system size.  The fully local
+        # logic cloud's anchored re-solves need ~100 CG iterations, and
+        # the window cloud's first solves 627 and 635.
+        for design in (logic_cloud(64, 64, 5000, LIB, seed=0,
+                                   locality=1.0),
+                       window_cloud(5000, LIB)):
+            assert_legal(analytic_place(design, utilization=0.4,
+                                        max_iterations=24))
 
 
 # ----------------------------------------------------------------------
