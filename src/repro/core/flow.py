@@ -92,6 +92,11 @@ class FlowOptions:
     the field here rather than a surprise mid-flow.  Unpickling
     (journal/cache decode) and later attribute assignment bypass that
     check, so the flow validates again before any stage runs.
+
+    ``routing_iterations`` is a cap on the router's passes (the first
+    pass plus negotiation rounds): negotiation also stops at zero
+    overflow and after a round that cuts overflow by less than 1%, so
+    ``result.routing.iterations`` can be lower.
     """
 
     era: str = "2016"

@@ -73,7 +73,7 @@ def _job_run_id(job: int) -> str:
 
 
 def run_sweep(subject, library, options_list, *, jobs: int = 1,
-              cache=None, telemetry=None, flow_fn=None,
+              cache=None, telemetry=None, run_db=None, flow_fn=None,
               journal_root=None) -> SweepResult:
     """Run one flow job per entry of ``options_list``.
 
@@ -96,7 +96,11 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
     flows.
 
     Per-job telemetry spans land in ``telemetry`` tagged with their
-    job index.
+    job index.  With ``run_db`` (a
+    :class:`~repro.learn.rundb.RunDatabase`), the calling process logs
+    one record per job, in job order, exactly as ``run(...,
+    run_db=)`` logs a run: its QoR and those same spans.  Jobs of a
+    ``flow_fn`` log nothing.
     """
     options_list = list(options_list)
     if isinstance(subject, (list, tuple)):
@@ -128,5 +132,9 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
     if telemetry is not None:
         for _, spans in outcomes:
             telemetry.extend(spans)
+    if run_db is not None and flow_fn is None:
+        from repro.orchestrate.flows import _log_run
+        for result, spans in outcomes:
+            _log_run(run_db, result, spans)
     return SweepResult(results=[result for result, _ in outcomes],
                        wall_s=time.perf_counter() - t0, jobs=jobs)

@@ -23,17 +23,25 @@ numpy array ops:
   is four directional *min-plus scans*, where sweeping with prefix
   sums ``S`` of the edge costs turns the weighted relaxation into a
   plain running minimum — ``dist = min(dist, S + cummin(dist - S))``
-  — over the whole ``(K, H, W)`` batch.  Rounds repeat to a fixed
-  point (one round per direction change of the shortest path).
+  — over the whole batch.  Rounds repeat to a fixed point (one round
+  per direction change of the shortest path).  The batch is the
+  innermost axis, ``(H, W, K)``, and each running minimum is one
+  elementwise ``np.minimum`` per row or column walked in the scan's
+  direction: ``np.minimum.accumulate`` walks element by element
+  (about 8 ns each, 20 times an ``np.subtract``), and ``min`` is
+  exact, so the two agree bit for bit.
 * **commit** — the route store is the per-segment descriptors plus
   one explicit-route store.  A straight or pattern route is only its
   descriptor (``_KIND_*`` and a bend coordinate); wavefront
-  backtraces — vectorized greedy strict-descent, fixed neighbor order
-  — and the rare maze fallback append their cells and h/v edges to
-  one array, indexed by per-segment offset and length.  Usage lands
-  on the grid via ``np.add.at`` over flat edge indices, which
-  :meth:`_BatchedRouter._route_edges` regenerates from the store for
-  any set of segments when a negotiation round needs them.
+  backtraces — vectorized greedy strict-descent over flat indices of
+  a +inf-padded distance field, fixed neighbor order — and the rare
+  maze fallback append their cells and h/v edges to one array,
+  indexed by per-segment offset and length.  Usage lands on the grid
+  as one ``np.bincount`` per axis over flat edge indices, never
+  ``np.add.at``, whose per-index cost is 3–40 times higher; usage is
+  an integer, so both are exact.
+  :meth:`_BatchedRouter._route_edges` regenerates the edges from the
+  store for any set of segments when a negotiation round needs them.
   Survivors' geometric paths are rebuilt in bulk once, in
   :meth:`_BatchedRouter._emit`.
 * **negotiate** — PathFinder-style: history accumulates on overflowed
@@ -43,7 +51,9 @@ numpy array ops:
   sub-waves), then rips the per-edge excess — plus movers whose every
   escape is blocked — with one ``bincount`` over flattened edge
   indices and forces it back through the pattern tail at the round's
-  raised congestion weight.
+  raised congestion weight.  Negotiation ends at zero overflow, at
+  the pass cap, or after the first round that cuts total overflow by
+  less than ``_NEG_MIN_GAIN`` (1%), whose routes are kept.
 
 The cost model is *exactly* the sequential engines' negotiated cost
 (:meth:`RoutingGrid.cost_arrays` is the vectorized twin of
@@ -105,6 +115,12 @@ _KIND_VHV = 3
 #: the fixed-weight tail leaves pinned at capacity.
 _NEG_MARGIN = (1, 2, 4)
 _NEG_CW = (5.0, 8.0, 12.0)
+#: Negotiation stops after a round that cuts total overflow by less
+#: than this share of its value before the round.  On the bench clouds
+#: the second round already buys under 0.01% and each round costs
+#: seconds at 50k gates; on small congested designs a round that stops
+#: paying usually only raises overflow.
+_NEG_MIN_GAIN = 0.01
 #: Segments per rip-and-reroute batch of the excess tail (see
 #: :meth:`_BatchedRouter._route_excess`).
 _EXCESS_CHUNK = 32
@@ -300,68 +316,98 @@ def _windows(grid: RoutingGrid, sx: IntArray, sy: IntArray,
     return x0, y0, w, h
 
 
+def _cummin(a: FloatArray, axis: int, reverse: bool) -> None:
+    """Running minimum of ``a`` along ``axis`` (0 or 1), in place.
+
+    One elementwise ``np.minimum`` per slice, walking in the scan's
+    direction (from the far end when ``reverse``).  ``min`` is exact,
+    so this equals ``np.minimum.accumulate`` bit for bit; with the
+    batch on the innermost axis each step is one contiguous
+    vectorized pass, where ``accumulate`` walks element by element.
+    """
+    view = a if axis == 0 else a.swapaxes(0, 1)
+    n = view.shape[0]
+    if reverse:
+        for i in range(n - 2, -1, -1):
+            np.minimum(view[i + 1], view[i], out=view[i])
+    else:
+        for i in range(1, n):
+            np.minimum(view[i - 1], view[i], out=view[i])
+
+
 def _expand_chunk(h_cost: FloatArray, v_cost: FloatArray,
                   x0: IntArray, y0: IntArray, w: int, h: int,
                   sxw: IntArray, syw: IntArray) -> tuple:
     """Shortest-path distances for K same-shape windows at once.
 
-    Returns ``(dist, hw, vw)`` — the (K, H, W) distance field from
-    each window's source plus the gathered edge-cost slabs (reused by
-    the backtrace).
+    Works batch-innermost: every array is ``(H, W, K)``.  Returns
+    ``(dist, costs)`` in the layout :func:`_backtrace` reads, padded to
+    ``(H+2, W+2, K)``: the distance field from each window's source,
+    +inf on the border, and the two edge-cost planes stacked as
+    ``(2, H+2, W+2, K)``, where plane 0/1 at the padded position of
+    cell ``(x, y)`` holds the cost of its edge to ``(x+1, y)``/``(x,
+    y+1)`` (zero where there is none).
     """
     k = x0.shape[0]
-    ys = (y0[:, None] + np.arange(h))[:, :, None]     # (K, H, 1)
-    xs = (x0[:, None] + np.arange(w))[:, None, :]     # (K, 1, W)
-    hw = h_cost[ys, xs[:, :, :w - 1]]                 # (K, H, W-1)
-    vw = v_cost[ys[:, :h - 1, :], xs]                 # (K, H-1, W)
-    full = np.full((k, h, w), np.inf)
-    full[np.arange(k), syw, sxw] = 0.0
-    sh_full = np.concatenate(
-        [np.zeros((k, h, 1)), np.cumsum(hw, axis=2)], axis=2)
-    sv_full = np.concatenate(
-        [np.zeros((k, 1, w)), np.cumsum(vw, axis=1)], axis=1)
+    ys = y0[None, :] + np.arange(h)[:, None]          # (H, K)
+    xs = x0[None, :] + np.arange(w)[:, None]          # (W, K)
+    dist_p = np.full((h + 2, w + 2, k), np.inf)
+    costs = np.zeros((2, h + 2, w + 2, k))
+    hw, vw = costs
+    hw[1:-1, 1:w] = h_cost[ys[:, None, :], xs[None, :w - 1, :]]
+    vw[1:h, 1:-1] = v_cost[ys[:h - 1, None, :], xs[None, :, :]]
+    full: FloatArray = dist_p[1:-1, 1:-1]
+    full[syw, sxw, np.arange(k)] = 0.0
+    sh: FloatArray = np.zeros((h, w, k))
+    np.cumsum(hw[1:-1, 1:w], axis=1, out=sh[:, 1:])
+    sv: FloatArray = np.zeros((h, w, k))
+    np.cumsum(vw[1:h, 1:-1], axis=0, out=sv[1:])
     # Sweep only the windows that are still changing: converged ones
     # are scattered back into ``full`` and dropped from the batch, so
     # a few straggler windows stop costing whole-batch sweeps.
-    act = np.arange(k)
-    dist, sh, sv = full, sh_full, sv_full
+    act: IntArray = np.arange(k)
+    dist = full
+    prev, t = np.empty_like(sh), np.empty_like(sh)
     for _ in range(_SWEEP_LIMIT):
-        prev = dist.copy()
-        t = dist - sh                                  # rightward
-        np.minimum.accumulate(t, axis=2, out=t)
-        np.minimum(dist, t + sh, out=dist)
-        t = np.flip(np.minimum.accumulate(              # leftward
-            np.flip(dist + sh, axis=2), axis=2), axis=2)
-        np.minimum(dist, t - sh, out=dist)
-        t = dist - sv                                  # downward (+y)
-        np.minimum.accumulate(t, axis=1, out=t)
-        np.minimum(dist, t + sv, out=dist)
-        t = np.flip(np.minimum.accumulate(              # upward (-y)
-            np.flip(dist + sv, axis=1), axis=1), axis=1)
-        np.minimum(dist, t - sv, out=dist)
         # Tolerant check: prefix-sum arithmetic can keep flipping the
         # last ulp forever; improvements below 1e-9 are far smaller
         # than any real cost difference (>= 0.1) and cannot change a
         # backtrace, so treat them as converged.
-        changed = (dist < prev - 1e-9).any(axis=(1, 2))
+        np.subtract(dist, 1e-9, out=prev)
+        # Each scan turns the weighted relaxation into a plain running
+        # minimum over prefix sums: dist = min(dist, S + cummin(dist -
+        # S)), with the signs flipped for the reverse direction.
+        for s, axis in ((sh, 1), (sv, 0)):
+            np.subtract(dist, s, out=t)        # rightward / downward
+            _cummin(t, axis, False)
+            np.add(t, s, out=t)
+            np.minimum(dist, t, out=dist)
+            np.add(dist, s, out=t)             # leftward / upward
+            _cummin(t, axis, True)
+            np.subtract(t, s, out=t)
+            np.minimum(dist, t, out=dist)
+        changed = (dist < prev).any(axis=(0, 1))
         n_changed = int(changed.sum())
         if n_changed == 0:
             break
         if n_changed <= act.size // 2:
             settled = ~changed
-            full[act[settled]] = dist[settled]
+            full[:, :, act[settled]] = dist[:, :, settled]
             act = act[changed]
-            dist = dist[changed]
-            sh = sh[changed]
-            sv = sv[changed]
+            # ``compress`` keeps the batch innermost; a fancy index on
+            # the last axis would return it outermost in memory.
+            dist = np.compress(changed, dist, axis=2)
+            sh = np.compress(changed, sh, axis=2)
+            sv = np.compress(changed, sv, axis=2)
+            prev, t = np.empty_like(sh), np.empty_like(sh)
     if dist is not full:
-        full[act] = dist
-    return full, hw, vw
+        full[:, :, act] = dist
+    return dist_p, costs
 
 
-def _backtrace(dist: FloatArray, hw: FloatArray, vw: FloatArray,
-               sxw: IntArray, syw: IntArray, dxw: IntArray,
-               dyw: IntArray, rng: Any) -> tuple:
+def _backtrace(dist: FloatArray, costs: FloatArray, sxw: IntArray,
+               syw: IntArray, dxw: IntArray, dyw: IntArray,
+               rng: Any) -> tuple:
     """Walk dst -> src by greedy strict descent, whole batch at once.
 
     Below capacity the negotiated cost is flat, so many staircase
@@ -375,53 +421,46 @@ def _backtrace(dist: FloatArray, hw: FloatArray, vw: FloatArray,
     corridors one segment at a time) while the strict-descent check
     keeps every walk a true shortest path.
 
+    Reads :func:`_expand_chunk`'s padded arrays through flat indices:
+    a walker's four neighbors are fixed offsets from its cell, and a
+    neighbor off the window is a +inf border cell that never wins a
+    strict descent, so no step needs a mask or clip.
+
     Returns ``(px, py, done, ok)``: step-stacked window coordinates
     (K, S+1), per-segment final step index, and a success mask (a
     window that did not converge cannot descend and falls back to the
     sequential maze router).
     """
-    k, h, w = dist.shape
+    hp, wp, k = dist.shape
+    dist_f, cost_f = dist.ravel(), costs.ravel()
+    # Neighbors in the order x-1, x+1, y-1, y+1; a move's edge cost
+    # is stored at the cell on its low side, h plane first.
+    moves = np.asarray([-k, k, -wp * k, wp * k])[:, None]
+    edges = np.asarray([-k, 0, dist.size - wp * k, dist.size])[:, None]
     rows = np.arange(k)
-    cx, cy = dxw.astype(np.int64), dyw.astype(np.int64)
-    steps_x, steps_y = [cx.copy()], [cy.copy()]
-    active = (cx != sxw) | (cy != syw)
+    src = ((syw + 1) * wp + sxw + 1) * k + rows
+    cur = ((dyw + 1) * wp + dxw + 1) * k + rows
+    steps = [cur]
+    active = cur != src
     ok = np.ones(k, dtype=bool)
     done = np.zeros(k, dtype=np.int64)
-    moves_x = np.asarray([-1, 1, 0, 0])
-    moves_y = np.asarray([0, 0, -1, 1])
-    cap = h * w
+    cap = (hp - 2) * (wp - 2)
     step = 0
     while active.any() and step < cap:
         step += 1
-        cur_d = dist[rows, cy, cx]
-        cand = np.full((4, k), np.inf)
-        m = cx > 0
-        cand[0, m] = (dist[rows[m], cy[m], cx[m] - 1]
-                      + hw[rows[m], cy[m], cx[m] - 1])
-        m = cx < w - 1
-        cand[1, m] = (dist[rows[m], cy[m], cx[m] + 1]
-                      + hw[rows[m], cy[m], cx[m]])
-        m = cy > 0
-        cand[2, m] = (dist[rows[m], cy[m] - 1, cx[m]]
-                      + vw[rows[m], cy[m] - 1, cx[m]])
-        m = cy < h - 1
-        cand[3, m] = (dist[rows[m], cy[m] + 1, cx[m]]
-                      + vw[rows[m], cy[m], cx[m]])
+        cur_d = dist_f[cur]
+        cand = dist_f[cur + moves] + cost_f[cur + edges]
         cand += rng.random((4, k)) * 1e-4
-        choice = np.argmin(cand, axis=0)
-        nx_ = np.clip(cx + moves_x[choice], 0, w - 1)
-        ny_ = np.clip(cy + moves_y[choice], 0, h - 1)
-        good = active & (dist[rows, ny_, nx_] < cur_d)
+        nxt = cur + moves[np.argmin(cand, axis=0), 0]
+        good = active & (dist_f[nxt] < cur_d)
         ok &= ~(active & ~good)
-        cx = np.where(good, nx_, cx)
-        cy = np.where(good, ny_, cy)
-        steps_x.append(cx.copy())
-        steps_y.append(cy.copy())
+        cur = np.where(good, nxt, cur)
+        steps.append(cur)
         done = np.where(good, step, done)
-        active = good & ((cx != sxw) | (cy != syw))
+        active = good & (cur != src)
     ok &= ~active  # hit the step cap while still walking
-    return np.stack(steps_x, axis=1), np.stack(steps_y, axis=1), \
-        done, ok
+    py, px = np.divmod(np.stack(steps, axis=1) // k, wp)
+    return px - 1, py - 1, done, ok
 
 
 # ----------------------------------------------------------------------
@@ -622,9 +661,18 @@ class _BatchedRouter:
 
     def _shift_usage(self, h: IntArray, v: IntArray,
                      delta: int) -> None:
-        """Add ``delta`` to the usage of flat h and v edge lists."""
-        np.add.at(self.grid.h_usage.ravel(), h, delta)
-        np.add.at(self.grid.v_usage.ravel(), v, delta)
+        """Add ``delta`` to the usage of flat h and v edge lists.
+
+        One ``bincount`` per axis, repeated edges included: usage is an
+        integer, so this is exactly ``np.add.at``, at a fraction of its
+        per-index cost.
+        """
+        g = self.grid
+        for use, edges in ((g.h_usage, h), (g.v_usage, v)):
+            if edges.size:
+                flat = use.ravel()
+                counts = np.bincount(edges, minlength=flat.size)
+                flat += delta * counts.astype(flat.dtype)
 
     def _commit_patterns(self, ids: IntArray, kind: IntArray,
                          bend: IntArray) -> None:
@@ -793,10 +841,10 @@ class _BatchedRouter:
         with _phase(self.telemetry, self.phases, "route_expand"):
             h_cost, v_cost = g.cost_arrays(
                 congestion_weight=congestion_weight)
-            dist, hw, vw = _expand_chunk(
+            dist, costs = _expand_chunk(
                 h_cost, v_cost, x0, y0, ww, hh, sx - x0, sy - y0)
             px, py, done, ok = _backtrace(
-                dist, hw, vw, sx - x0, sy - y0, dx - x0, dy - y0,
+                dist, costs, sx - x0, sy - y0, dx - x0, dy - y0,
                 self.rng)
         with _phase(self.telemetry, self.phases, "route_commit"):
             # Global step-stacked coordinates; the frozen tail of each
@@ -994,7 +1042,10 @@ class _BatchedRouter:
                     if not ne.size:
                         continue
                     e = edge[ne]
-                    srt = np.lexsort((ne, e))
+                    # By edge, then by position: one argsort of a
+                    # unique combined key, the order of
+                    # ``lexsort((ne, e))``.
+                    srt = np.argsort(e * ne.size + np.arange(ne.size))
                     es = e[srt]
                     starts = np.flatnonzero(
                         np.r_[True, es[1:] != es[:-1]])
@@ -1234,8 +1285,9 @@ class _BatchedRouter:
         self._route_ids(np.arange(n_seg), 2.0)
 
         iterations = 1
+        overflow = g.total_overflow()
         for rnd in range(self.max_iterations - 1):
-            if g.total_overflow() == 0:
+            if overflow == 0:
                 break
             # One negotiation round: relocate the profitable
             # equal-length escapes first (free moves), then rip the
@@ -1252,6 +1304,9 @@ class _BatchedRouter:
                     self._overflowed_ids(_NEG_MARGIN[sched]), stuck)
                 self._route_excess(redo, cw)
             iterations += 1
+            before, overflow = overflow, g.total_overflow()
+            if overflow > (1.0 - _NEG_MIN_GAIN) * before:
+                break
 
         with _phase(self.telemetry, self.phases, "route_emit"):
             paths, nwl, nof = self._emit(n_seg)
@@ -1279,6 +1334,11 @@ def batched_route(placement: Placement, *, layers: int = 6,
     shuffles), so a fixed seed gives a bit-identical result and
     different seeds give equivalent QoR.  Paths in the result are
     (L, 2) int64 arrays (see :class:`RoutingResult`).
+
+    ``max_iterations`` caps the passes: the first pass plus up to
+    ``max_iterations - 1`` negotiation rounds.  Negotiation also stops
+    at zero overflow and after a round that cuts total overflow by
+    less than 1%; ``RoutingResult.iterations`` counts the passes run.
     """
     return _BatchedRouter(
         placement, layers=layers, gcell_um=gcell_um,

@@ -545,6 +545,33 @@ class TestSweep:
         assert [s.cache for s in sink.spans] == ["hit"] * 12
         assert [s.job for s in sink.spans] == [0] * 6 + [1] * 6
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_logs_one_record_per_job(self, lib, jobs):
+        # Serial and pool sweeps alike: one run-database record per
+        # job, in job order, holding that job's QoR and its spans.
+        options_list = [FlowOptions(seed=i, routing_iterations=2)
+                        for i in range(2)]
+        db, sink = RunDatabase(), TelemetrySink()
+        sweep = run_sweep(small_design(lib), lib, options_list, jobs=jobs,
+                          telemetry=sink, run_db=db)
+        assert len(db) == len(options_list)
+        for job, (record, result) in enumerate(zip(db.records,
+                                                   sweep.results)):
+            assert record.spans
+            assert record.spans == [s for s in sink.spans if s.job == job]
+            assert record.knobs["seed"] == job
+            assert record.qor == {
+                "hpwl_um": result.hpwl_um, "overflow": result.overflow,
+                "delay_ps": result.delay_ps, "power_uw": result.power_uw,
+                "runtime_s": result.runtime_s}
+            assert record.run_id is None
+
+    def test_flow_fn_sweep_logs_nothing(self):
+        db = RunDatabase()
+        run_sweep(None, None, [FlowOptions()], flow_fn=_quick_flow,
+                  run_db=db)
+        assert len(db) == 0
+
     def test_empty_sweep_returns_no_results(self, lib):
         # ``jobs=2`` used to raise from ``multiprocessing.Pool(0)``.
         for jobs in (1, 2):

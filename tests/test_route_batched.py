@@ -5,12 +5,15 @@ FlowOptions construction-time validation), RoutingResult schema parity
 across engines, hypothesis-driven both-engine parity (legal routes,
 overflow no worse than maze, wirelength within 2%) plus the same
 parity on a 4,800-gate tiled SoC, bit-reproducibility of the batched
-engine within a run and against pinned digests, its maze fallback, an
-op-count guard on its route store, and that the flow's routing stage
-is the batched engine.
+engine within a run and against pinned digests, its negotiation stop
+rule, its maze fallback, an op-count guard on its route store, its
+kernels against verbatim copies of the ones they replaced, and that
+the flow's routing stage is the batched engine.
 """
 
 import hashlib
+from types import SimpleNamespace
+from typing import Any
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.netlist.hierarchy import flatten
 from repro.orchestrate import run
 from repro.place import Placement, global_place
 from repro.route import ROUTE_SCHEMA_VERSION, batched, route_placement
+from repro.route.grid import RoutingGrid
 from repro.tech import get_node
 
 LIB = build_library(get_node("28nm"))
@@ -239,10 +243,22 @@ class TestParity:
 
 @pytest.fixture(scope="module")
 def congested():
-    """A small design whose routing at gcell 2 um stays overflowed
-    through every negotiation round (so every negotiation helper
-    runs), at about 0.1 s per route."""
+    """A small design whose routing at gcell 2 um stays overflowed, so
+    a negotiation round runs every negotiation helper, at about 0.1 s
+    per route.  Its rounds do not pay (1,407 overflow after the first
+    pass at seed 0, 1,409 after one round), so negotiation stops after
+    one round."""
     return global_place(registered_cloud(16, 48, 1500, LIB, seed=1),
+                        seed=0, utilization=0.7)
+
+
+@pytest.fixture(scope="module")
+def paying():
+    """A small design whose negotiation rounds keep paying at gcell
+    2 um: overflow goes 365 -> 354 -> 349 -> 349 at seed 0, so a cap of
+    four passes runs three rounds and the design stays overflowed."""
+    return global_place(logic_cloud(16, 16, 800, LIB, seed=2,
+                                    locality=0.9),
                         seed=0, utilization=0.7)
 
 
@@ -252,20 +268,37 @@ def route_congested(placement, seed=0, iterations=4):
 
 
 class TestBatchedRouter:
-    @pytest.mark.parametrize("seed, iterations, overflow, digest", [
-        (0, 4, 1444, "439c1a9e584509f42c24f14c63644e5bf"
-         "7fdce5a54af76a2dacaf87af688f0f4"),
-        (1, 6, 1442, "cf165a59938e1975e50c5e9fdab58d83e"
-         "1851c049806ba328ee8bf43b8bf1fb5"),
-    ], ids=["seed0-4it", "seed1-6it"])
-    def test_pinned_digest(self, congested, seed, iterations, overflow,
-                           digest):
+    @pytest.mark.parametrize(
+        "design, seed, cap, overflow, iterations, digest", [
+            ("congested", 0, 4, 1409, 2, "b6c8afe1e149bb4e2197c9a46c5c6901"
+             "b63d35d55cb0eee6771727722b5e4cdc"),
+            ("congested", 1, 6, 1398, 2, "fe02b38ff71756d5b72e00ebdace5928"
+             "abdc005d9a25c99b159fd2648a557834"),
+            # Three paying rounds, so every schedule entry runs.
+            ("paying", 0, 4, 349, 4, "072bda4d47ec7ea5c0b4ad62dd1f4e5f"
+             "e707e9df7f05b97f7d8d5a43f7990ec0"),
+        ], ids=["seed0-4it", "seed1-6it", "paying-seed0-4it"])
+    def test_pinned_digest(self, request, design, seed, cap, overflow,
+                           iterations, digest):
         # Pinned results: any change to what the router returns — a
         # path, a per-net number, a usage or history cell — fails here.
-        res = route_congested(congested, seed, iterations)
+        res = route_congested(request.getfixturevalue(design), seed, cap)
         assert (res.overflow, res.iterations) == (overflow, iterations)
         legal(res)
         assert route_digest(res) == digest
+
+    def test_negotiation_stops_when_a_round_stops_paying(self, congested,
+                                                         paying):
+        # The first round raises the congested design's overflow, so
+        # negotiation stops after it whatever the cap.
+        four = route_congested(congested, iterations=4)
+        ten = route_congested(congested, iterations=10)
+        assert four.iterations == ten.iterations == 2
+        assert route_digest(four) == route_digest(ten)
+        # Both rounds that pay run when the cap allows them.
+        res = route_congested(paying, iterations=3)
+        assert res.iterations == 3
+        assert res.overflow == 349
 
     def test_maze_fallback(self, congested, monkeypatch):
         # Every real window descends, so force the fallback: mark every
@@ -299,8 +332,7 @@ class TestBatchedRouter:
         np.testing.assert_array_equal(batched._members(keys, table),
                                       np.isin(keys, table))
 
-    def test_route_store_read_once_per_step(self, congested,
-                                            monkeypatch):
+    def test_route_store_read_once_per_step(self, paying, monkeypatch):
         # The stored routes' edges are regenerated a fixed number of
         # times per negotiation round (one read per relocation pass,
         # the excess ranking, the excess rip-up), plus one for the
@@ -314,10 +346,300 @@ class TestBatchedRouter:
 
         monkeypatch.setattr(batched._BatchedRouter, "_route_edges",
                             counted)
-        res = route_congested(congested)
+        res = route_congested(paying)
         rounds = res.iterations - 1
         assert rounds == 3
         assert 0 < len(calls) <= 6 * rounds + 1
+
+
+# ----------------------------------------------------------------------
+# Kernel references: the expander, backtrace and usage update the router
+# ran before its batch-innermost rewrite, verbatim, against the rewrites
+
+
+FloatArray = IntArray = Any
+_SWEEP_LIMIT = batched._SWEEP_LIMIT
+
+
+def ref_expand_chunk(h_cost: FloatArray, v_cost: FloatArray,
+                     x0: IntArray, y0: IntArray, w: int, h: int,
+                     sxw: IntArray, syw: IntArray) -> tuple:
+    """Shortest-path distances for K same-shape windows at once.
+
+    Returns ``(dist, hw, vw)`` — the (K, H, W) distance field from
+    each window's source plus the gathered edge-cost slabs (reused by
+    the backtrace).
+    """
+    k = x0.shape[0]
+    ys = (y0[:, None] + np.arange(h))[:, :, None]     # (K, H, 1)
+    xs = (x0[:, None] + np.arange(w))[:, None, :]     # (K, 1, W)
+    hw = h_cost[ys, xs[:, :, :w - 1]]                 # (K, H, W-1)
+    vw = v_cost[ys[:, :h - 1, :], xs]                 # (K, H-1, W)
+    full = np.full((k, h, w), np.inf)
+    full[np.arange(k), syw, sxw] = 0.0
+    sh_full = np.concatenate(
+        [np.zeros((k, h, 1)), np.cumsum(hw, axis=2)], axis=2)
+    sv_full = np.concatenate(
+        [np.zeros((k, 1, w)), np.cumsum(vw, axis=1)], axis=1)
+    # Sweep only the windows that are still changing: converged ones
+    # are scattered back into ``full`` and dropped from the batch, so
+    # a few straggler windows stop costing whole-batch sweeps.
+    act = np.arange(k)
+    dist, sh, sv = full, sh_full, sv_full
+    for _ in range(_SWEEP_LIMIT):
+        prev = dist.copy()
+        t = dist - sh                                  # rightward
+        np.minimum.accumulate(t, axis=2, out=t)
+        np.minimum(dist, t + sh, out=dist)
+        t = np.flip(np.minimum.accumulate(              # leftward
+            np.flip(dist + sh, axis=2), axis=2), axis=2)
+        np.minimum(dist, t - sh, out=dist)
+        t = dist - sv                                  # downward (+y)
+        np.minimum.accumulate(t, axis=1, out=t)
+        np.minimum(dist, t + sv, out=dist)
+        t = np.flip(np.minimum.accumulate(              # upward (-y)
+            np.flip(dist + sv, axis=1), axis=1), axis=1)
+        np.minimum(dist, t - sv, out=dist)
+        # Tolerant check: prefix-sum arithmetic can keep flipping the
+        # last ulp forever; improvements below 1e-9 are far smaller
+        # than any real cost difference (>= 0.1) and cannot change a
+        # backtrace, so treat them as converged.
+        changed = (dist < prev - 1e-9).any(axis=(1, 2))
+        n_changed = int(changed.sum())
+        if n_changed == 0:
+            break
+        if n_changed <= act.size // 2:
+            settled = ~changed
+            full[act[settled]] = dist[settled]
+            act = act[changed]
+            dist = dist[changed]
+            sh = sh[changed]
+            sv = sv[changed]
+    if dist is not full:
+        full[act] = dist
+    return full, hw, vw
+
+
+def ref_backtrace(dist: FloatArray, hw: FloatArray, vw: FloatArray,
+                  sxw: IntArray, syw: IntArray, dxw: IntArray,
+                  dyw: IntArray, rng: Any) -> tuple:
+    """Walk dst -> src by greedy strict descent, whole batch at once.
+
+    Below capacity the negotiated cost is flat, so many staircase
+    paths tie exactly; a deterministic tie-break would send every
+    segment of a batch down the same canonical corridor and stack
+    usage far past capacity before the next cost refresh could react.
+    Instead, ties break on a per-segment, per-step ~1e-4 perturbation
+    drawn from ``rng`` — tied neighbors all lie on shortest paths, so
+    this diffuses the batch across the whole equal-cost corridor
+    ensemble (the batched analogue of the sequential engines filling
+    corridors one segment at a time) while the strict-descent check
+    keeps every walk a true shortest path.
+
+    Returns ``(px, py, done, ok)``: step-stacked window coordinates
+    (K, S+1), per-segment final step index, and a success mask (a
+    window that did not converge cannot descend and falls back to the
+    sequential maze router).
+    """
+    k, h, w = dist.shape
+    rows = np.arange(k)
+    cx, cy = dxw.astype(np.int64), dyw.astype(np.int64)
+    steps_x, steps_y = [cx.copy()], [cy.copy()]
+    active = (cx != sxw) | (cy != syw)
+    ok = np.ones(k, dtype=bool)
+    done = np.zeros(k, dtype=np.int64)
+    moves_x = np.asarray([-1, 1, 0, 0])
+    moves_y = np.asarray([0, 0, -1, 1])
+    cap = h * w
+    step = 0
+    while active.any() and step < cap:
+        step += 1
+        cur_d = dist[rows, cy, cx]
+        cand = np.full((4, k), np.inf)
+        m = cx > 0
+        cand[0, m] = (dist[rows[m], cy[m], cx[m] - 1]
+                      + hw[rows[m], cy[m], cx[m] - 1])
+        m = cx < w - 1
+        cand[1, m] = (dist[rows[m], cy[m], cx[m] + 1]
+                      + hw[rows[m], cy[m], cx[m]])
+        m = cy > 0
+        cand[2, m] = (dist[rows[m], cy[m] - 1, cx[m]]
+                      + vw[rows[m], cy[m] - 1, cx[m]])
+        m = cy < h - 1
+        cand[3, m] = (dist[rows[m], cy[m] + 1, cx[m]]
+                      + vw[rows[m], cy[m], cx[m]])
+        cand += rng.random((4, k)) * 1e-4
+        choice = np.argmin(cand, axis=0)
+        nx_ = np.clip(cx + moves_x[choice], 0, w - 1)
+        ny_ = np.clip(cy + moves_y[choice], 0, h - 1)
+        good = active & (dist[rows, ny_, nx_] < cur_d)
+        ok &= ~(active & ~good)
+        cx = np.where(good, nx_, cx)
+        cy = np.where(good, ny_, cy)
+        steps_x.append(cx.copy())
+        steps_y.append(cy.copy())
+        done = np.where(good, step, done)
+        active = good & ((cx != sxw) | (cy != syw))
+    ok &= ~active  # hit the step cap while still walking
+    return np.stack(steps_x, axis=1), np.stack(steps_y, axis=1), \
+        done, ok
+
+
+def ref_shift_usage(grid, h, v, delta):
+    """The ``np.add.at`` usage update the router ran before ``bincount``."""
+    np.add.at(grid.h_usage.ravel(), h, delta)
+    np.add.at(grid.v_usage.ravel(), v, delta)
+
+
+def random_costs(nx, ny, seed, free=0.0):
+    """Seeded edge-cost planes of an nx-by-ny grid, uniform in [1, 4),
+    with a ``free`` share of the edges at cost zero."""
+    rng = np.random.default_rng(seed)
+    h_cost = 1.0 + 3.0 * rng.random((ny, nx - 1))
+    v_cost = 1.0 + 3.0 * rng.random((ny - 1, nx))
+    h_cost[rng.random(h_cost.shape) < free] = 0.0
+    v_cost[rng.random(v_cost.shape) < free] = 0.0
+    return h_cost, v_cost
+
+
+def random_windows(nx, ny, w, h, k, seed):
+    """``k`` seeded w-by-h windows inside the grid, each with a source
+    and a destination: ``(x0, y0, (sxw, syw), (dxw, dyw))``."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.integers(0, nx - w + 1, k)
+    y0 = rng.integers(0, ny - h + 1, k)
+    src = (rng.integers(0, w, k), rng.integers(0, h, k))
+    dst = (rng.integers(0, w, k), rng.integers(0, h, k))
+    return x0, y0, src, dst
+
+
+def compare_kernels(h_cost, v_cost, x0, y0, w, h, src, dst, seed=0):
+    """Run both expanders, then both backtraces from equal generators:
+    every output must be equal.  Returns the reference distance field
+    and ``ok`` mask."""
+    ref = ref_expand_chunk(h_cost, v_cost, x0, y0, w, h, *src)
+    new = batched._expand_chunk(h_cost, v_cost, x0, y0, w, h, *src)
+    dist, costs = new
+    assert dist.shape == (h + 2, w + 2, x0.size)
+    assert costs.shape == (2, *dist.shape)
+    hw, vw = costs
+    for got, want in zip((dist[1:-1, 1:-1], hw[1:-1, 1:w], vw[1:h, 1:-1]),
+                         ref):
+        assert np.array_equal(got.transpose(2, 0, 1), want)
+    # The padding: +inf round the distances, zero where no edge is.
+    pad = np.ones((h + 2, w + 2), dtype=bool)
+    pad[1:-1, 1:-1] = False
+    assert np.isposinf(dist[pad]).all()
+    for plane, inner in ((hw, (slice(1, -1), slice(1, w))),
+                         (vw, (slice(1, h), slice(1, -1)))):
+        pad = np.ones((h + 2, w + 2), dtype=bool)
+        pad[inner] = False
+        assert not plane[pad].any()
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    want = ref_backtrace(*ref, *src, *dst, rng_ref)
+    got = batched._backtrace(*new, *src, *dst, rng_new)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    # Both walks drew the same random numbers.
+    assert rng_new.random() == rng_ref.random()
+    return ref[0], want[3]
+
+
+class TestKernelReferences:
+    @pytest.mark.parametrize("h, w", [(8, 8), (16, 24), (24, 16),
+                                      (62, 24)])
+    @pytest.mark.parametrize("k", [1, 256])
+    def test_expand_and_backtrace_match_reference(self, h, w, k):
+        h_cost, v_cost = random_costs(80, 70, seed=h * w + k)
+        x0, y0, src, dst = random_windows(80, 70, w, h, k, seed=k)
+        compare_kernels(h_cost, v_cost, x0, y0, w, h, src, dst, seed=k)
+
+    def test_dropped_windows_match_reference(self, monkeypatch):
+        # Columns 0-15 cost 1 everywhere.  Columns 16-31 are a
+        # serpentine: every row boundary is a wall (cost 1,000) but for
+        # a gap at its right end under even rows and at its left end
+        # under odd ones.  A uniform window settles in its first round;
+        # a serpentine window walled off from its top-left source gains
+        # one row per round.  So from the second round 4 of the 16
+        # windows still change, and the 12 settled ones leave the
+        # batch through the drop path.  The batch stays innermost in
+        # memory after the drop.
+        cummin = batched._cummin
+        batches = []
+
+        def recorded(a, axis, reverse):
+            batches.append(a.shape[2])
+            assert a.flags.c_contiguous
+            cummin(a, axis, reverse)
+
+        monkeypatch.setattr(batched, "_cummin", recorded)
+        h_cost = np.ones((16, 31))
+        v_cost = np.ones((15, 32))
+        v_cost[:, 16:] = 1000.0
+        v_cost[0::2, 31] = 1.0
+        v_cost[1::2, 16] = 1.0
+        rng = np.random.default_rng(3)
+        snake = np.arange(16) < 4
+        x0 = np.where(snake, 16, 0)
+        y0 = np.zeros(16, dtype=np.int64)
+        src = (np.where(snake, 0, rng.integers(0, 16, 16)),
+               np.where(snake, 0, rng.integers(0, 16, 16)))
+        dst = (rng.integers(0, 16, 16), rng.integers(0, 16, 16))
+        dist, ok = compare_kernels(h_cost, v_cost, x0, y0, 16, 16, src,
+                                   dst, seed=3)
+        # The far end of the serpentine: 16 rows of 15 edges plus 15
+        # gaps, reached only after one round per row.
+        assert (dist[snake, 15, 0] == 255.0).all()
+        assert ok.all()
+        assert batches[0] == 16 and batches[-1] == 4
+
+    def test_failed_descents_match_reference(self):
+        # A third of the edges are free, so a walker can tie with a
+        # neighbor and fail the strict descent: those rows come back
+        # not ok, and the router sends them to the maze fallback.
+        h_cost, v_cost = random_costs(40, 40, seed=5, free=0.35)
+        x0, y0, src, dst = random_windows(40, 40, 16, 16, 256, seed=5)
+        _, ok = compare_kernels(h_cost, v_cost, x0, y0, 16, 16, src, dst,
+                                seed=5)
+        assert ok.any() and not ok.all()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cummin_matches_accumulate(self, axis, reverse):
+        rng = np.random.default_rng(2 * axis + reverse)
+        a = rng.normal(size=(9, 7, 5))
+        a[rng.random(a.shape) < 0.2] = np.inf
+        if reverse:
+            want = np.flip(np.minimum.accumulate(np.flip(a, axis),
+                                                 axis=axis), axis)
+        else:
+            want = np.minimum.accumulate(a, axis=axis)
+        batched._cummin(a, axis, reverse)
+        assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("size", [0, 7, 500])
+    def test_shift_usage_matches_add_at(self, delta, size):
+        # 500 draws over 99 edges per axis repeat many edges.
+        rng = np.random.default_rng(2 * size + (delta > 0))
+        got, want = (RoutingGrid(12, 9, h_capacity=4, v_capacity=3)
+                     for _ in range(2))
+        h_use = rng.integers(0, 9, got.h_usage.shape)
+        v_use = rng.integers(0, 9, got.v_usage.shape)
+        for g in (got, want):
+            g.h_usage[...] = h_use
+            g.v_usage[...] = v_use
+        h = rng.integers(0, got.h_usage.size, size)
+        v = rng.integers(0, got.v_usage.size, size)
+        batched._BatchedRouter._shift_usage(SimpleNamespace(grid=got), h,
+                                            v, delta)
+        ref_shift_usage(want, h, v, delta)
+        for a, b in ((got.h_usage, want.h_usage),
+                     (got.v_usage, want.v_usage)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
