@@ -17,13 +17,6 @@ layer where flow authors wire knobs to kernels.  Seeded randomness
 (``np.random.default_rng(seed)``, ``random.Random(seed)``) is pure and
 passes; only the unseeded forms are hazards.
 
-An inline waiver comment on the offending line::
-
-    limit = MAX_JOBS_HINT          # lint: waive PURE-004 audited
-
-keeps the finding in the report but marks it waived, matching the
-file-based :class:`~repro.lint.report.Waivers` semantics.
-
 Rule table
 ----------
 
@@ -41,16 +34,12 @@ from __future__ import annotations
 
 import ast
 import inspect
-import re
 import textwrap
 import time
 import types
 from typing import Any, Callable, Iterable
 
 from repro.lint.report import Finding, LintReport, Severity
-
-_WAIVE_RE = re.compile(r"#\s*lint:\s*waive\s+(?P<ids>[A-Z]+-[0-9]+"
-                       r"(?:[ ,]+[A-Z]+-[0-9]+)*)(?P<reason>[^#]*)")
 
 #: Dotted call targets that read the wall clock.
 _CLOCK_CALLS = {
@@ -276,19 +265,6 @@ class _PurityVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _inline_waivers(source: str, first_line: int
-                    ) -> dict[int, tuple[set[str], str]]:
-    """Per-line ``# lint: waive RULE-ID`` annotations in ``source``."""
-    out: dict[int, tuple[set[str], str]] = {}
-    for offset, line in enumerate(source.splitlines()):
-        match = _WAIVE_RE.search(line)
-        if match is not None:
-            ids = set(re.split(r"[ ,]+", match.group("ids").strip()))
-            out[first_line + offset] = (ids,
-                                        match.group("reason").strip())
-    return out
-
-
 def _location(fn: Callable[..., object], lineno: int) -> str:
     module = getattr(fn, "__module__", "") or "<unknown>"
     qualname = getattr(fn, "__qualname__",
@@ -343,26 +319,17 @@ def check_stage_purity(fn: Callable[..., object], *,
                 f"({type(default).__name__}) persists state across "
                 "calls"))
 
-    waivers = _inline_waivers(source, first_line)
     severities = {"PURE-001": Severity.ERROR,
                   "PURE-002": Severity.ERROR,
                   "PURE-003": Severity.ERROR,
                   "PURE-004": Severity.WARNING,
                   "PURE-005": Severity.WARNING}
-    findings: list[Finding] = []
-    for rule_id, rel_line, message in hazards:
-        lineno = first_line + max(rel_line - 1, 0)
-        severity = severities.get(rule_id, Severity.WARNING)
-        waived = False
-        reason = ""
-        line_waiver = waivers.get(lineno)
-        if line_waiver is not None and rule_id in line_waiver[0]:
-            waived, reason = True, line_waiver[1]
-        findings.append(Finding(
-            rule_id=rule_id, severity=severity, message=message,
-            subject=subject, location=_location(fn, lineno),
-            waived=waived, waive_reason=reason))
-    return findings
+    return [Finding(rule_id=rule_id,
+                    severity=severities.get(rule_id, Severity.WARNING),
+                    message=message, subject=subject,
+                    location=_location(fn,
+                                       first_line + max(rel_line - 1, 0)))
+            for rule_id, rel_line, message in hazards]
 
 
 def lint_flow(stages: Iterable[Any]) -> LintReport:
@@ -371,7 +338,7 @@ def lint_flow(stages: Iterable[Any]) -> LintReport:
     t0 = time.perf_counter()
     report = LintReport(subject="flow")
     for stage in stages:
-        report.extend(check_stage_purity(stage.fn,
-                                         stage_name=stage.name))
+        report.findings.extend(check_stage_purity(
+            stage.fn, stage_name=stage.name))
     report.wall_s = time.perf_counter() - t0
     return report

@@ -4,13 +4,16 @@ Classic DP formulation: enumerate k-feasible cuts, match each cut's
 function against library cells (inputs permuted, both output phases),
 and choose per node the cover of minimum total cell area.  Negations
 ride on inverters; structural sharing is preserved by memoized
-instantiation.
+instantiation.  Each AIG output becomes one primary output on a net of
+its own: an output that repeats an earlier output's net (the same
+literal, or the same constant) reads it through a buffer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.netlist.aig import Aig, lit_is_neg, lit_var
 from repro.netlist.cells import Cell, CellLibrary
@@ -79,7 +82,7 @@ def map_aig(aig: Aig, library: CellLibrary, cut_size: int = 4,
     A :class:`~repro.netlist.Netlist` computing the same functions.
     """
     matcher = _Matcher(library, cell_filter)
-    inv_cell = _pick_inverter(library, cell_filter)
+    inv_cell = _cheapest_unary(library, 0b01, cell_filter, "inverter")
     inv_area = inv_cell.area_um2
     cuts = enumerate_cuts(aig, cut_size, _CUTS_PER_NODE)
 
@@ -197,14 +200,27 @@ def map_aig(aig: Aig, library: CellLibrary, cut_size: int = 4,
             net_of[key] = nl.add_gate(tie, {}).output
         return net_of[key]
 
-    for lit, name in zip(aig.outputs, aig.output_names):
+    outputs = []
+    for lit in aig.outputs:
         node = lit_var(lit)
-        if node == 0:
-            nl.add_output(const_net(lit_is_neg(lit)))
-            continue
-        net = instantiate(node, lit_is_neg(lit))
-        nl.add_output(net)
+        outputs.append(const_net(lit_is_neg(lit)) if node == 0
+                       else instantiate(node, lit_is_neg(lit)))
+    _declare_outputs(nl, outputs, lambda: _cheapest_unary(
+        library, 0b10, cell_filter, "buffer"))
     return nl
+
+
+def _declare_outputs(nl: Netlist, nets: list[str],
+                     buffer: Callable[[], Cell]) -> None:
+    """Declare one primary output per entry of ``nets``, in order; a net
+    already declared is read through a new ``buffer()`` cell, so no
+    two primary outputs share a net."""
+    declared: set[str] = set()
+    for net in nets:
+        if net in declared:
+            net = nl.add_gate(buffer(), [net]).output
+        declared.add(net)
+        nl.add_output(net)
 
 
 def _cheapest_function(library: CellLibrary, bits: int, cell_filter):
@@ -218,15 +234,18 @@ def _cheapest_function(library: CellLibrary, bits: int, cell_filter):
     return min(candidates, key=lambda c: c.area_um2) if candidates else None
 
 
-def _pick_inverter(library: CellLibrary, cell_filter) -> Cell:
+def _cheapest_unary(library: CellLibrary, bits: int, cell_filter,
+                    what: str) -> Cell:
+    """Smallest usable 1-input cell computing the given truth bits
+    (``0b01`` an inverter, ``0b10`` a buffer)."""
     candidates = [
         c for c in library.combinational()
         if c.num_inputs == 1 and c.function is not None
-        and c.function.bits == 0b01
+        and c.function.bits == bits
         and (cell_filter is None or cell_filter(c))
     ]
     if not candidates:
-        raise ValueError("library has no usable inverter")
+        raise ValueError(f"library has no usable {what}")
     return min(candidates, key=lambda c: c.area_um2)
 
 
@@ -258,9 +277,8 @@ def trivial_map(aig: Aig, library: CellLibrary) -> Netlist:
         net_of[key] = gate.output
         return gate.output
 
-    for lit, name in zip(aig.outputs, aig.output_names):
-        if lit_var(lit) == 0:
-            raise ValueError("trivial_map cannot express constant outputs")
-        if aig.is_input(lit_var(lit)) or aig.is_and(lit_var(lit)):
-            nl.add_output(net_for(lit))
+    if any(lit_var(lit) == 0 for lit in aig.outputs):
+        raise ValueError("trivial_map cannot express constant outputs")
+    _declare_outputs(nl, [net_for(lit) for lit in aig.outputs],
+                     lambda: library.cheapest("BUF"))
     return nl

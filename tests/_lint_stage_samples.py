@@ -40,9 +40,3 @@ def seeded_rng(ctx):
     """Clean: explicitly seeded generators are reproducible."""
     rng = np.random.default_rng(ctx["options"].seed)
     return float(rng.random())
-
-
-def waived_clock(ctx):
-    """PURE-001 present but waived inline."""
-    t0 = time.time()  # lint: waive PURE-001 coarse progress logging
-    return t0

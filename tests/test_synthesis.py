@@ -7,7 +7,6 @@ from repro.netlist import Aig, build_library, random_aig
 from repro.netlist.aig import lit_not
 from repro.netlist.boolfunc import TruthTable
 from repro.netlist.cubes import Cover
-from repro.netlist.generators import logic_cloud
 from repro.synthesis import (
     LogicNetwork,
     SynthesisFlow,
@@ -192,7 +191,6 @@ class TestLogicNetwork:
         net = LogicNetwork()
         for n in "abxy":
             net.add_input(n)
-        ab = [frozenset({("a", True)}), frozenset({("b", True)})]
         net.add_node("f", [frozenset({("a", True), ("x", True)}),
                           frozenset({("b", True), ("x", True)})])
         net.add_node("g", [frozenset({("a", True), ("y", True)}),
@@ -256,6 +254,42 @@ class TestMapping:
         pats = np.zeros((1, 2), dtype=bool)
         out = nl.simulate(pats)
         assert out[0, 0] == False and out[0, 1] == True  # noqa: E712
+
+
+class TestOneNetPerOutput:
+    """Each AIG output is one primary output on a net of its own, in
+    AIG order, even where outputs repeat a literal or a constant."""
+
+    @staticmethod
+    def _check(nl, aig):
+        assert len(nl.primary_outputs) == len(aig.outputs)
+        assert len(set(nl.primary_outputs)) == len(aig.outputs)
+        pats = np.random.default_rng(5).random((64, aig.num_inputs)) < 0.5
+        got, want = nl.simulate(pats), aig.simulate(pats)
+        for k in range(len(aig.outputs)):
+            assert np.array_equal(got[:, k], want[:, k]), k
+
+    def test_repeated_literal(self, lib):
+        aig = random_aig(4, 11, 3, seed=150)
+        assert aig.outputs[1] == aig.outputs[2]
+        self._check(map_aig(aig, lib), aig)
+        self._check(trivial_map(aig, lib), aig)
+
+    def test_repeated_constant(self, lib):
+        aig = Aig(2)
+        aig.add_output(0, "zero_a")
+        aig.add_output(aig.input_lit(0), "a")
+        aig.add_output(0, "zero_b")
+        nl = map_aig(aig, lib)
+        self._check(nl, aig)
+        assert sum(g.cell.name == "TIELO" for g in nl.gates.values()) == 1
+
+    def test_era_2016_flow(self, lib):
+        # After optimization two of this AIG's 24 outputs are one
+        # literal.
+        aig = random_aig(24, 2000, 24, seed=1)
+        result = SynthesisFlow(lib, "2016", 2000.0).run(aig)
+        self._check(result.netlist, aig)
 
 
 class TestSizingAndVt:
