@@ -9,8 +9,11 @@ asserts two invariants per scenario:
 
 * the resumed run's signoff metrics are bit-identical to an
   uninterrupted run of the same design, and
-* only the frontier re-executes — every verified journal entry replays
-  (telemetry spans tagged ``cache="journal"``), corrupted ones re-run.
+* only the frontier re-executes — every stage the killed run completed
+  replays from the journal's store (telemetry spans tagged
+  ``cache="hit"``), a corrupted one re-runs.  The killed run's ``ok``
+  spans name the completed stages, and each span's ``key`` names its
+  blob.
 
 Results land in ``BENCH_resilience.json`` (repo root by default).
 
@@ -68,7 +71,7 @@ def _scenario(seed: int) -> dict:
     rng = random.Random(seed)
     return {
         "seed": seed,
-        "kill": rng.choice(STAGE_NAMES[1:]),   # after >=1 record
+        "kill": rng.choice(STAGE_NAMES[1:]),   # after >=1 stage
         "rot": rng.choice(("none", "journal", "cache")),
     }
 
@@ -81,20 +84,22 @@ def run_scenario(lib, clean, scenario, root: Path) -> dict:
         if scenario["rot"] == "cache" else None
 
     t0 = time.perf_counter()
+    crashed = TelemetrySink()
     try:
         run(_design(lib), lib, FlowOptions(**OPTS), journal_root=root,
-            run_id=run_id, cache=cache,
+            run_id=run_id, cache=cache, telemetry=crashed,
             chaos=ChaosPolicy(crash_stages=(kill,)))
         raise AssertionError(f"chaos never fired at {kill}")
     except WorkerCrash:
         pass
 
+    keys = {s.stage: s.key for s in crashed.spans if s.status == "ok"}
+    journaled = set(keys)
     journal = RunJournal.open(root, run_id)
-    journaled = {e["stage"] for e in journal.entries()}
     rotted = None
     if scenario["rot"] == "journal" and journaled:
         rotted = sorted(journaled)[seed % len(journaled)]
-        corrupt_file(journal.blob_dir / f"{rotted}.pkl", seed=seed)
+        corrupt_file(journal.store.entry_path(keys[rotted]), seed=seed)
     elif scenario["rot"] == "cache":
         entries = sorted(cache_dir.glob("*.pkl"))
         if entries:
@@ -106,8 +111,8 @@ def run_scenario(lib, clean, scenario, root: Path) -> dict:
                          telemetry=sink)
     wall_s = time.perf_counter() - t0
 
-    replayed = {s.stage for s in sink.spans if s.cache == "journal"}
-    executed = {s.stage for s in sink.spans if s.cache != "journal"}
+    replayed = {s.stage for s in sink.spans if s.cache == "hit"}
+    executed = {s.stage for s in sink.spans if s.cache != "hit"}
     expected_replay = journaled - ({rotted} if rotted else set())
     identical = _qor(resumed) == clean
     frontier_only = (replayed == expected_replay

@@ -27,16 +27,17 @@ class FlowStatus(str, Enum):
     """Terminal status of a flow run.
 
     A ``str`` mixin keeps every existing ``result.status == "ok"``
-    comparison working; ``RESUMED`` means the run completed after
-    replaying a journal prefix (its metrics are bit-identical to an
-    uninterrupted ``OK`` run).  A failed required stage raises
-    :class:`~repro.orchestrate.executor.StageError` rather than
-    returning a status.
+    comparison working; ``RESUMED`` means
+    :func:`~repro.orchestrate.resume_run` finished the run and at
+    least one of its stages hit in the run's stores (its metrics are
+    bit-identical to an uninterrupted ``OK`` run).  A failed required
+    stage raises :class:`~repro.orchestrate.executor.StageError`
+    rather than returning a status.
     """
 
     OK = "ok"
     DEGRADED = "degraded"      # an optional stage failed
-    RESUMED = "resumed"        # completed via journal replay
+    RESUMED = "resumed"        # a resume that found completed stages
 
     def __str__(self) -> str:
         return self.value
@@ -170,18 +171,15 @@ class FlowResult:
 
         Every flow front-end (``repro.orchestrate.run``,
         ``resume_run``) assembles its result here, so field mapping
-        and status derivation (``resumed`` when journal replays
-        contributed, priority degraded > resumed > ok) cannot drift
-        between entry points.
+        cannot drift between entry points.  The status is the run's
+        (``ok`` or ``degraded``); ``resume_run`` marks its own result
+        ``resumed``.
         """
         outputs = run.outputs
         placement = outputs["dft"]
         netlist = placement.netlist
         routing = outputs["routing"]
         signoff = outputs["signoff"]
-        status = FlowStatus(run.status)
-        if status is FlowStatus.OK and run.replayed:
-            status = FlowStatus.RESUMED
         return cls(
             netlist=netlist,
             placement=placement,
@@ -197,7 +195,7 @@ class FlowResult:
             runtime_s=run.wall_s,
             stage_runtimes=dict(stage_runtimes or {}),
             clock_tree=outputs.get("cts"),
-            status=status,
+            status=FlowStatus(run.status),
             run_id=run_id,
         )
 

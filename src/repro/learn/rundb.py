@@ -22,7 +22,8 @@ class RunRecord:
 
     ``spans`` are the run's telemetry spans as the flow recorded them,
     lint notes included; in a resumed run the stages replayed from its
-    journal are the spans with ``cache="journal"``.  ``run_id`` names
+    journal are the spans with ``cache="hit"``, and each span's
+    ``key`` names the store entry its stage used.  ``run_id`` names
     the run journal when the run was journaled.
     """
 

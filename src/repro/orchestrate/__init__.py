@@ -5,19 +5,20 @@ The scaling substrate behind the E7 throughput claim — and, since the
 resilience layer landed, the *one* documented flow API:
 
 * :func:`run` — execute the implementation flow (cache, telemetry,
-  optional write-ahead journal, chaos injection).
-* :func:`resume_run` — finish a journaled run after a crash; verified
-  stages replay from the journal, only the frontier re-executes, and
-  the final metrics are bit-identical to an uninterrupted run.
+  optional run journal, chaos injection).
+* :func:`resume_run` — finish a journaled run after a crash; the
+  stages in the run's content-keyed store are cache hits, only the
+  frontier re-executes, and the final metrics are bit-identical to an
+  uninterrupted run.
 
 Underneath: declare a flow as a table of stages in execution order
 (:mod:`~repro.orchestrate.dag`, :data:`STAGES`), replay unchanged
-stages from a checksummed content-addressed cache
-(:mod:`~repro.orchestrate.cache`), run each flow's stages in order
-(:mod:`~repro.orchestrate.executor`)
+stages from checksummed content-addressed stores, the caller's cache
+and a journaled run's own (:mod:`~repro.orchestrate.cache`), run each
+flow's stages in order (:mod:`~repro.orchestrate.executor`)
 and independent flow jobs on a process pool
 (:mod:`~repro.orchestrate.sweep`),
-checkpoint and fault-inject (:mod:`~repro.orchestrate.resilience`),
+journal and fault-inject (:mod:`~repro.orchestrate.resilience`),
 and meter every stage with structured spans
 (:mod:`~repro.orchestrate.telemetry`).
 """

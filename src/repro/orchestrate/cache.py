@@ -12,9 +12,10 @@ placements are framed as columnar ``.pnl`` bytes
 (:class:`~repro.netlist.packed.PackedNetlist`) instead of deep
 pickles, and everything else falls back to a fixed-protocol pickle.
 The run journal (:class:`~repro.orchestrate.resilience.RunJournal`)
-keeps its stage blobs in a :class:`ResultCache` too, so one encoding
-is the single design currency everywhere a design crosses a
-boundary.  Cache keys for design-bearing inputs use the canonical
+keeps its stage blobs in a :class:`ResultCache` too, under the same
+content keys, so one encoding is the single design currency
+everywhere a design crosses a boundary.  Cache keys for design-bearing
+inputs use the canonical
 :meth:`~repro.netlist.packed.PackedNetlist.content_digest` (and, for
 placements, :meth:`~repro.place.placement.Placement.content_digest`)
 rather than a pickle or a per-entry walk, so structurally identical

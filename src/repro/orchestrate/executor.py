@@ -1,14 +1,14 @@
 """The stage executor: one flow run, one stage at a time.
 
 :func:`run_stages` walks a stage table in its declared order and hands
-each stage to :func:`run_stage`, which consults the result cache, runs
-the stage once, in the calling thread, and emits a telemetry span
-either way.  The table is checked before anything runs: a duplicate
-name, a dep that names no earlier stage, a param the run does not
-provide, or a knob that is not an attribute of the run's options
-raises ``ValueError``; :func:`run_stage` checks its one stage the
-same way, so a direct call is refused too.  A stage sees exactly what
-its cache key hashes: its deps, its params and, when it declares
+each stage to :func:`run_stage`, which consults the run's result
+stores, runs the stage once, in the calling thread, and emits a
+telemetry span either way.  The table is checked before anything
+runs: a duplicate name, a dep that names no earlier stage, a param the
+run does not provide, or a knob that is not an attribute of the run's
+options raises ``ValueError``; :func:`run_stage` checks its one stage
+the same way, so a direct call is refused too.  A stage sees exactly
+what its cache key hashes: its deps, its params and, when it declares
 ``knobs``, an options view holding only those attributes, so reading
 any other option fails the stage with ``AttributeError``.
 Stages are deterministic, so there is no retry: running a failed stage
@@ -18,11 +18,14 @@ stage marks its transitive dependents skipped and raises
 :class:`StageError`, so the caller sees the original traceback and a
 journaled run stays resumable.
 
-Resilience hooks (see :mod:`repro.orchestrate.resilience`): a
-``journal`` write-ahead-logs every completed stage so a killed process
-can resume, and before running a stage the executor asks it to replay
-a verified checkpoint instead (spans carry ``cache="journal"``); a
-``chaos`` policy deterministically injects stage faults and
+A run's stores are one tuple of
+:class:`~repro.orchestrate.cache.ResultCache`, ``caches``, all keyed
+by the stage's content key: a journaled run passes its own store
+first (see :mod:`repro.orchestrate.resilience`), then the caller's
+cache.  A hit in a later store is copied into the earlier ones and a
+computed value goes into all of them, so each completed stage of a
+journaled run is in its store, and a resume finds it as a ``hit``.
+A ``chaos`` policy deterministically injects stage faults and
 :class:`WorkerCrash` kills for fault-injection testing.
 
 Parallelism lives one level up: :func:`repro.orchestrate.run_sweep`
@@ -32,7 +35,7 @@ runs whole flow jobs on a process pool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 from repro.orchestrate.cache import stage_key
@@ -110,19 +113,23 @@ class StageOutcome:
     value: object
     span: Span
     error: Exception | None = None
-    key: str | None = None       # content-hash key, with a cache
 
 
-def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
-    """Execute one stage in-process, once: cache lookup, call, span.
+def run_stage(stage, ctx, caches=(), *, chaos=None) -> StageOutcome:
+    """Execute one stage in-process, once: store lookup, call, span.
 
     The stage's ``ctx`` holds its deps and params only; with ``knobs``
     its ``ctx["options"]`` is a ``SimpleNamespace`` of just those
     attributes.  A ``ctx`` that lacks one of the stage's deps or
     params, or whose options lack one of its knobs, raises
-    ``ValueError`` naming the stage, before any cache lookup or span.
-    A stage that raises is recorded as ``failed`` with its exception
-    on the outcome; it is not run again.  ``chaos`` (a
+    ``ValueError`` naming the stage, before any store lookup or span.
+    With ``caches`` (a tuple of
+    :class:`~repro.orchestrate.cache.ResultCache`), the stage's
+    content key is looked up in each store in turn; the span carries
+    that key.  A hit is copied into the stores before the one that
+    held it, and a computed value goes into every store.  A stage that
+    raises is recorded as ``failed`` with its exception on the
+    outcome; it is not run again.  ``chaos`` (a
     :class:`~repro.orchestrate.resilience.ChaosPolicy`) may inject a
     fault into the call.
     """
@@ -134,13 +141,17 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
             **{knob: getattr(options, knob) for knob in stage.knobs})
     t0 = time.perf_counter()
     key = None
-    if cache is not None:
+    if caches:
         key = stage_key(stage.name, cache_inputs(stage, child_ctx))
-        hit, value = cache.get(key)
-        if hit:
-            span = Span(stage.name, time.perf_counter() - t0,
-                        cache="hit", peak_rss_kb=peak_rss_kb())
-            return StageOutcome(stage.name, value, span, key=key)
+        for position, cache in enumerate(caches):
+            hit, value = cache.get(key)
+            if hit:
+                span = Span(stage.name, time.perf_counter() - t0,
+                            cache="hit", peak_rss_kb=peak_rss_kb(),
+                            key=key)
+                for earlier in caches[:position]:
+                    earlier.put(key, value)
+                return StageOutcome(stage.name, value, span)
 
     value = error = None
     try:
@@ -152,10 +163,11 @@ def run_stage(stage, ctx, cache=None, *, chaos=None) -> StageOutcome:
     span = Span(stage.name, time.perf_counter() - t0,
                 status="ok" if error is None else "failed",
                 cache=None if key is None else "miss",
-                peak_rss_kb=peak_rss_kb())
-    if error is None and key is not None:
-        cache.put(key, value)
-    return StageOutcome(stage.name, value, span, error, key=key)
+                peak_rss_kb=peak_rss_kb(), key=key)
+    if error is None:
+        for cache in caches:
+            cache.put(key, value)
+    return StageOutcome(stage.name, value, span, error)
 
 
 @dataclass
@@ -165,13 +177,13 @@ class RunResult:
     outputs: dict
     status: str                      # ok | degraded
     wall_s: float
-    replayed: list = field(default_factory=list)   # from a run journal
 
 
-def run_stages(stages, params, *, cache=None, sink=None, journal=None,
+def run_stages(stages, params, *, caches=(), sink=None,
                chaos=None) -> RunResult:
     """Run ``stages`` once each, in their declared order, with the run
-    parameters ``params``; ``sink`` receives every span, also when a
+    parameters ``params`` over the stores ``caches`` (see
+    :func:`run_stage`); ``sink`` receives every span, also when a
     stage fails."""
     stages = tuple(stages)
     earlier: set = set()
@@ -184,35 +196,16 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
     t0 = time.perf_counter()
     outputs: dict = {}
     spans: list = []
-    replayed: list = []
     degraded = False
     try:
         for position, stage in enumerate(stages):
-            if journal is not None:
-                hit, value = journal.replay(stage.name)
-                if hit:
-                    # Zero-cost ``cache="journal"`` spans, so telemetry
-                    # counts exactly what a resume skipped.
-                    outputs[stage.name] = value
-                    replayed.append(stage.name)
-                    spans.append(Span(stage.name, 0.0, cache="journal"))
-                    continue
             if chaos is not None:
                 chaos.pre_stage(stage.name)   # may crash
             outcome = run_stage(stage, {**params, **outputs},
-                                cache=cache, chaos=chaos)
+                                caches=caches, chaos=chaos)
             spans.append(outcome.span)
             if outcome.error is None:
                 outputs[stage.name] = outcome.value
-                if journal is not None:
-                    # Best effort: an output the journal cannot store
-                    # re-executes on resume.
-                    try:
-                        journal.record(outcome.name, outcome.value,
-                                       key=outcome.key,
-                                       wall_s=outcome.span.wall_s)
-                    except Exception:   # noqa: BLE001
-                        pass
                 continue
             if stage.optional:
                 outputs[stage.name] = None
@@ -233,4 +226,4 @@ def run_stages(stages, params, *, cache=None, sink=None, journal=None,
             sink.extend(spans)
     return RunResult(outputs=outputs,
                      status="degraded" if degraded else "ok",
-                     wall_s=time.perf_counter() - t0, replayed=replayed)
+                     wall_s=time.perf_counter() - t0)

@@ -14,9 +14,9 @@ Data-dependency notes:
 * Routing and signoff run *after* scan insertion.  The netlist travels
   inside its :class:`~repro.place.placement.Placement`
   (``placement.netlist``), and ``dft`` consumes and returns that
-  bundle — so even when a stage replays from the cache or a journal (a
-  decoded copy) the placement and the post-scan netlist downstream
-  stages see are the same consistent pair.  ``dft`` copies on write,
+  bundle — so even when a stage replays from a store (a decoded copy)
+  the placement and the post-scan netlist downstream stages see are
+  the same consistent pair.  ``dft`` copies on write,
   so the caller's subject is never edited.
 * ``cts``, ``routing``, and ``signoff`` all depend only on ``dft``
   (signoff parasitics come from placement-derived lengths, not
@@ -180,17 +180,17 @@ def _pre_run_lint(subject, sink):
 
 
 def implement_flow(subject, library, options: FlowOptions | None = None,
-                   *, run_db=None, cache=None, telemetry=None,
-                   journal=None, chaos=None) -> FlowResult:
+                   *, run_db=None, caches=(), telemetry=None,
+                   run_id=None, chaos=None) -> FlowResult:
     """Run :data:`STAGES` and assemble a :class:`FlowResult`.
 
     The private engine of :func:`repro.orchestrate.run` and
-    :func:`repro.orchestrate.resume_run`: ``cache`` (a
-    :class:`~repro.orchestrate.cache.ResultCache`) replays unchanged
-    stages, ``telemetry`` (a :class:`TelemetrySink`) collects spans,
-    ``journal`` write-ahead-logs each completed stage and replays the
-    stages it already verified, and ``chaos`` injects deterministic
-    faults.  Stages run one at a time through
+    :func:`repro.orchestrate.resume_run`: ``caches`` (a tuple of
+    :class:`~repro.orchestrate.cache.ResultCache`, looked up in order)
+    replay unchanged stages, ``telemetry`` (a :class:`TelemetrySink`)
+    collects spans, ``run_id`` names the run's journal in the result
+    and its record, and ``chaos`` injects deterministic faults.
+    Stages run one at a time through
     :func:`~repro.orchestrate.executor.run_stages`; each runs once,
     and a failed required stage raises
     :class:`~repro.orchestrate.executor.StageError`.
@@ -209,14 +209,14 @@ def implement_flow(subject, library, options: FlowOptions | None = None,
     run = run_stages(
         STAGES, {"subject": subject, "library": library,
                  "options": options},
-        cache=cache, sink=sink, journal=journal, chaos=chaos)
+        caches=caches, sink=sink, chaos=chaos)
 
     spans = sink.spans[n_before:]
     result = FlowResult.from_run(
         run, options,
         stage_runtimes={s.stage: s.wall_s for s in spans
                         if s.stage != "lint"},
-        run_id=getattr(journal, "run_id", None))
+        run_id=run_id)
     result.lint = lint_report
     if run_db is not None:
         _log_run(run_db, result, spans)

@@ -1,5 +1,5 @@
-"""Crash-safe flow runs: the write-ahead run journal, the resume
-engine, and the deterministic fault-injection (chaos) harness.
+"""Crash-safe flow runs: the run journal, the resume engine, and the
+deterministic fault-injection (chaos) harness.
 
 This module is the production hardening the panelists' economics
 demand: an EDA farm run is hours long, and a killed worker, a failed
@@ -8,18 +8,21 @@ Recovery is by resume, not by retry: each stage runs once, and a run
 that dies (a required-stage failure raises and leaves its journal
 unfinished) is finished by :func:`resume_run`.  Three pieces deliver that:
 
-* :class:`RunJournal` — every completed stage is checkpointed to disk
-  (sealed blob in a per-run result store + append-only JSONL index).
-  Records are published blob-first, index-second, each fsynced, so a
-  kill at any byte boundary leaves a prefix of verifiable records and
-  never a torn one.
+* :class:`RunJournal` — a run's sealed inputs, its completion marker,
+  and its own content-keyed :class:`ResultCache` disk tier: the stage
+  loop puts every completed stage there under the same content key a
+  caller's cache uses.  Entries publish through the cache's one
+  atomic writer (tmp, fsync, rename), so a kill at any byte boundary
+  leaves each entry whole or absent, and an entry that verifies is a
+  stage that completed.
 * :func:`run` / :func:`resume_run` — the one documented flow API.
   ``run(subject, library, options, journal_root=...)`` journals as it
   goes; after a crash, ``resume_run(run_id, journal_root=...)``
-  reloads the pickled inputs, replays every verified stage from the
-  journal, and re-executes only the frontier.  A resumed run's signoff
-  metrics are bit-identical to an uninterrupted run's (the chaos soak
-  in ``tests/test_resilience.py`` enforces this).
+  reloads the sealed inputs and runs the flow again over the same
+  stores, so every completed stage is an ordinary cache ``hit`` and
+  only the frontier runs.  A resumed run's signoff metrics are
+  bit-identical to an uninterrupted run's (the chaos soak in
+  ``tests/test_resilience.py`` enforces this).
 * :class:`ChaosPolicy` — fault injection at named stages: stage
   exceptions and worker crashes (:class:`WorkerCrash`), so a scenario
   replays exactly.
@@ -28,7 +31,6 @@ unfinished) is finished by :func:`resume_run`.  Three pieces deliver that:
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import random
 import time
@@ -36,6 +38,7 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.flow import FlowStatus
 from repro.orchestrate.cache import (
     CorruptEntry,
     ResultCache,
@@ -43,10 +46,10 @@ from repro.orchestrate.cache import (
     decode_value,
     encode_value,
     seal_blob,
-    stable_hash,
     unseal_blob,
 )
 from repro.orchestrate.executor import WorkerCrash
+from repro.orchestrate.telemetry import TelemetrySink
 
 _PICKLE_PROTOCOL = 4
 
@@ -64,30 +67,29 @@ class ChaosFailure(RuntimeError):
 
 
 class RunJournal:
-    """Append-only, checksummed checkpoint log of one flow run.
+    """One journaled run on disk: its inputs, its completion marker and
+    its content-keyed result store.
 
     Layout under ``root/run_id/``::
 
-        meta.json        run metadata + completion marker
-        inputs.pkl       sealed pickle of (subject, library, options)
-        journal.jsonl    one line per completed stage (the index)
-        blobs/<stage>.pkl  ``store``, a ResultCache keyed by stage
-                           name: sealed codec blob of that stage's
-                           output (designs as columnar ``.pnl`` bytes)
+        meta.json          run metadata + completion marker
+        inputs.pkl         sealed pickle of (subject, library, options)
+        blobs/<key>.pkl    ``store``, a ResultCache disk tier keyed by
+                           each stage's content key: the sealed codec
+                           blob of that stage's output (designs as
+                           columnar ``.pnl`` bytes)
         blobs/quarantine/  corrupted blobs moved aside on detection
 
-    Crash safety: :meth:`record` publishes the blob atomically
-    (tmp + fsync + rename) *before* appending its index line (also
-    fsynced).  The index is the source of truth — a blob without an
-    index line (kill between the two writes) is simply ignored, and an
-    index line whose blob fails verification is quarantined by the
-    store and reported as a miss.  Either way the stage re-executes on
-    resume; it can never be replayed from bad bytes.
+    The stage loop fills :attr:`store` like any cache, and a span's
+    ``key`` names its stage's blob (``store.entry_path(span.key)``).
+    A blob that is present and verifies is a completed stage; one that
+    fails verification is quarantined and reported as a miss, so its
+    stage re-executes on resume and is never replayed from bad bytes.
     """
 
-    #: v2: the subject is always journaled as a codec frame.
+    #: v3: stage blobs are keyed by content, with no index.
     #: :func:`resume_run` refuses a journal of any other version.
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     def __init__(self, root, run_id: str):
         self.root = Path(root)
@@ -95,11 +97,9 @@ class RunJournal:
         self.dir = self.root / run_id
         self.blob_dir = self.dir / "blobs"
         self.meta_path = self.dir / "meta.json"
-        self.index_path = self.dir / "journal.jsonl"
         self.inputs_path = self.dir / "inputs.pkl"
         self.store = ResultCache(max_memory_entries=1,
                                  disk_dir=self.blob_dir)
-        self._journaled: frozenset = frozenset()
 
     # -- creation / discovery ------------------------------------------
 
@@ -120,8 +120,6 @@ class RunJournal:
         journal._write_meta({
             "run_id": run_id,
             "schema_version": cls.SCHEMA_VERSION,
-            "fingerprint": stable_hash(
-                {"options": options, "subject": type(subject).__name__}),
             "status": "running",
             "flow_status": None,
             "created_unix": time.time(),
@@ -130,15 +128,11 @@ class RunJournal:
 
     @classmethod
     def open(cls, root, run_id: str) -> "RunJournal":
-        """Attach to an existing journal and read its index (the
-        stages :meth:`replay` may return); raises if there is none."""
+        """Attach to an existing journal; raises if there is none."""
         if not (Path(root) / run_id / "meta.json").exists():
             raise JournalError(
                 f"no journal for run {run_id!r} under {Path(root)}")
-        journal = cls(root, run_id)
-        journal._journaled = frozenset(
-            entry["stage"] for entry in journal.entries())
-        return journal
+        return cls(root, run_id)
 
     @staticmethod
     def list_runs(root) -> list:
@@ -179,61 +173,6 @@ class RunJournal:
         meta["status"] = "complete"
         meta["flow_status"] = str(flow_status)
         self._write_meta(meta)
-
-    # -- the write-ahead log -------------------------------------------
-
-    def record(self, stage: str, value, *, key: str | None = None,
-               wall_s: float = 0.0) -> None:
-        """Checkpoint one completed stage: blob first, index second.
-
-        Stage outputs go into :attr:`store` under the stage name,
-        through the packed-design codec
-        (:func:`~repro.orchestrate.cache.encode_value`): a netlist or
-        placement journals as columnar ``.pnl`` bytes, sharing the
-        packing pass with the result cache.  A blob the store could not
-        publish gets no index line: :class:`JournalError` is raised
-        and the stage re-executes on resume.
-        """
-        if not self.store.put(stage, value):
-            raise JournalError(f"blob of stage {stage!r} not published")
-        line = json.dumps({"stage": stage, "key": key, "wall_s": wall_s,
-                           "blob": self.store.entry_path(stage).name})
-        with self.index_path.open("a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def entries(self) -> list:
-        """Parsed index records, last-write-wins per stage, in order.
-
-        A line that is not a JSON object naming a ``stage`` — the torn
-        tail of an interrupted append, or a line that rotted on disk —
-        is ignored, so its stage re-executes on resume.
-        """
-        if not self.index_path.exists():
-            return []
-        by_stage: dict = {}
-        for line in self.index_path.read_bytes().splitlines():
-            try:
-                entry = json.loads(line)
-            except ValueError:       # torn, or undecodable bytes
-                continue
-            if isinstance(entry, dict) and \
-                    isinstance(entry.get("stage"), str):
-                by_stage[entry["stage"]] = entry
-        return list(by_stage.values())
-
-    def replay(self, stage: str):
-        """``(True, fresh_copy)`` when ``stage`` can be replayed.
-
-        Only a stage the index listed at :meth:`open` replays, and only
-        if its blob verifies; a blob that fails is quarantined by the
-        store and reported as ``(False, None)``, so the stage
-        re-executes instead of trusting bad bytes.
-        """
-        if stage not in self._journaled:
-            return False, None
-        return self.store.get(stage)
 
     def load_inputs(self):
         """``(subject, library, options)`` as journaled at create time."""
@@ -322,10 +261,13 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
       stages whose inputs are unchanged replay from it.
     * ``telemetry`` — a :class:`~repro.orchestrate.telemetry.TelemetrySink`
       collecting one span per stage.
-    * ``journal_root`` — checkpoint every completed stage under
-      ``journal_root/run_id`` (``run_id`` is generated when omitted;
-      read it back from ``result.run_id``).  If the process dies
-      mid-run, :func:`resume_run` finishes the job.
+    * ``journal_root`` — journal the run under ``journal_root/run_id``
+      (``run_id`` is generated when omitted; read it back from
+      ``result.run_id``): the sealed inputs, then every completed
+      stage in the run's own store, which is looked up before
+      ``cache``.  If the process dies mid-run, :func:`resume_run`
+      finishes the job.  A ``run_id`` without ``journal_root`` raises
+      ``ValueError`` before any stage runs.
     * ``chaos`` — a :class:`ChaosPolicy` injecting faults at named
       stages, for resilience testing.
 
@@ -337,8 +279,8 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
     span and the run proceeds; the report is ``result.lint``.
 
     Returns a :class:`~repro.core.flow.FlowResult`; its ``status`` is a
-    :class:`~repro.core.flow.FlowStatus` and its ``run_id`` echoes the
-    journal id when journaling was on.
+    :class:`~repro.core.flow.FlowStatus` (never ``RESUMED``) and its
+    ``run_id`` echoes the journal id when journaling was on.
     """
     from repro.orchestrate.flows import implement_flow
     journal = None
@@ -346,9 +288,13 @@ def run(subject, library, options=None, *, run_db=None, cache=None,
         run_id = run_id or _new_run_id()
         journal = RunJournal.create(journal_root, run_id, subject,
                                     library, options)
+    elif run_id is not None:
+        raise ValueError(f"run_id {run_id!r} names a run journal; "
+                         f"pass journal_root= too")
     result = implement_flow(
-        subject, library, options, run_db=run_db, cache=cache,
-        telemetry=telemetry, journal=journal, chaos=chaos)
+        subject, library, options, run_db=run_db,
+        caches=_stores(journal, cache), telemetry=telemetry,
+        run_id=run_id, chaos=chaos)
     if journal is not None:
         journal.finish(result.status)
     return result
@@ -358,18 +304,17 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
                telemetry=None):
     """Finish an interrupted journaled run.
 
-    Inputs (subject, library, options) are reloaded from the journal,
-    every checkpointed stage whose blob verifies is replayed without
-    re-execution (its span carries ``cache="journal"``), and only the
-    frontier — stages the crash cut short, plus anything whose index
-    line or blob rotted — actually runs.  The final metrics
-    are bit-identical to an uninterrupted run; ``result.status`` is
-    ``FlowStatus.RESUMED`` when any stage was replayed.
+    Inputs (subject, library, options) are reloaded from the journal
+    and the flow runs again over the run's store and ``cache``, so
+    every stage whose blob verifies is an ordinary ``cache="hit"``
+    span, and only the frontier — stages the crash cut short, plus any
+    whose blob rotted — actually runs.  The final metrics are
+    bit-identical to an uninterrupted run; ``result.status`` is
+    ``FlowStatus.RESUMED`` when the run is ok and any stage hit.
 
     With ``run_db``, the resumed run logs one record like any other
-    run: its replayed stages are the spans with ``cache="journal"``,
-    its executed stages the rest, and its ``run_id`` names the
-    journal.
+    run: its replayed stages are the ``hit`` spans, its executed
+    stages the rest, and its ``run_id`` names the journal.
 
     A journal written under another :attr:`RunJournal.SCHEMA_VERSION`
     raises :class:`JournalError` naming both versions.
@@ -382,11 +327,23 @@ def resume_run(run_id: str, *, journal_root, run_db=None, cache=None,
             f"run {run_id!r}: journal schema_version {version!r}, this "
             f"build reads {RunJournal.SCHEMA_VERSION}; cannot resume")
     subject, library, options = journal.load_inputs()
+    sink = telemetry if telemetry is not None else TelemetrySink()
+    n_before = len(sink)
     result = implement_flow(
-        subject, library, options, run_db=run_db, cache=cache,
-        telemetry=telemetry, journal=journal)
+        subject, library, options, run_db=run_db,
+        caches=_stores(journal, cache), telemetry=sink, run_id=run_id)
+    if result.status is FlowStatus.OK and any(
+            span.cache == "hit" for span in sink.spans[n_before:]):
+        result.status = FlowStatus.RESUMED
     journal.finish(result.status)
     return result
+
+
+def _stores(journal, cache) -> tuple:
+    """A run's stores in lookup order: its journal's, then the
+    caller's ``cache``, each when there is one."""
+    stores = (None if journal is None else journal.store, cache)
+    return tuple(store for store in stores if store is not None)
 
 
 def _new_run_id() -> str:

@@ -31,8 +31,8 @@ class SweepResult:
 
     @property
     def degraded(self) -> list:
-        """Indices of jobs that finished degraded (optional-stage
-        failure) — ``resumed`` jobs count as healthy."""
+        """Indices of jobs that finished degraded (an optional stage
+        failed)."""
         return [i for i, r in enumerate(self.results)
                 if str(getattr(r, "status", "ok")) == "degraded"]
 
@@ -43,16 +43,14 @@ class SweepResult:
                 f", {len(self.degraded)} degraded)")
 
 
-def _run_job(subject, library, options, cache, flow_fn, job,
-             journal_root):
+def _run_job(subject, library, options, cache, flow_fn, job):
     """One flow job: its result and its spans, tagged with ``job``."""
     if flow_fn is not None:
         return flow_fn(subject, library, options), []
     from repro.orchestrate.resilience import run
     sink = TelemetrySink()
     result = run(subject, library, options, cache=cache,
-                 telemetry=sink, journal_root=journal_root,
-                 run_id=_job_run_id(job) if journal_root else None)
+                 telemetry=sink)
     for span in sink.spans:
         span.job = job
     return result, sink.spans
@@ -61,27 +59,15 @@ def _run_job(subject, library, options, cache, flow_fn, job,
 def _run_one(payload):
     """Pool worker (module-level for pickling): one job over a cache
     on the parent's disk tier."""
-    subject, library, options, cache_dir, flow_fn, job, \
-        journal_root = payload
+    subject, library, options, cache_dir, flow_fn, job = payload
     cache = ResultCache(disk_dir=cache_dir) if cache_dir else None
-    return _run_job(subject, library, options, cache, flow_fn, job,
-                    journal_root)
-
-
-def _job_run_id(job: int) -> str:
-    return f"job{job:04d}"
+    return _run_job(subject, library, options, cache, flow_fn, job)
 
 
 def run_sweep(subject, library, options_list, *, jobs: int = 1,
-              cache=None, telemetry=None, run_db=None, flow_fn=None,
-              journal_root=None) -> SweepResult:
+              cache=None, telemetry=None, run_db=None,
+              flow_fn=None) -> SweepResult:
     """Run one flow job per entry of ``options_list``.
-
-    With ``journal_root``, each job checkpoints to its own run journal
-    (run id ``jobNNNN``) under that directory, so a killed sweep is
-    finished job by job with
-    :func:`repro.orchestrate.resume_run` instead of re-running the
-    whole batch.
 
     ``subject`` is either a single design (swept over option variants,
     the ablation shape) or a sequence matching ``options_list`` (one
@@ -90,7 +76,9 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
     :class:`~repro.orchestrate.cache.ResultCache`), when it has one,
     then gives the workers a shared on-disk result cache, while serial
     sweeps share the whole ``cache``.  A memory-only ``cache`` cannot
-    cross process boundaries and is ignored by parallel sweeps.
+    cross process boundaries and is ignored by parallel sweeps.  A
+    killed sweep recovers by running again over the same disk tier:
+    every stage its jobs completed is a ``hit``.
     ``flow_fn`` substitutes the flow body (module-level callable
     ``fn(subject, library, options)``) for harness tests and custom
     flows.
@@ -114,16 +102,14 @@ def run_sweep(subject, library, options_list, *, jobs: int = 1,
 
     t0 = time.perf_counter()
     if jobs <= 1 or not options_list:
-        outcomes = [_run_job(subj, library, options, cache, flow_fn, i,
-                             journal_root)
+        outcomes = [_run_job(subj, library, options, cache, flow_fn, i)
                     for i, (subj, options)
                     in enumerate(zip(subjects, options_list))]
     else:
         # Workers cannot share the parent's memory tier, but they can
         # share its disk store.
         cache_dir = cache.disk_dir if cache is not None else None
-        payloads = [(subj, library, options, cache_dir, flow_fn, i,
-                     journal_root)
+        payloads = [(subj, library, options, cache_dir, flow_fn, i)
                     for i, (subj, options)
                     in enumerate(zip(subjects, options_list))]
         with multiprocessing.Pool(min(jobs, len(payloads))) as pool:

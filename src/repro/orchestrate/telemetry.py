@@ -1,11 +1,12 @@
 """Run telemetry: structured per-stage spans and aggregate reports.
 
 Every stage execution — cached or not — produces a :class:`Span`
-recording wall time, status, cache disposition, and peak RSS when the
-platform exposes it.  Spans aggregate into a :class:`RunReport`, the
-observability substrate behind the E7 throughput claim ("1M
-instances/day on multicore farms" needs metering before it needs more
-cores), and persist with their run's record in the run database
+recording wall time, status, cache disposition, the content key of
+its store entry, and peak RSS when the platform exposes it.  Spans
+aggregate into a :class:`RunReport`, the observability substrate
+behind the E7 throughput claim ("1M instances/day on multicore farms"
+needs metering before it needs more cores), and persist with their
+run's record in the run database
 (:class:`repro.learn.rundb.RunDatabase`).
 """
 
@@ -54,15 +55,22 @@ def peak_rss_kb() -> int | None:
 
 @dataclass
 class Span:
-    """One stage execution (or cache/journal replay, or skip)."""
+    """One stage execution (or cache hit, or skip).
+
+    ``key`` is the stage's content key when the run had a store (see
+    :func:`~repro.orchestrate.executor.run_stage`), so it names the
+    entry the stage read or wrote: in a journaled run, its blob is
+    ``journal.store.entry_path(span.key)``.
+    """
 
     stage: str
     wall_s: float
     status: str = "ok"          # ok | failed | skipped
-    cache: str | None = None    # "hit" | "miss" | "journal" | None
+    cache: str | None = None    # "hit" | "miss" | None (no store)
     peak_rss_kb: int | None = None
     job: int | None = None      # sweep job index, when part of a sweep
     notes: tuple = ()           # lint findings, rendered
+    key: str | None = None      # content key, with a store
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -86,7 +94,6 @@ class RunReport:
     cache_misses: int = 0
     failed: int = 0
     skipped: int = 0
-    replayed: int = 0           # journal replays (resumed runs)
     peak_rss_kb: int | None = None
     by_stage: dict = field(default_factory=dict)
 
@@ -134,7 +141,6 @@ class TelemetrySink:
             rep.wall_s += span.wall_s
             rep.cache_hits += span.cache == "hit"
             rep.cache_misses += span.cache == "miss"
-            rep.replayed += span.cache == "journal"
             rep.failed += span.status == "failed"
             rep.skipped += span.status == "skipped"
             agg = rep.by_stage.setdefault(

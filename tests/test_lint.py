@@ -413,18 +413,18 @@ def _reads_knobs_only(ctx):
     return opts.seed
 
 
-def _run_specimen(fn, knobs, cache=None):
+def _run_specimen(fn, knobs, caches=()):
     table = (Stage("s", fn, params=("subject", "options"), knobs=knobs),)
     return run_stages(table, {"subject": 1, "options": FlowOptions()},
-                      cache=cache)
+                      caches=caches)
 
 
 def _assert_fails_outside_knobs(fn):
     """``fn``, as a stage whose only knob is ``seed``, fails on its
     ``options.utilization`` read, with a cache and without."""
-    for cache in (None, ResultCache()):
+    for caches in ((), (ResultCache(),)):
         with pytest.raises(StageError, match="'s'") as info:
-            _run_specimen(fn, ("seed",), cache)
+            _run_specimen(fn, ("seed",), caches)
         assert isinstance(info.value.__cause__, AttributeError)
         assert "utilization" in str(info.value.__cause__)
 
@@ -435,10 +435,11 @@ class TestFlowRules:
         sink = TelemetrySink()
         table = (Stage("a", ran.append, params=("subject",)),
                  Stage("b", _stage_ok, deps=("nonexistent",)))
-        for cache in (None, ResultCache()):
+        for caches in ((), (ResultCache(),)):
             with pytest.raises(ValueError,
                                match="stage 'b' .*names no earlier stage"):
-                run_stages(table, {"subject": 1}, cache=cache, sink=sink)
+                run_stages(table, {"subject": 1}, caches=caches,
+                           sink=sink)
         assert ran == [] and sink.spans == []
 
     def test_stage_cycle(self):
@@ -477,15 +478,15 @@ class TestFlowRules:
         table = (Stage("a", ran.append, params=("subject",)),
                  Stage("b", _reads_knobs_only, params=("options",),
                        knobs=("seed", "utilizatoin")))   # typo
-        for cache in (None, ResultCache()):
+        for caches in ((), (ResultCache(),)):
             with pytest.raises(ValueError, match="'utilizatoin'"):
                 run_stages(table, {"subject": 1, "options": FlowOptions()},
-                           cache=cache, sink=sink)
+                           caches=caches, sink=sink)
             # A direct call checks its one stage the same way.
             with pytest.raises(ValueError,
                                match="stage 'b' .*'utilizatoin'"):
                 run_stage(table[1], {"options": FlowOptions()},
-                          cache=cache)
+                          caches=caches)
         assert ran == [] and sink.spans == []
 
     def test_unprovided_param(self):

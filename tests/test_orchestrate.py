@@ -21,6 +21,7 @@ from repro.orchestrate import (
     STAGES,
     ChaosPolicy,
     ResultCache,
+    RunJournal,
     Stage,
     StageError,
     TelemetrySink,
@@ -337,6 +338,15 @@ class TestExecutor:
             run_sweep(None, None, [], cache_dir=tmp_path)
         with pytest.raises(TypeError, match="chaos"):
             resume_run("r", journal_root=tmp_path, chaos=None)
+        # A journaled run is a run over its own store: the executor
+        # takes one tuple of stores, and there is no journal replay.
+        for retired in ("journal", "cache"):
+            with pytest.raises(TypeError, match=retired):
+                run_stages((), {}, **{retired: None})
+        with pytest.raises(TypeError, match="journal_root"):
+            run_sweep(None, None, [], journal_root=tmp_path)
+        for name in ("record", "entries", "replay", "index_path"):
+            assert not hasattr(RunJournal, name), name
 
     def test_optional_failure_degrades_and_dependents_run(self):
         table = (Stage("base", lambda ctx: 10),
@@ -369,9 +379,9 @@ class TestExecutor:
         table = (Stage("double", expensive, params=("x",)),)
         cache = ResultCache()
         sink = TelemetrySink()
-        first = run_stages(table, {"x": 21}, cache=cache)
-        again = run_stages(table, {"x": 21}, cache=cache, sink=sink)
-        other = run_stages(table, {"x": 4}, cache=cache)
+        first = run_stages(table, {"x": 21}, caches=(cache,))
+        again = run_stages(table, {"x": 21}, caches=(cache,), sink=sink)
+        other = run_stages(table, {"x": 4}, caches=(cache,))
         assert first.outputs["double"] == again.outputs["double"] == 42
         assert other.outputs["double"] == 8
         assert calls["n"] == 2   # second run replayed from cache

@@ -1,6 +1,7 @@
-"""Tests for repro.orchestrate.resilience: the write-ahead run
-journal, checkpoint/resume, chaos fault injection, sealed-cache
-corruption handling, and the unified ``run``/``resume_run`` flow API.
+"""Tests for repro.orchestrate.resilience: the run journal and its
+content-keyed store, checkpoint/resume, chaos fault injection,
+sealed-cache corruption handling, and the unified
+``run``/``resume_run`` flow API.
 
 The acceptance centerpiece is the chaos soak
 (:class:`TestChaosSoak`): 20+ seeded kill/corruption scenarios, each
@@ -9,7 +10,6 @@ uninterrupted run while re-executing only the frontier.
 """
 
 import errno
-import json
 import multiprocessing
 import os
 import pickle
@@ -40,7 +40,6 @@ from repro.orchestrate import (
     run,
     run_stage,
     run_stages,
-    run_sweep,
     seal_blob,
     stage_key,
     unseal_blob,
@@ -101,20 +100,6 @@ class TestSealedBlobs:
 
 
 class TestRunJournal:
-    def test_record_and_completed_roundtrip(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", "subj", None,
-                                    FlowOptions())
-        journal.record("a", {"v": 1}, key="k-a", wall_s=0.5)
-        journal.record("b", [1, 2, 3])
-        journal.record("a", {"v": 2})       # last write wins
-        assert journal.replay("a") == (False, None)   # index not read
-        reopened = RunJournal.open(tmp_path, "r1")
-        assert reopened.replay("a") == (True, {"v": 2})
-        assert reopened.replay("b") == (True, [1, 2, 3])
-        assert reopened.replay("c") == (False, None)
-        subject, library, options = reopened.load_inputs()
-        assert subject == "subj" and options == FlowOptions()
-
     def test_duplicate_create_rejected(self, tmp_path):
         RunJournal.create(tmp_path, "r1", None, None, None)
         with pytest.raises(Exception, match="already journaled"):
@@ -124,73 +109,50 @@ class TestRunJournal:
         with pytest.raises(Exception, match="no journal"):
             RunJournal.open(tmp_path, "ghost")
 
-    def test_torn_index_tail_ignored(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", None, None, None)
-        journal.record("a", 1)
-        journal.store.put("b", 2)              # blob published, then
-        with journal.index_path.open("a") as fh:
-            fh.write('{"stage": "b", "blo')   # kill mid-append
-        reopened = RunJournal.open(tmp_path, "r1")
-        assert reopened.replay("a") == (True, 1)
-        assert reopened.replay("b") == (False, None)
-
-    def test_blob_without_index_line_ignored(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", None, None, None)
-        journal.record("a", 1)
-        # Kill between blob publish and index append: blob exists,
-        # index never saw it.
-        journal.store.put("orphan", 2)
-        assert (journal.blob_dir / "orphan.pkl").exists()
-        reopened = RunJournal.open(tmp_path, "r1")
-        assert reopened.replay("a") == (True, 1)
-        assert reopened.replay("orphan") == (False, None)
-
     def test_corrupted_blob_quarantined_and_dropped(self, tmp_path):
         journal = RunJournal.create(tmp_path, "r1", None, None, None)
-        journal.record("a", 1)
-        journal.record("b", 2)
-        corrupt_file(journal.blob_dir / "a.pkl", seed=7)
+        key_a, key_b = (stage_key(name, {}) for name in ("a", "b"))
+        journal.store.put(key_a, 1)
+        journal.store.put(key_b, 2)
+        corrupt_file(journal.store.entry_path(key_a), seed=7)
         reopened = RunJournal.open(tmp_path, "r1")
-        assert reopened.replay("a") == (False, None)
-        assert reopened.replay("b") == (True, 2)
-        assert (journal.blob_dir / "quarantine" / "a.pkl").exists()
-
-    def test_rotted_index_lines_ignored(self, tmp_path):
-        journal = RunJournal.create(tmp_path, "r1", None, None, None)
-        for stage in ("a", "b", "c"):
-            journal.record(stage, stage * 2)
-        lines = journal.index_path.read_bytes().splitlines(keepends=True)
-        # One bit off in b's "stage" key ("s" 0x73 -> "r" 0x72), and a
-        # line of valid JSON that is not an object.
-        lines[1] = lines[1].replace(b'"stage"', b'"rtage"')
-        journal.index_path.write_bytes(b"".join(lines) + b"[1, 2]\n")
-        reopened = RunJournal.open(tmp_path, "r1")
-        assert [e["stage"] for e in reopened.entries()] == ["a", "c"]
-        assert reopened.replay("b") == (False, None)
-        assert reopened.replay("c") == (True, "cc")
+        assert reopened.store.get(key_a) == (False, None)
+        assert reopened.store.get(key_b) == (True, 2)
+        assert (journal.blob_dir / "quarantine"
+                / f"{key_a}.pkl").exists()
 
     def test_unpublished_blob_gets_no_index_line(self, tmp_path, lib,
                                                  monkeypatch, clean_qor):
+        # On a full disk a journaled run completes without checkpoints:
+        # its store counts every failed write, and its resume
+        # re-executes every stage.
         def disk_full(path, data):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        journal = RunJournal.create(tmp_path, "r1", None, None, None)
-        journal.record("a", 1)
+        journals = []
+        create = RunJournal.create.__func__
+
+        def create_and_keep(cls, *args, **kwargs):
+            journals.append(create(cls, *args, **kwargs))
+            return journals[-1]
+
+        monkeypatch.setattr(RunJournal, "create",
+                            classmethod(create_and_keep))
         monkeypatch.setattr(repro.orchestrate.cache, "atomic_write",
                             disk_full)
-        with pytest.raises(JournalError, match="'b' not published"):
-            journal.record("b", 2)
-        assert [e["stage"] for e in journal.entries()] == ["a"]
-        # A journaled run on that disk completes without checkpoints,
-        # and its resume re-executes every stage.
         result = run(small_design(lib), lib, FlowOptions(**OPTS),
                      journal_root=tmp_path, run_id="full")
         assert qor(result) == clean_qor
+        assert journals[0].store.stats.write_failures == \
+            len(STAGE_NAMES)
         monkeypatch.undo()
-        assert RunJournal.open(tmp_path, "full").entries() == []
-        resumed = resume_run("full", journal_root=tmp_path)
+        assert not list(journals[0].blob_dir.glob("*.pkl"))
+        sink = TelemetrySink()
+        resumed = resume_run("full", journal_root=tmp_path,
+                             telemetry=sink)
         assert qor(resumed) == clean_qor
         assert resumed.status is FlowStatus.OK
+        assert [s.cache for s in sink.spans] == ["miss"] * 6
 
     def test_write_ahead_fsync_order(self, tmp_path, monkeypatch):
         synced = []
@@ -201,22 +163,17 @@ class TestRunJournal:
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", logged_fsync)
-        # Every disk-tier put makes its entry durable.
+        # Every disk-tier put makes its entry durable, a journal's
+        # store included.
         cache = ResultCache(disk_dir=tmp_path / "cache")
-        keys = [stage_key("s", {"x": i}) for i in range(3)]
-        for key in keys:
-            cache.put(key, {"qor": key})
-        assert all(cache.entry_path(key).stat().st_ino in synced
-                   for key in keys)
-        # The journal's blob is durable before its index line is.
         journal = RunJournal.create(tmp_path / "runs", "r1", None,
                                     None, None)
-        synced.clear()
-        journal.record("a", {"v": 1})
-        blob = (journal.blob_dir / "a.pkl").stat().st_ino
-        index = journal.index_path.stat().st_ino
-        assert blob in synced and index in synced
-        assert synced.index(blob) < synced.index(index)
+        keys = [stage_key("s", {"x": i}) for i in range(3)]
+        for store in (cache, journal.store):
+            for key in keys:
+                store.put(key, {"qor": key})
+            assert all(store.entry_path(key).stat().st_ino in synced
+                       for key in keys)
 
     def test_completion_marker_and_resumable_listing(self, tmp_path):
         done = RunJournal.create(tmp_path, "done", None, None, None)
@@ -239,10 +196,10 @@ class TestRunJournal:
         journal = RunJournal.create(tmp_path, "old", "subj", None,
                                     FlowOptions())
         meta = journal.meta()
-        meta["schema_version"] = 1
+        meta["schema_version"] = 2
         journal._write_meta(meta)
         with pytest.raises(JournalError,
-                           match=r"schema_version 1, this build reads 2"):
+                           match=r"schema_version 2, this build reads 3"):
             resume_run("old", journal_root=tmp_path)
 
 
@@ -330,16 +287,16 @@ class TestCacheCorruption:
         stage = Stage("double", _double, params=("x",))
         _double.calls = 0
         cache = ResultCache(disk_dir=tmp_path)
-        first = run_stage(stage, {"x": 21}, cache=cache)
+        first = run_stage(stage, {"x": 21}, caches=(cache,))
         assert first.value == 42 and _double.calls == 1
-        corrupt_file(cache.entry_path(first.key), seed=3)
+        corrupt_file(cache.entry_path(first.span.key), seed=3)
         fresh = ResultCache(disk_dir=tmp_path)
-        again = run_stage(stage, {"x": 21}, cache=fresh)
+        again = run_stage(stage, {"x": 21}, caches=(fresh,))
         assert again.span.status == "ok" and again.value == 42
         assert again.span.cache == "miss" and _double.calls == 2
         # The recompute republished a verifiable entry.
         repaired = ResultCache(disk_dir=tmp_path)
-        hit, value = repaired.get(first.key)
+        hit, value = repaired.get(first.span.key)
         assert hit and value == 42
 
 
@@ -393,7 +350,7 @@ class TestUnifiedApi:
         resumed = resume_run("flaky", journal_root=tmp_path,
                              telemetry=sink)
         assert qor(resumed) == clean_qor
-        assert {s.stage for s in sink.spans if s.cache != "journal"} \
+        assert {s.stage for s in sink.spans if s.cache != "hit"} \
             == {"routing", "signoff"}
 
     def test_status_enum_is_string_compatible(self):
@@ -416,6 +373,15 @@ class TestUnifiedApi:
             ("cts", "skipped"), ("routing", "skipped"),
             ("signoff", "skipped")]
         assert resumable_runs(tmp_path) == ["dies"]
+
+    def test_run_id_without_journal_root_raises(self, lib):
+        # The id would name no journal: refused before any span or
+        # record, as out-of-range options are.
+        sink, db = TelemetrySink(), RunDatabase()
+        with pytest.raises(ValueError, match="journal_root"):
+            run(small_design(lib), lib, FlowOptions(**OPTS),
+                run_id="lost", telemetry=sink, run_db=db)
+        assert sink.spans == [] and len(db) == 0
 
     def test_journaled_run_reports_run_id(self, lib, tmp_path):
         result = run(small_design(lib), lib, FlowOptions(**OPTS),
@@ -444,10 +410,8 @@ class TestResume:
             assert qor(resumed) == clean_qor, kill
             assert resumed.status is FlowStatus.RESUMED or \
                 kill == STAGE_NAMES[0]   # nothing journaled: plain ok
-            replayed = {s.stage for s in sink.spans
-                        if s.cache == "journal"}
-            executed = {s.stage for s in sink.spans
-                        if s.cache != "journal"}
+            replayed = {s.stage for s in sink.spans if s.cache == "hit"}
+            executed = {s.stage for s in sink.spans if s.cache != "hit"}
             assert replayed.isdisjoint(executed)
             assert kill in executed      # the cut stage re-runs
             assert replayed | executed == set(STAGE_NAMES)
@@ -460,7 +424,8 @@ class TestResume:
         resumed = resume_run("done", journal_root=tmp_path,
                              telemetry=sink)
         assert qor(resumed) == clean_qor
-        assert all(s.cache == "journal" for s in sink.spans)
+        assert resumed.status is FlowStatus.RESUMED
+        assert [s.cache for s in sink.spans] == ["hit"] * 6
 
     def test_resumed_run_logs_one_record(self, lib, tmp_path):
         # The crashed run logs nothing; its resume logs one record,
@@ -478,47 +443,33 @@ class TestResume:
         record = loaded.records[0]
         assert record.run_id == "rec"
         assert record.spans == db.records[0].spans
-        replayed = [s.stage for s in record.spans
-                    if s.cache == "journal"]
-        executed = [s.stage for s in record.spans
-                    if s.cache != "journal"]
+        replayed = [s.stage for s in record.spans if s.cache == "hit"]
+        executed = [s.stage for s in record.spans if s.cache != "hit"]
         assert replayed == ["synthesis", "placement", "dft", "cts"]
         assert executed == ["routing", "signoff"]
+        # Each span's key names the journal blob its stage used.
+        store = RunJournal.open(tmp_path, "rec").store
+        assert all(store.entry_path(s.key).exists()
+                   for s in record.spans)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rotted_index_line_re_executes(self, lib, tmp_path,
-                                           clean_qor, seed):
-        with pytest.raises(WorkerCrash, match="routing"):
-            run(small_design(lib), lib, FlowOptions(**OPTS),
-                journal_root=tmp_path, run_id="rot",
-                chaos=ChaosPolicy(crash_stages=("routing",)))
-        journal = RunJournal.open(tmp_path, "rot")
-        journaled = {e["stage"] for e in journal.entries()}
-        assert corrupt_file(journal.index_path, seed=seed)
-        intact = set()
-        for line in journal.index_path.read_bytes().split(b"\n"):
-            try:
-                intact.add(json.loads(line)["stage"])
-            except ValueError:     # the flipped line (or two, if the
-                pass               # flip hit the newline between them)
-        assert intact < journaled
+    def test_cache_hits_are_checkpointed(self, lib, tmp_path,
+                                         clean_qor):
+        # Stages served by the caller's cache still land in the run's
+        # store, so a resume without that cache finds them.
+        cache = ResultCache()
+        run(small_design(lib), lib, FlowOptions(**OPTS), cache=cache)
+        with pytest.raises(WorkerCrash, match="signoff"):
+            run(small_design(lib), lib, FlowOptions(**OPTS), cache=cache,
+                journal_root=tmp_path, run_id="warm",
+                chaos=ChaosPolicy(crash_stages=("signoff",)))
         sink = TelemetrySink()
-        resumed = resume_run("rot", journal_root=tmp_path,
+        resumed = resume_run("warm", journal_root=tmp_path,
                              telemetry=sink)
         assert qor(resumed) == clean_qor
-        assert sorted(s.stage for s in sink.spans) == sorted(STAGE_NAMES)
-        assert {s.stage for s in sink.spans
-                if s.cache == "journal"} == intact
-
-    def test_sweep_jobs_journal_individually(self, lib, tmp_path):
-        sweep = run_sweep(
-            [small_design(lib, seed=3), small_design(lib, seed=4)],
-            lib, [FlowOptions(), FlowOptions()],
-            journal_root=tmp_path)
-        assert len(sweep.results) == 2
-        assert sorted(RunJournal.list_runs(tmp_path)) == \
-            ["job0000", "job0001"]
-        assert resumable_runs(tmp_path) == []
+        assert resumed.status is FlowStatus.RESUMED
+        assert [(s.stage, s.cache) for s in sink.spans] == [
+            (stage, "hit") for stage in STAGE_NAMES[:-1]] + [
+            ("signoff", "miss")]
 
 
 def _run_and_die(journal_root, run_id, kill_stage):
@@ -572,7 +523,7 @@ def _soak_scenarios(n_seeds=20):
         rng = random.Random(seed)
         out.append({
             "seed": seed,
-            "kill": rng.choice(STAGE_NAMES[1:]),   # after >=1 record
+            "kill": rng.choice(STAGE_NAMES[1:]),   # after >=1 stage
             "rot": rng.choice(("none", "journal", "cache")),
         })
     return out
@@ -588,17 +539,22 @@ class TestChaosSoak:
         run_id = f"soak{seed}"
         cache = ResultCache(disk_dir=tmp_path / "cache") \
             if scenario["rot"] == "cache" else None
+        crashed = TelemetrySink()
         with pytest.raises(WorkerCrash, match=kill):
             run(small_design(lib), lib, FlowOptions(**OPTS),
                 journal_root=tmp_path, run_id=run_id, cache=cache,
+                telemetry=crashed,
                 chaos=ChaosPolicy(crash_stages=(kill,)))
 
+        # The stages the crashed run completed, and their blobs' keys.
+        keys = {s.stage: s.key for s in crashed.spans
+                if s.status == "ok"}
+        journaled = set(keys)
         journal = RunJournal.open(tmp_path, run_id)
-        journaled = {e["stage"] for e in journal.entries()}
         rotted = None
         if scenario["rot"] == "journal" and journaled:
             rotted = sorted(journaled)[seed % len(journaled)]
-            assert corrupt_file(journal.blob_dir / f"{rotted}.pkl",
+            assert corrupt_file(journal.store.entry_path(keys[rotted]),
                                 seed=seed)
         elif scenario["rot"] == "cache":
             entries = [p for p in (tmp_path / "cache").glob("*.pkl")]
@@ -613,12 +569,10 @@ class TestChaosSoak:
 
         # 1. Bit-identical signoff metrics.
         assert qor(resumed) == clean_qor, scenario
-        # 2. Only the frontier re-executed: every verified journal
-        #    entry replayed, the rotted one (if any) re-ran.
-        replayed = {s.stage for s in sink.spans
-                    if s.cache == "journal"}
-        executed = {s.stage for s in sink.spans
-                    if s.cache != "journal"}
+        # 2. Only the frontier re-executed: every completed stage
+        #    whose blob verifies hit, the rotted one (if any) re-ran.
+        replayed = {s.stage for s in sink.spans if s.cache == "hit"}
+        executed = {s.stage for s in sink.spans if s.cache != "hit"}
         expected_replay = journaled - ({rotted} if rotted else set())
         assert replayed == expected_replay, scenario
         assert executed == set(STAGE_NAMES) - expected_replay, scenario
