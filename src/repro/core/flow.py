@@ -66,7 +66,6 @@ def _is_bool(value) -> bool:
 _FIELD_CHECKS = {
     "utilization": (lambda v: _number(v) and 0 < v <= 1,
                     "a number in (0, 1]"),
-    "spreading_passes": (_int_at_least(1), "an int >= 1"),
     "detailed_passes": (_int_at_least(0), "an int >= 0"),
     "routing_layers": (_int_at_least(2), "an int >= 2 (metal layers)"),
     "routing_iterations": (_int_at_least(1), "an int >= 1"),
@@ -94,6 +93,10 @@ class FlowOptions:
     (journal/cache decode) and later attribute assignment bypass that
     check, so the flow validates again before any stage runs.
 
+    Placement reads ``utilization``, ``detailed_passes`` and ``seed``;
+    the analytic placer takes one spreading step, so it has no
+    iteration budget to set.
+
     ``routing_iterations`` is a cap on the router's passes (the first
     pass plus negotiation rounds): negotiation also stops at zero
     overflow and after a round that cuts overflow by less than 1%, so
@@ -102,7 +105,6 @@ class FlowOptions:
 
     era: str = "2016"
     utilization: float = 0.4
-    spreading_passes: int = 3
     detailed_passes: int = 2
     routing_layers: int = 6
     routing_iterations: int = 4
@@ -131,9 +133,8 @@ class FlowOptions:
     @staticmethod
     def basic() -> "FlowOptions":
         """The 2006-era recipe."""
-        return FlowOptions(era="2006", spreading_passes=1,
-                           detailed_passes=0, routing_iterations=1,
-                           layout_aware_scan=False)
+        return FlowOptions(era="2006", detailed_passes=0,
+                           routing_iterations=1, layout_aware_scan=False)
 
     @staticmethod
     def advanced() -> "FlowOptions":

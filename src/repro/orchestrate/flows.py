@@ -49,18 +49,12 @@ def stage_synthesis(ctx) -> object:
 
 
 def stage_placement(ctx) -> object:
-    """Analytic global + detailed placement of the mapped netlist.
-
-    ``spreading_passes`` sets the electrostatic iteration budget at 8
-    iterations per pass (the default 3 passes is the placer's own
-    default of 24), so the knob stays meaningful in the cache key.
-    """
+    """Analytic global + detailed placement of the mapped netlist."""
     from repro.place.analytic import analytic_place
     options = ctx["options"]
     return analytic_place(
         ctx["synthesis"], utilization=options.utilization,
-        seed=options.seed, max_iterations=8 * options.spreading_passes,
-        detailed_passes=options.detailed_passes)
+        seed=options.seed, detailed_passes=options.detailed_passes)
 
 
 def stage_dft(ctx) -> object:
@@ -138,8 +132,7 @@ STAGES = (
           knobs=("era", "clock_period_ps")),
     Stage("placement", stage_placement,
           deps=("synthesis",), params=("options",),
-          knobs=("utilization", "spreading_passes", "detailed_passes",
-                 "seed")),
+          knobs=("utilization", "detailed_passes", "seed")),
     Stage("dft", stage_dft,
           deps=("placement",), params=("options",),
           knobs=("scan", "scan_chains", "layout_aware_scan")),

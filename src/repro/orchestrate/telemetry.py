@@ -23,15 +23,18 @@ except ImportError:          # pragma: no cover - non-POSIX platforms
 
 
 @contextmanager
-def kernel_span(sink: "TelemetrySink", stage: str):
+def kernel_span(sink: "TelemetrySink | None", stage: str):
     """Record one kernel execution (STA, place, route, ...) as a
-    :class:`Span` in ``sink``.
+    :class:`Span` in ``sink``; a ``None`` sink records nothing.
 
     The analytic placer records one per phase and the batched router
     one per routing phase, so kernel wall times reach the same
     :class:`TelemetrySink` the flow stages use.  Exceptions mark the
     span ``failed`` and re-raise.
     """
+    if sink is None:
+        yield
+        return
     t0 = time.perf_counter()
     status = "ok"
     try:

@@ -22,18 +22,19 @@ Pipeline phases (each recorded as a ``kernel_span``):
     The two independent SPD systems are solved with Jacobi-
     preconditioned conjugate gradient.  Unlike the baseline's direct
     SuperLU factorization (superlinear in practice: 143 s at 12k
-    gates), CG is O(nnz) per iteration and every re-solve inside the
-    spreading loop warm-starts from the previous solution, so later
-    solves converge in a handful of iterations.
+    gates), CG is O(nnz) per iteration, and the spreading re-solve
+    warm-starts from the positions it anchors to.
 ``spread``
-    A SimPL-flavoured electrostatic loop replaces the per-cell Python
+    An order-preserving rank stretch fills the die, then one
+    SimPL-flavoured electrostatic step replaces the per-cell Python
     diffusion: cell area is splat bilinearly onto a 2^k x 2^k grid, the
     Poisson equation for the potential is solved with a mirrored
     ``numpy.fft.rfft2`` (even extension = Neumann walls, so cells are
-    pushed off overfull regions, never wrapped), cells ride the
-    negative gradient field in bulk steps, and the quadratic system is
-    re-solved against growing pseudo-net anchors.  The loop terminates
-    on density overflow.
+    pushed off overfull regions, never wrapped), and, when more than
+    :data:`TARGET_OVERFLOW` of the cell area sits in overfull bins,
+    cells take one normalized step along the negative gradient field
+    and the quadratic system is re-solved once against weak pseudo-net
+    anchors at the stepped positions.
 ``legalize``
     Vectorized Tetris/Abacus row legalization: cells are partitioned
     into rows along width quantiles of the y-order and packed with the
@@ -48,13 +49,6 @@ Pipeline phases (each recorded as a ``kernel_span``):
     adding their new positions an O(1) vectorized expression, so one
     sweep scores every candidate swap in bulk; improving,
     net-disjoint swaps are applied together.
-
-For designs above :data:`CLUSTER_ABOVE` gates a multilevel scheme kicks
-in: gates are coarsened along driver edges (union-find with a size
-cap), the cluster netlist is placed with the same engine, and the flat
-design warm-starts from its cluster's location — keeping the quadratic
-systems and density grids small enough that the engine holds up at the
-100k-1M gate corpus scale.
 
 Everything is seeded and deterministic: the only randomness is one
 ``np.random.default_rng(seed)`` jitter that breaks symmetric ties, so
@@ -82,16 +76,13 @@ IntArray = Any     # npt.NDArray[np.int64]
 #: baseline placer's threshold, so QoR comparisons are apples-to-apples).
 STAR_THRESHOLD = 10
 
-#: Spreading stops once at most this fraction of cell area sits in
-#: overfull bins.
+#: The spreading step runs only when more than this fraction of cell
+#: area sits in overfull bins.
 TARGET_OVERFLOW = 0.12
 
 #: Weight of the order-preserving rank stretch blended into the first
 #: quadratic solution (the baseline placer's default ``spread_blend``).
 SPREAD_BLEND = 0.6
-
-#: Designs with more gates than this are placed multilevel.
-CLUSTER_ABOVE = 50_000
 
 #: Tiny center pull that keeps the quadratic system SPD.
 _ANCHOR = 1e-6
@@ -113,7 +104,7 @@ def _pair_table(size: int) -> tuple[IntArray, IntArray]:
 
 @dataclass
 class _Problem:
-    """One level of the (possibly clustered) placement problem.
+    """The array-level placement problem.
 
     ``net_off``/``members`` is the deduplicated net -> gate CSR; pads
     are per-net boundary anchors (NaN x for pad-free nets).
@@ -712,114 +703,37 @@ def _gate_nets(prob: _Problem) -> tuple[IntArray, IntArray]:
 
 
 # ----------------------------------------------------------------------
-# Multilevel clustering.
-
-
-def _coarsen(prob: _Problem, max_cluster: int = 4
-             ) -> tuple[IntArray, _Problem]:
-    """Cluster gates along driver edges (vectorized hook + compress).
-
-    Driver edges of small nets are oriented toward the lower gate
-    index, so keeping at most one (minimum) parent per gate yields a
-    forest with ``parent[i] <= i``; pointer jumping resolves roots in
-    ``O(log depth)`` whole-array passes, and a sort-based rank pass
-    enforces the ``max_cluster`` size cap — no per-edge Python loop,
-    so clustering stays cheap at the >50k-gate scale that triggers it.
-    Returns ``(cluster_of, coarse_problem)``.
-    """
-    n = prob.n
-    # Propose: for each small net, its driver merges with its members.
-    sizes = np.diff(prob.net_off)
-    small = np.flatnonzero((sizes >= 2) & (sizes <= 4)
-                           & (prob.drv >= 0))
-    flat = csr_gather(prob.net_off[small], sizes[small])
-    mem = prob.members[flat]
-    drv = np.repeat(prob.drv[small], sizes[small])
-    keep_e = mem != drv
-    mem, drv = mem[keep_e], drv[keep_e]
-    parent = np.arange(n, dtype=np.int64)
-    np.minimum.at(parent, np.maximum(mem, drv), np.minimum(mem, drv))
-    while True:                     # pointer jumping to the roots
-        hopped = parent[parent]
-        if np.array_equal(hopped, parent):
-            break
-        parent = hopped
-    roots = parent
-    # Cap cluster sizes: keep the root plus the first
-    # ``max_cluster - 1`` members by gate index, detach the rest.
-    order = np.argsort(roots, kind="stable")
-    sorted_roots = roots[order]
-    starts = np.concatenate(
-        ([True], sorted_roots[1:] != sorted_roots[:-1]))
-    group_start = np.maximum.accumulate(
-        np.where(starts, np.arange(n), 0))
-    detach = order[np.arange(n) - group_start >= max_cluster]
-    roots = roots.copy()
-    roots[detach] = detach
-    uniq, cluster_of = np.unique(roots, return_inverse=True)
-    nc = uniq.size
-
-    areas = np.zeros(nc)
-    np.add.at(areas, cluster_of, prob.areas)
-    cmem = cluster_of[prob.members]
-    net_of = np.repeat(np.arange(prob.net_off.size - 1,
-                                 dtype=np.int64),
-                       np.diff(prob.net_off))
-    order = np.lexsort((cmem, net_of))
-    nn, cm = net_of[order], cmem[order]
-    if nn.size:
-        keep = np.concatenate((
-            [True], (nn[1:] != nn[:-1]) | (cm[1:] != cm[:-1])))
-        nn, cm = nn[keep], cm[keep]
-    csizes = np.bincount(nn, minlength=prob.net_off.size - 1)
-    coff = np.concatenate((np.zeros(1, dtype=np.int64),
-                           np.cumsum(csizes)))
-    cdrv = np.where(prob.drv >= 0, cluster_of[
-        np.clip(prob.drv, 0, n - 1)], -1)
-    coarse = _Problem(n=nc, net_off=coff, members=cm, areas=areas,
-                      weight=prob.weight, drv=cdrv,
-                      pad_x=prob.pad_x, pad_y=prob.pad_y)
-    return cluster_of, coarse
-
-
-# ----------------------------------------------------------------------
-# The global solve/spread loop.
+# The global solve and spreading step.
 
 
 def _global_positions(prob: _Problem, die_w: float, die_h: float,
-                      rng: Any, *, max_iterations: int,
-                      sink: Any, span: Any, depth: int = 0
+                      rng: Any, sink: "TelemetrySink | None"
                       ) -> tuple[FloatArray, FloatArray]:
-    """Solve + spread at this level (recursing through coarser levels)."""
-    n = prob.n
-    warm_x: FloatArray | None = None
-    warm_y: FloatArray | None = None
-    if n > CLUSTER_ABOVE and depth < 8:
-        cluster_of, coarse = _coarsen(prob)
-        if coarse.n < n:      # coarsening made progress
-            cxs, cys = _global_positions(
-                coarse, die_w, die_h, rng,
-                max_iterations=max_iterations, sink=sink, span=span,
-                depth=depth + 1)
-            jit = rng.normal(0.0, 0.005 * die_w, size=(2, n))
-            warm_x = np.clip(cxs[cluster_of] + jit[0], 0, die_w)
-            warm_y = np.clip(cys[cluster_of] + jit[1], 0, die_h)
+    """Quadratic solve, rank stretch, then at most one field step and
+    one anchored re-solve.
 
-    with span(sink, "place_assemble"):
+    One step, because the weakly anchored re-solve pulls cells back
+    into a clump (overflow 0.50 -> 0.96 on a 12k-gate cloud), so a
+    stall test would stop any further round.
+    """
+    from scipy import sparse
+
+    from repro.orchestrate.telemetry import kernel_span
+
+    n = prob.n
+    with kernel_span(sink, "place_assemble"):
         lap, diag, bx, by = _spring_system(prob, die_w, die_h)
 
-    with span(sink, "place_solve"):
-        x0 = warm_x if warm_x is not None else \
-            np.full(n, die_w / 2) + rng.normal(0, 0.01, n)
-        y0 = warm_y if warm_y is not None else \
-            np.full(n, die_h / 2) + rng.normal(0, 0.01, n)
+    with kernel_span(sink, "place_solve"):
+        x0 = np.full(n, die_w / 2) + rng.normal(0, 0.01, n)
+        y0 = np.full(n, die_h / 2) + rng.normal(0, 0.01, n)
         xs = _cg_solve(lap, diag, bx, x0)[0]
         ys = _cg_solve(lap, diag, by, y0)[0]
         xs, ys = np.clip(xs, 0, die_w), np.clip(ys, 0, die_h)
         xs = np.clip(xs + rng.normal(0, 0.01, n), 0, die_w)
         ys = np.clip(ys + rng.normal(0, 0.01, n), 0, die_h)
 
-    with span(sink, "place_spread"):
+    with kernel_span(sink, "place_spread"):
         # Order-preserving rank stretch fills the die cheaply ...
         if n > 1:
             rank_x = np.empty(n)
@@ -830,38 +744,28 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
                 np.arange(n) / (n - 1)
             xs = (1 - SPREAD_BLEND) * xs + SPREAD_BLEND * rank_x * die_w
             ys = (1 - SPREAD_BLEND) * ys + SPREAD_BLEND * rank_y * die_h
-        # ... then the electrostatic loop irons out local overflow.
+        # ... then one field step irons out local overflow.
         m = _auto_bins(n)
-        areas_total = float(prob.areas.sum())
-        bin_step = max(die_w, die_h) / m
-        alpha = float(np.mean(diag)) * 1e-3
-        from scipy import sparse as _sp
-        eye = _sp.identity(n, format="csr")
-        prev_overflow = np.inf
-        for _ in range(max_iterations):
-            density = _splat_density(xs, ys, prob.areas, m,
-                                     die_w, die_h)
-            overflow = _overflow(density, areas_total, die_w, die_h)
-            if overflow <= TARGET_OVERFLOW \
-                    or overflow > 0.99 * prev_overflow:
-                break           # converged, or spreading has stalled
-            prev_overflow = overflow
+        density = _splat_density(xs, ys, prob.areas, m, die_w, die_h)
+        overflow = _overflow(density, float(prob.areas.sum()),
+                             die_w, die_h)
+        if overflow > TARGET_OVERFLOW:
             ex, ey = _poisson_field(density)
             gx, gy = _field_at(ex, ey, xs, ys, die_w, die_h)
             norm = float(np.max(np.hypot(gx, gy)))
-            if norm <= 0:
-                break
-            step = 0.9 * bin_step / norm
-            xs = np.clip(xs + step * gx, 0, die_w)
-            ys = np.clip(ys + step * gy, 0, die_h)
-            # Warm-started anchored re-solve pulls connectivity back.
-            lap_a = lap + alpha * eye
-            diag_a = diag + alpha
-            xs = np.clip(_cg_solve(lap_a, diag_a, bx + alpha * xs, xs,
-                                   rtol=1e-5)[0], 0, die_w)
-            ys = np.clip(_cg_solve(lap_a, diag_a, by + alpha * ys, ys,
-                                   rtol=1e-5)[0], 0, die_h)
-            alpha *= 1.8
+            if norm > 0:
+                bin_step = max(die_w, die_h) / m
+                step = 0.9 * bin_step / norm
+                xs = np.clip(xs + step * gx, 0, die_w)
+                ys = np.clip(ys + step * gy, 0, die_h)
+                # Warm-started anchored re-solve pulls connectivity back.
+                alpha = float(np.mean(diag)) * 1e-3
+                lap_a = lap + alpha * sparse.identity(n, format="csr")
+                diag_a = diag + alpha
+                xs = np.clip(_cg_solve(lap_a, diag_a, bx + alpha * xs,
+                                       xs, rtol=1e-5)[0], 0, die_w)
+                ys = np.clip(_cg_solve(lap_a, diag_a, by + alpha * ys,
+                                       ys, rtol=1e-5)[0], 0, die_h)
     return xs, ys
 
 
@@ -872,7 +776,6 @@ def _global_positions(prob: _Problem, die_w: float, die_h: float,
 def analytic_place(netlist: "Netlist", *, utilization: float = 0.7,
                    net_weights: Mapping[str, float] | None = None,
                    seed: int = 0, detailed_passes: int = 2,
-                   max_iterations: int = 24,
                    telemetry: "TelemetrySink | None" = None
                    ) -> Placement:
     """Place a netlist with the vectorized analytic engine.
@@ -883,13 +786,13 @@ def analytic_place(netlist: "Netlist", *, utilization: float = 0.7,
     library lacks raises :class:`KeyError`, and a utilization whose
     rows would overfill the die raises :class:`ValueError`.
 
-    ``telemetry`` collects one ``kernel_span`` per phase
+    ``telemetry``, when given, collects one ``kernel_span`` per phase
     (``place_assemble`` / ``place_solve`` / ``place_spread`` /
     ``place_legalize`` / ``place_detailed``).  Seeded and
     deterministic: equal inputs and ``seed`` give bit-identical
     placements.
     """
-    from repro.orchestrate.telemetry import TelemetrySink, kernel_span
+    from repro.orchestrate.telemetry import kernel_span
 
     packed = netlist.to_packed()
     n = packed.num_gates
@@ -906,20 +809,17 @@ def analytic_place(netlist: "Netlist", *, utilization: float = 0.7,
     die_h = die_area ** 0.5
     die_w = die_area / die_h
 
-    sink = telemetry if telemetry is not None else TelemetrySink()
     rng = np.random.default_rng(seed)
     prob = _problem_from_packed(packed, die_w, die_h, areas,
                                 net_weights)
-    xs, ys = _global_positions(
-        prob, die_w, die_h, rng, max_iterations=max_iterations,
-        sink=sink, span=kernel_span)
+    xs, ys = _global_positions(prob, die_w, die_h, rng, telemetry)
 
     widths = np.maximum(areas / row_h, 0.05)
-    with kernel_span(sink, "place_legalize"):
+    with kernel_span(telemetry, "place_legalize"):
         xs, ys, row_of, rank = _legalize(
             xs, ys, widths, die_w, die_h, row_h)
     if detailed_passes > 0:
-        with kernel_span(sink, "place_detailed"):
+        with kernel_span(telemetry, "place_detailed"):
             goff, gnets = _gate_nets(prob)
             for _ in range(detailed_passes):
                 gained = 0.0

@@ -9,13 +9,18 @@ from repro.place.placement import Placement
 
 def detailed_place(placement: Placement, *, passes: int = 2,
                    window: int = 8, seed: int = 0) -> float:
-    """Swap nearby same-row cells when HPWL improves.
+    """Swap nearby same-row cells of equal width when HPWL improves.
 
-    Returns the total HPWL improvement.  Operates in place.  The pass
-    count is a quality/runtime knob for the self-learning engine (E8).
+    Returns the total HPWL improvement.  Operates in place; a swap
+    exchanges centres, which keeps a row legal only for equal widths.
+    The pass count is a quality/runtime knob for the self-learning
+    engine (E8).
     """
     rng = np.random.default_rng(seed)
     nl = placement.netlist
+    row_h = placement.row_height_um
+    width = {g.name: max(g.cell.area_um2 / row_h, 0.05)
+             for g in nl.gates.values()}
 
     # net -> gate members / fixed pad pins, computed once.
     members: dict[str, list] = {}
@@ -57,7 +62,7 @@ def detailed_place(placement: Placement, *, passes: int = 2,
                 j = min(i + 1 + int(rng.integers(0, window)),
                         len(row_cells) - 1)
                 a, b = row_cells[i], row_cells[j]
-                if a == b:
+                if a == b or width[a] != width[b]:
                     continue
                 nets = sorted(set(nets_of[a]) | set(nets_of[b]))
                 before = hpwl_of(nets)

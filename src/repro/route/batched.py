@@ -156,16 +156,13 @@ _WINDOW_SIZES = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
 
 @contextmanager
 def _phase(sink: Any, phases: dict, name: str) -> Iterator[None]:
-    """Accumulate wall ms into ``phases[name]`` and (when a telemetry
-    sink is given) record the block as a kernel span."""
+    """Accumulate wall ms into ``phases[name]`` and record the block as
+    a kernel span in ``sink`` (nothing when it is ``None``)."""
+    from repro.orchestrate.telemetry import kernel_span
     t0 = time.perf_counter()
     try:
-        if sink is None:
+        with kernel_span(sink, name):
             yield
-        else:
-            from repro.orchestrate.telemetry import kernel_span
-            with kernel_span(sink, name):
-                yield
     finally:
         phases[name] = (phases.get(name, 0.0)
                         + (time.perf_counter() - t0) * 1e3)

@@ -26,8 +26,7 @@ from repro.orchestrate import (
 from repro.synthesis.flow import SynthesisFlow
 from repro.tech import get_node
 
-QUICK = dict(spreading_passes=1, detailed_passes=0,
-             routing_iterations=1)
+QUICK = dict(detailed_passes=0, routing_iterations=1)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +62,6 @@ class TestAliasesAndValidation:
         ("utilization", True),
         ("utilization", 1.5),
         ("utilization", math.nan),
-        ("spreading_passes", 0),
         ("detailed_passes", -1),
         ("detailed_passes", 1.0),
         ("routing_layers", True),

@@ -117,4 +117,4 @@ class TestFlowSelfMonitoring:
         from repro.learn import design_features
         best = db.best_knobs(design_features(nl), "hpwl_um")
         assert best is not None
-        assert "spreading_passes" in best
+        assert "detailed_passes" in best

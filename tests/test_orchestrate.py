@@ -17,6 +17,7 @@ import repro.learn.rundb
 from repro.learn import RunDatabase
 from repro.netlist import build_library, registered_cloud
 import repro.orchestrate.cache
+import repro.place.analytic
 from repro.orchestrate import (
     STAGES,
     ChaosPolicy,
@@ -668,7 +669,8 @@ class TestTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Retired names: one telemetry record, named chaos injection points
+# Retired names: one telemetry record, named chaos injection points,
+# one analytic placement path
 
 
 #: Each retired name, as ``Owner.attribute`` or ``callable-keyword``,
@@ -693,6 +695,12 @@ RETIRED = {
     "ChaosPolicy-seed": lambda: ChaosPolicy(seed=0),
     "ChaosPolicy-crash_rate": lambda: ChaosPolicy(crash_rate=0.0),
     "ChaosPolicy-fail_rate": lambda: ChaosPolicy(fail_rate=0.0),
+    "FlowOptions-spreading_passes":
+        lambda: FlowOptions(spreading_passes=3),
+    "analytic_place-max_iterations":
+        lambda: analytic_place(None, max_iterations=24),
+    "analytic.CLUSTER_ABOVE": lambda: repro.place.analytic.CLUSTER_ABOVE,
+    "analytic._coarsen": lambda: repro.place.analytic._coarsen,
 }
 
 

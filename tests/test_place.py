@@ -137,6 +137,17 @@ class TestDetailedPlace:
         pl = global_place(cloud, seed=0)
         detailed_place(pl, passes=1, seed=0)
         pl.validate()
+        # No two cells of a row overlap: a swap of unequal widths would.
+        rows: dict[float, list] = {}
+        for name, (x, y) in pl.positions.items():
+            width = max(cloud.gates[name].cell.area_um2
+                        / pl.row_height_um, 0.05)
+            rows.setdefault(round(y, 6), []).append(
+                (x - width / 2, x + width / 2, name))
+        for cells in rows.values():
+            cells.sort()
+            for (_, ra, na), (lb, _, nb) in zip(cells, cells[1:]):
+                assert lb >= ra - 1e-6, f"{na} overlaps {nb}"
 
 
 class TestBuffering:

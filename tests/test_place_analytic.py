@@ -107,14 +107,7 @@ def assert_on_rows(placement: Placement) -> dict:
 
 
 def assert_legal(placement: Placement) -> None:
-    """Cells on row centers, inside the die, no overlaps within rows.
-
-    The full predicate; the baseline ``detailed_place`` can violate
-    the overlap clause by swapping unequal-width cells in place, so it
-    only applies to the baseline at its legalized (pre-detailed)
-    state.  The analytic engine's detailed sweep re-spaces swapped
-    cells and must satisfy it always.
-    """
+    """Cells on row centers, inside the die, no overlaps within rows."""
     for cells in assert_on_rows(placement).values():
         cells.sort()
         for (_, ra, na), (lb, _, nb) in zip(cells, cells[1:]):
@@ -232,8 +225,7 @@ class TestCgSolve:
         for design in (logic_cloud(64, 64, 5000, LIB, seed=0,
                                    locality=1.0),
                        window_cloud(5000, LIB)):
-            assert_legal(analytic_place(design, utilization=0.4,
-                                        max_iterations=24))
+            assert_legal(analytic_place(design, utilization=0.4))
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +353,7 @@ class TestCallShapes:
     def test_kept_call_shapes(self):
         assert keyword_names(analytic_place) == [
             "utilization", "net_weights", "seed", "detailed_passes",
-            "max_iterations", "telemetry"]
+            "telemetry"]
         assert keyword_names(global_place) == [
             "utilization", "spreading_passes", "spread_blend", "seed"]
         assert keyword_names(batched_route) == [
@@ -404,7 +396,7 @@ class TestEngineKnob:
         assert result.status is FlowStatus.OK
         assert_legal(result.placement)
         direct = analytic_place(reg, utilization=0.6, seed=0,
-                                max_iterations=24, detailed_passes=2)
+                                detailed_passes=2)
         assert result.placement.positions == direct.positions
 
     def test_unknown_engine_rejected(self, reg):

@@ -647,7 +647,7 @@ class TestKernelReferences:
 
 
 FLOW_OPTS = dict(utilization=0.4, routing_iterations=2, gcell_um=2.0,
-                 spreading_passes=1, detailed_passes=0)
+                 detailed_passes=0)
 
 
 def flow_design():

@@ -280,6 +280,13 @@ class TestKernelSpan:
                 raise RuntimeError("kernel died")
         assert sink.spans[0].status == "failed"
 
+    def test_no_sink_records_nothing_and_reraises(self):
+        with kernel_span(None, "sta_cold"):
+            pass
+        with pytest.raises(RuntimeError, match="kernel died"):
+            with kernel_span(None, "boom"):
+                raise RuntimeError("kernel died")
+
 
 class TestRetimingBridge:
     def test_netlist_to_retiming_graph(self):
